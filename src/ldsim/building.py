@@ -167,9 +167,9 @@ def partition(g: Graph | frozenset | set) -> Dataset:
     return Dataset.from_quads(quads)
 
 
-def _point_category(d: Dataset, point: IRI) -> str | None:
-    for s, o, _g in d.pred_entries(RDF_TYPE):
-        if s == point and isinstance(o, IRI) and o.value in _POINT_CATEGORIES:
+def _point_category(classes) -> str | None:
+    for o in classes:
+        if isinstance(o, IRI) and o.value in _POINT_CATEGORIES:
             return _POINT_CATEGORIES[o.value]
     return None
 
@@ -186,20 +186,30 @@ def property_graph_iri(base: str, point: IRI) -> str:
 
 
 def augment_datapoints(d: Dataset, base: str = DEFAULT_BASE) -> PartitionedDataset:
-    """Attach one writable/observable property resource per recognized point."""
-    systems = _typed(d, LIGHTING_SYSTEM)
+    """Attach one writable/observable property resource per recognized point.
+
+    One pass over the triples collects types, feeds and points, so that
+    building a dataset does not build its predicate index.
+    """
+    types: dict = {}
     feeds: dict[IRI, IRI] = {}
-    for s, o, _ in d.pred_entries(FEEDS):
-        if isinstance(o, IRI):
-            feeds.setdefault(s, o)
+    points: set = set()
+    for _g, triples in d.graphs():
+        for s, p, o in triples:
+            if p.value == RDF_TYPE:
+                types.setdefault(s, set()).add(o)
+            elif p.value == FEEDS and isinstance(o, IRI):
+                feeds.setdefault(s, o)
+            elif p.value == HAS_POINT:
+                points.add((s, o))
+    systems = {s for s, classes in types.items() if IRI(LIGHTING_SYSTEM) in classes}
 
     dynamic: dict[str, DynamicResource] = {}
     additions: list[Quad] = []
-    for sys_iri, point, _g in sorted(d.pred_entries(HAS_POINT),
-                                     key=lambda e: (e[0].value, e[1].value)):
+    for sys_iri, point in sorted(points, key=lambda e: (e[0].value, e[1].value)):
         if not isinstance(point, IRI):
             continue
-        category = _point_category(d, point)
+        category = _point_category(types.get(point, ()))
         if category is None:
             log.warning("point %s has no recognized category, skipped", point.value)
             continue

@@ -4,6 +4,16 @@ A dataset is stored as a mapping from graph name to a frozenset of triples,
 which makes graph replacement, graph-confined deltas and symmetric
 difference cheap: unchanged graphs are shared between dataset versions and
 compared by identity first.
+
+Each dataset has one predicate index, built on first use: a
+`PredicateEntry` per predicate IRI, with subject -> objects and object ->
+subjects maps and the graphs holding each triple. `replace_graphs` patches
+a built index into the child dataset. The entry-identity contract, which
+fault-check memoisation relies on: an entry is never mutated, and a child
+holds the very same entry object as its parent for every predicate whose
+(s, o, graph) entries the change left as they were, so two versions whose
+entries for a predicate are the same object hold the same triples of it.
+A predicate the change touched gets a new entry object.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .ns import DEFAULT_GRAPH, RDF_LANG_STRING, XSD_STRING, defrag
+from .ns import XSD_STRING
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,10 +60,6 @@ Term = IRI | BlankNode | Literal
 Triple = tuple  # (subject, predicate, object)
 
 
-def lang_literal(lexical: str, lang: str) -> Literal:
-    return Literal(lexical, RDF_LANG_STRING, lang)
-
-
 class Quad(NamedTuple):
     s: Term
     p: IRI
@@ -61,15 +67,91 @@ class Quad(NamedTuple):
     g: IRI
 
 
+class PredicateEntry:
+    """The triples of one predicate across all graphs, indexed both ways.
+
+    `fwd` maps subject -> object -> graph names and `bwd` maps object ->
+    subject -> graph names, so a triple held by several graphs (resource
+    partitioning copies triples) is one key with several graphs. The graph
+    names of a pair are one sorted tuple, shared by both maps. Iteration
+    yields (s, o, graph) entries; `len` counts them and `in` tests one.
+
+    An entry is never mutated once a dataset has published it: `patched`
+    returns a new entry that shares every subject and object map the patch
+    does not touch.
+    """
+
+    __slots__ = ("fwd", "bwd", "size")
+
+    def __init__(self, fwd: dict, bwd: dict, size: int):
+        self.fwd = fwd
+        self.bwd = bwd
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[tuple[Term, Term, str]]:
+        for s, objects in self.fwd.items():
+            for o, graphs in objects.items():
+                for g in graphs:
+                    yield s, o, g
+
+    def __contains__(self, entry: tuple) -> bool:
+        s, o, g = entry
+        return g in self.fwd.get(s, {}).get(o, ())
+
+    def patched(self, removed: list, added: list) -> "PredicateEntry":
+        """A new entry without the `removed` and with the `added` (s, o, graph)
+        entries; each removed entry must be present and each added one not."""
+        held: dict[tuple, set] = {}
+        for entries, keep in ((removed, False), (added, True)):
+            for s, o, g in entries:
+                graphs = held.get((s, o))
+                if graphs is None:
+                    graphs = held[s, o] = set(self.fwd.get(s, {}).get(o, ()))
+                if keep:
+                    graphs.add(g)
+                else:
+                    graphs.discard(g)
+        fwd, bwd = dict(self.fwd), dict(self.bwd)
+        copied_fwd: set = set()
+        copied_bwd: set = set()
+        for (s, o), graphs in held.items():
+            graphs = tuple(sorted(graphs))
+            _put(fwd, copied_fwd, s, o, graphs)
+            _put(bwd, copied_bwd, o, s, graphs)
+        return PredicateEntry(fwd, bwd, self.size - len(removed) + len(added))
+
+
+def _put(side: dict, copied: set, key, other, graphs: tuple) -> None:
+    """Set side[key][other] to `graphs`, or delete it when empty. The inner
+    map of `key` is copied on its first change, so the parent's stays as
+    it was."""
+    if key in copied:
+        inner = side.setdefault(key, {})
+    else:
+        copied.add(key)
+        inner = side[key] = dict(side.get(key, ()))
+    if graphs:
+        inner[other] = graphs
+    else:
+        del inner[other]
+        if not inner:
+            del side[key]
+
+
+_NO_ENTRIES = PredicateEntry({}, {}, 0)
+
+
 class Dataset:
     """An immutable set of quads grouped by graph name."""
 
-    __slots__ = ("_graphs", "_pred", "_nav")
+    __slots__ = ("_graphs", "_index")
 
     def __init__(self, graphs: dict[str, frozenset] | None = None):
         self._graphs: dict[str, frozenset] = graphs or {}
-        self._pred: dict[str, frozenset] | None = None
-        self._nav: dict[str, tuple[dict, dict]] = {}
+        self._index: dict[str, PredicateEntry] | None = None
 
     @classmethod
     def from_quads(cls, quads: Iterable[Quad]) -> "Dataset":
@@ -115,62 +197,35 @@ class Dataset:
 
     # -- predicate index ---------------------------------------------------
 
-    def pred_entries(self, predicate: str) -> frozenset:
-        """All (s, o, graph-name) entries for one predicate IRI."""
-        if self._pred is None:
-            index: dict[str, set] = {}
-            for g, triples in self._graphs.items():
-                for s, p, o in triples:
-                    index.setdefault(p.value, set()).add((s, o, g))
-            self._pred = {p: frozenset(e) for p, e in index.items()}
-        return self._pred.get(predicate, frozenset())
+    def pred_entries(self, predicate: str) -> PredicateEntry:
+        """The index entry of one predicate IRI: its (s, o, graph-name)
+        entries. An absent predicate gives one shared empty entry."""
+        if self._index is None:
+            self._index = _built_index(self._graphs)
+        return self._index.get(predicate, _NO_ENTRIES)
 
     def pred_nav(self, predicate: str) -> tuple[dict, dict]:
-        """(subject -> objects, object -> subjects) maps over all graphs,
-        with duplicate scoped copies collapsed. Built per predicate on demand."""
-        if predicate not in self._nav:
-            fwd: dict = {}
-            bwd: dict = {}
-            for s, o in {(s, o) for s, o, _ in self.pred_entries(predicate)}:
-                fwd.setdefault(s, []).append(o)
-                bwd.setdefault(o, []).append(s)
-            self._nav[predicate] = (fwd, bwd)
-        return self._nav[predicate]
-
-    def _derive_index(self, changed: dict[str, tuple[frozenset, frozenset]]):
-        """Carry the parent index over to a child, patching changed graphs."""
-        if self._pred is None:
-            return None
-        removed: dict[str, set] = {}
-        added: dict[str, set] = {}
-        for g, (before, after) in changed.items():
-            for s, p, o in before - after:
-                removed.setdefault(p.value, set()).add((s, o, g))
-            for s, p, o in after - before:
-                added.setdefault(p.value, set()).add((s, o, g))
-        index = dict(self._pred)
-        for p in set(removed) | set(added):
-            entries = set(index.get(p, ()))
-            entries -= removed.get(p, set())
-            entries |= added.get(p, set())
-            if entries:
-                index[p] = frozenset(entries)
-            else:
-                index.pop(p, None)
-        return index
+        """(subject -> objects, object -> subjects) maps over all graphs.
+        Each object or subject is a key of the inner map, once however many
+        graphs hold the triple."""
+        entry = self.pred_entries(predicate)
+        return entry.fwd, entry.bwd
 
     # -- derivation --------------------------------------------------------
 
     def replace_graphs(self, updates: dict[str, Iterable]) -> "Dataset":
-        """New dataset with the given graphs replaced (empty set removes)."""
-        changed: dict[str, tuple[frozenset, frozenset]] = {}
+        """New dataset with the given graphs replaced (empty set removes).
+
+        A built index is patched into the child: a predicate whose entries
+        the change did not touch keeps the very same entry object."""
+        changed: list[tuple[str, frozenset, frozenset]] = []
         graphs = dict(self._graphs)
         for name, triples in updates.items():
             before = self._graphs.get(name, frozenset())
             after = frozenset(triples)
             if before == after:
                 continue
-            changed[name] = (before, after)
+            changed.append((name, before, after))
             if after:
                 graphs[name] = after
             else:
@@ -178,7 +233,8 @@ class Dataset:
         if not changed:
             return self
         child = Dataset(graphs)
-        child._pred = self._derive_index(changed)
+        if self._index is not None:
+            child._index = _patched_index(self._index, _entries_by_predicate(changed))
         return child
 
     def apply(self, remove: Iterable[Quad], add: Iterable[Quad]) -> "Dataset":
@@ -195,6 +251,51 @@ class Dataset:
         for s, p, o, g in add:
             staging(g.value).add((s, p, o))
         return self.replace_graphs({g: ts for g, ts in touched.items()})
+
+
+def _built_index(graphs: dict[str, frozenset]) -> dict[str, PredicateEntry]:
+    """A predicate index built from scratch."""
+    by_predicate: dict[str, dict] = {}
+    for g, triples in graphs.items():
+        for s, p, o in triples:
+            objects = by_predicate.setdefault(p.value, {}).setdefault(s, {})
+            objects[o] = objects.get(o, ()) + (g,)
+    index = {}
+    for p, fwd in by_predicate.items():
+        bwd: dict = {}
+        size = 0
+        for s, objects in fwd.items():
+            for o, names in objects.items():
+                if len(names) > 1:
+                    names = objects[o] = tuple(sorted(names))
+                bwd.setdefault(o, {})[s] = names
+                size += len(names)
+        index[p] = PredicateEntry(fwd, bwd, size)
+    return index
+
+
+def _entries_by_predicate(changed) -> dict[str, tuple[list, list]]:
+    """(removed, added) (s, o, graph) entries per predicate, from
+    (graph, before, after) triple sets."""
+    out: dict[str, tuple[list, list]] = {}
+    for g, before, after in changed:
+        for s, p, o in before - after:
+            out.setdefault(p.value, ([], []))[0].append((s, o, g))
+        for s, p, o in after - before:
+            out.setdefault(p.value, ([], []))[1].append((s, o, g))
+    return out
+
+
+def _patched_index(index: dict[str, PredicateEntry],
+                   changes: dict[str, tuple[list, list]]) -> dict[str, PredicateEntry]:
+    out = dict(index)
+    for p, (removed, added) in changes.items():
+        entry = index.get(p, _NO_ENTRIES).patched(removed, added)
+        if entry.size:
+            out[p] = entry
+        else:
+            out.pop(p, None)
+    return out
 
 
 def symmetric_difference(d1: Dataset, d2: Dataset) -> Dataset:
@@ -328,12 +429,3 @@ def _match(pending: list[str], candidates: list[str], mapping: dict[str, str],
             return True
         del mapping[label]
     return False
-
-
-def default_graph_iri() -> IRI:
-    return IRI(DEFAULT_GRAPH)
-
-
-def scoped_quads(s: Term, p: IRI, o: Term, *graph_iris: str) -> list[Quad]:
-    """One triple placed into several graphs (fragments share a graph)."""
-    return [Quad(s, p, o, IRI(defrag(g))) for g in graph_iris]

@@ -7,9 +7,11 @@ the runtime so they serialize against ticks and land in the operation log.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import threading
 from dataclasses import dataclass, field
+from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import RunParams, SimulationRuntime, parse_xsd_datetime
@@ -71,6 +73,8 @@ class _Handler(BaseHTTPRequestHandler):
         if body:
             self.send_header("Content-Type", f"{content_type}; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if self.request_version == "HTTP/0.9":  # no head: end_headers() sends nothing
             self.wfile.write(body)
             return
@@ -80,16 +84,26 @@ class _Handler(BaseHTTPRequestHandler):
         self._headers_buffer.append(b"\r\n" + body)
         self.flush_headers()
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
+    def _read_body(self) -> bytes | None:
+        """The whole request body, read before any reply so that a refused
+        body is not left on a keep-alive connection to be parsed as the next
+        request. None after a 400 for a malformed Content-Length: the end of
+        that body cannot be found, so the connection closes."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._reply(400, b"malformed Content-Length\n")
+            return None
         return self.rfile.read(length) if length else b""
 
-    def _parse_payload(self, target: str) -> frozenset | None:
+    def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
         content_type = (self.headers.get("Content-Type") or TURTLE).split(";")[0].strip()
         if content_type not in PARSE_FORMATS:
             self._reply(415, f"unsupported media type {content_type}\n".encode())
             return None
-        body = self._read_body()
         try:
             parsed = parse_document(body.decode("utf-8"), PARSE_FORMATS[content_type],
                                     base=target, default_graph=target)
@@ -108,7 +122,7 @@ class _Handler(BaseHTTPRequestHandler):
             triples.add((s, p, o))
         if any(isinstance(o, BlankNode) for _, _, o in triples):
             ds = skolemize(Dataset({target: frozenset(triples)}), self.base,
-                           f"put-{abs(hash(body)) % 10 ** 8}")
+                           f"put-{hashlib.sha256(body).hexdigest()[:16]}")
             triples = set(ds.graph(target))
         return frozenset(triples)
 
@@ -135,14 +149,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_PUT(self) -> None:
         target = self._target()
+        body = self._read_body()
+        if body is None:
+            return
         if target == self.base + "sim":
-            self._sim_put()
+            self._sim_put(body)
             return
         if not self.policy.is_writable(target):
             self.runtime.record_failure("PUT", target, 403, self._agent())
             self._reply(403, b"resource not writable\n")
             return
-        triples = self._parse_payload(target)
+        triples = self._parse_payload(target, body)
         if triples is None:
             return
         existed = self.runtime.dataset.has_graph(target)
@@ -152,11 +169,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         target = self._target()
+        body = self._read_body()
+        if body is None:
+            return
         if not (self.policy.allow_create and self.policy.is_writable(target)):
             self.runtime.record_failure("POST", target, 405, self._agent())
             self._reply(405, b"POST disabled by policy\n")
             return
-        triples = self._parse_payload(target)
+        triples = self._parse_payload(target, body)
         if triples is None:
             return
         existed = self.runtime.dataset.has_graph(target)
@@ -166,6 +186,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         target = self._target()
+        if self._read_body() is None:
+            return
         if not (self.policy.allow_delete and self.policy.is_writable(target)):
             self.runtime.record_failure("DELETE", target, 405, self._agent())
             self._reply(405, b"DELETE disabled by policy\n")
@@ -179,13 +201,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- run control -----------------------------------------------------------
 
-    def _sim_put(self) -> None:
+    def _sim_put(self, body: bytes) -> None:
         if self.runtime.started:
             self._reply(409, b"run already in progress\n")
             return
         target = self.base + "sim"
         content_type = (self.headers.get("Content-Type") or TURTLE).split(";")[0].strip()
-        body = self._read_body()
         try:
             parsed = parse_document(body.decode("utf-8"),
                                     PARSE_FORMATS.get(content_type, "turtle"),
@@ -195,20 +216,26 @@ class _Handler(BaseHTTPRequestHandler):
             return
         vocab = self.base + "vocab/sim#"
         values: dict[str, object] = {}
-        for _s, p, o, _g in parsed.quads():
-            if p.value.startswith(vocab) and isinstance(o, Literal):
-                values[p.value[len(vocab):]] = literal_value(o)
         try:
+            for _s, p, o, _g in parsed.quads():
+                if p.value.startswith(vocab) and isinstance(o, Literal):
+                    values[p.value[len(vocab):]] = literal_value(o)
+            initial_time = values["initialTime"]
+            if isinstance(initial_time, str):
+                initial_time = parse_xsd_datetime(initial_time)
+            if not isinstance(initial_time, datetime):
+                raise TypeError("sim:initialTime is not a date-time")
             params = RunParams(
-                initial_time=parse_xsd_datetime(str(values["initialTime"]))
-                if isinstance(values["initialTime"], str)
-                else values["initialTime"],
-                timeslot_ms=int(values["timeslotDuration"]),
-                iterations=int(values["iterations"]),
-                step_seconds=int(values.get("simulatedStep", 60)),
+                initial_time=initial_time,
+                timeslot_ms=_whole_number(values["timeslotDuration"]),
+                iterations=_whole_number(values["iterations"]),
+                step_seconds=_whole_number(values.get("simulatedStep", 60)),
             )
         except KeyError as exc:
             self._reply(400, f"missing parameter sim:{exc.args[0]}\n".encode())
+            return
+        except (ValueError, TypeError) as exc:
+            self._reply(400, f"bad run parameter: {exc}\n".encode())
             return
         try:
             self.runtime.start(params)
@@ -216,6 +243,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(409, b"run already in progress\n")
             return
         self._reply(200, b"run started\n")
+
+
+def _whole_number(value: object) -> int:
+    """A run parameter as an int; a lexical integer form is accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
 
 
 class LinkedDataServer:

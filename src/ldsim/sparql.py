@@ -851,10 +851,7 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
     if isinstance(block.graph, IRI):
         return _eval_group(d, [block.graph.value], block.group, bindings, ctx)
     var = block.graph.name
-    single = (block.group.elements[0]
-              if len(block.group.elements) == 1
-              and isinstance(block.group.elements[0], TriplePattern)
-              and isinstance(block.group.elements[0].p, IRI) else None)
+    single = _single_pattern(block.group)
     for sol in bindings:
         if var in sol:
             bound = sol[var]
@@ -881,8 +878,69 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
     return out
 
 
-def _in_view(g: str, graphs: list[str] | None) -> bool:
-    return graphs is None or g in graphs
+def _single_pattern(group: Group) -> TriplePattern | None:
+    """The group's one element if it is a pattern with a fixed predicate."""
+    if len(group.elements) == 1:
+        el = group.elements[0]
+        if isinstance(el, TriplePattern) and isinstance(el.p, IRI):
+            return el
+    return None
+
+
+def read_predicates(q: Query) -> frozenset[str] | None:
+    """The predicate IRIs whose index entries decide the query's solutions.
+
+    None when the solutions can depend on more than those entries: a
+    variable predicate (it scans every triple), a GRAPH ?g block that is
+    not one fixed-predicate pattern (it ranges over graph names), or a
+    function call (randomness and simulated time come from the context).
+    """
+    read: set[str] = set()
+
+    def collect(group: Group) -> bool:
+        for el in group.elements:
+            if isinstance(el, TriplePattern):
+                if isinstance(el.p, Var):
+                    return False
+                read.update(_path_iris(el.p))
+            elif isinstance(el, GraphBlock):
+                if isinstance(el.graph, Var) and _single_pattern(el.group) is None:
+                    return False
+                if not collect(el.group):
+                    return False
+            elif isinstance(el, Filter) and _has_call(el.expr):
+                return False
+        return True
+
+    return frozenset(read) if collect(q.pattern) else None
+
+
+def _path_iris(path) -> set[str]:
+    if isinstance(path, IRI):
+        return {path.value}
+    if isinstance(path, PathLink):
+        return {path.iri}
+    if isinstance(path, (PathInv, PathPlus)):
+        return _path_iris(path.inner)
+    return set().union(*(_path_iris(part) for part in path.parts))
+
+
+def _has_call(expr: Expr) -> bool:
+    if isinstance(expr, ECall):
+        return True
+    if isinstance(expr, EBin):
+        return _has_call(expr.left) or _has_call(expr.right)
+    if isinstance(expr, (ENot, ENeg)):
+        return _has_call(expr.inner)
+    return False
+
+
+def _in_view(targets: dict, graphs: list[str] | None):
+    """The keys of a term -> graphs map of the index whose triple lies in
+    one of the view's graphs (all keys when the view is every graph)."""
+    if graphs is None:
+        return targets
+    return [t for t, held in targets.items() if any(g in graphs for g in held)]
 
 
 def _join_pattern(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
@@ -893,51 +951,33 @@ def _join_pattern(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
     # The same triple can sit in several graphs (resource partitioning);
     # solutions do not bind the graph here, so match distinct rows once.
     # Joins look up the bound side where possible.
-    nav_cache: dict[str, tuple[dict, dict]] = {}
-
-    def nav_for(predicate: str) -> tuple[dict, dict]:
-        if graphs is None:
-            return d.pred_nav(predicate)
-        if predicate not in nav_cache:
-            fwd: dict = {}
-            bwd: dict = {}
-            seen = set()
-            for es, eo, eg in d.pred_entries(predicate):
-                if not _in_view(eg, graphs) or (es, eo) in seen:
-                    continue
-                seen.add((es, eo))
-                fwd.setdefault(es, []).append(eo)
-                bwd.setdefault(eo, []).append(es)
-            nav_cache[predicate] = (fwd, bwd)
-        return nav_cache[predicate]
-
     scan: frozenset | None = None
     for sol in bindings:
         p = _resolved(tp.p, sol)
         if isinstance(p, IRI):
-            fwd, bwd = nav_for(p.value)
+            fwd, bwd = d.pred_nav(p.value)
             s_val = _resolved(tp.s, sol)
             o_val = _resolved(tp.o, sol)
             if s_val is not None:
-                for eo in fwd.get(s_val, ()):
+                for eo in _in_view(fwd.get(s_val, {}), graphs):
                     ext = _try_bind(sol, ((tp.o, eo),))
                     if ext is not None:
                         out.append(ext)
             elif o_val is not None:
-                for es in bwd.get(o_val, ()):
+                for es in _in_view(bwd.get(o_val, {}), graphs):
                     ext = _try_bind(sol, ((tp.s, es),))
                     if ext is not None:
                         out.append(ext)
             else:
                 for es, objects in fwd.items():
-                    for eo in objects:
+                    for eo in _in_view(objects, graphs):
                         ext = _try_bind(sol, ((tp.s, es), (tp.o, eo)))
                         if ext is not None:
                             out.append(ext)
         else:
             if scan is None:
                 scan = frozenset((es, ep, eo) for name, triples in d.graphs()
-                                 if _in_view(name, graphs)
+                                 if graphs is None or name in graphs
                                  for es, ep, eo in triples)
             for es, ep, eo in scan:
                 ext = _try_bind(sol, ((tp.s, es), (tp.p, ep), (tp.o, eo)))
@@ -975,18 +1015,8 @@ def _path_step(d: Dataset, graphs: list[str] | None, path: Path,
                node: Term, forward: bool) -> set:
     """Nodes one application of `path` away from `node`."""
     if isinstance(path, PathLink):
-        if graphs is None:
-            fwd, bwd = d.pred_nav(path.iri)
-            return set((fwd if forward else bwd).get(node, ()))
-        out = set()
-        for s, o, g in d.pred_entries(path.iri):
-            if not _in_view(g, graphs):
-                continue
-            if forward and s == node:
-                out.add(o)
-            elif not forward and o == node:
-                out.add(s)
-        return out
+        fwd, bwd = d.pred_nav(path.iri)
+        return set(_in_view((fwd if forward else bwd).get(node, {}), graphs))
     if isinstance(path, PathInv):
         return _path_step(d, graphs, path.inner, node, not forward)
     if isinstance(path, PathSeq):
@@ -1017,8 +1047,9 @@ def _path_starts(d: Dataset, graphs: list[str] | None, path: Path,
                  forward: bool) -> set:
     """Candidate nodes that may have an outgoing path instance."""
     if isinstance(path, PathLink):
-        idx = 0 if forward else 1
-        return {e[idx] for e in d.pred_entries(path.iri) if _in_view(e[2], graphs)}
+        fwd, bwd = d.pred_nav(path.iri)
+        return {n for n, targets in (fwd if forward else bwd).items()
+                if _in_view(targets, graphs)}
     if isinstance(path, PathInv):
         return _path_starts(d, graphs, path.inner, not forward)
     if isinstance(path, PathSeq):

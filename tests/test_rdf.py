@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldsim.ns import DEFAULT_GRAPH, XSD_INTEGER, XSD_STRING
 from ldsim.rdf import (
@@ -72,6 +74,58 @@ class TestDataset:
         assert (B, C, G2.value) not in d2.pred_entries(P.value)
         # Parent index unaffected.
         assert (B, C, G2.value) in d_two_graphs.pred_entries(P.value)
+
+
+_NODES = [IRI(EX + n) for n in ("a", "b", "c")] + [Literal("1"), Literal("2")]
+_PREDICATES = [IRI(EX + n) for n in ("p", "q", "r")]
+_GRAPHS = [IRI(EX + n) for n in ("g1", "g2", "g3")]
+_triples = st.tuples(st.sampled_from(_NODES[:3]), st.sampled_from(_PREDICATES),
+                     st.sampled_from(_NODES))
+_quads = st.builds(lambda t, g: Quad(*t, g), _triples, st.sampled_from(_GRAPHS))
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("replace"),
+              st.dictionaries(st.sampled_from([g.value for g in _GRAPHS]),
+                              st.frozensets(_triples, max_size=6), max_size=2)),
+    st.tuples(st.just("apply"),
+              st.tuples(st.lists(_quads, max_size=6), st.lists(_quads, max_size=6)))),
+    max_size=8)
+
+
+class TestPredicateIndex:
+    """The patched index equals one built from scratch, and keeps the entry
+    object of every predicate whose entries a change left as they were."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(initial=st.lists(_quads, max_size=12), steps=_steps)
+    def test_patched_equals_rebuilt(self, initial, steps):
+        d = Dataset.from_quads(initial)
+        d.pred_entries(P.value)  # build the index, so that children patch it
+        for kind, arg in steps:
+            parent = d
+            if kind == "replace":
+                d = d.replace_graphs(arg)
+            else:
+                remove, add = arg
+                d = d.apply(remove, add)
+            fresh = Dataset(dict(d.graphs()))
+            for p in _PREDICATES:
+                entries = d.pred_entries(p.value)
+                expected = {(s, o, g.value) for s, pp, o, g in fresh.quads() if pp == p}
+                assert set(entries) == set(fresh.pred_entries(p.value)) == expected
+                assert len(entries) == len(expected)
+                assert all(e in entries for e in expected)
+                assert d.pred_nav(p.value) == fresh.pred_nav(p.value)
+                unchanged = set(entries) == set(parent.pred_entries(p.value))
+                assert (entries is parent.pred_entries(p.value)) == unchanged
+
+    def test_nav_collapses_scoped_copies(self):
+        d = Dataset.from_quads([quad(A, P, B, G1), quad(A, P, B, G2)])
+        fwd, bwd = d.pred_nav(P.value)
+        assert list(fwd[A]) == [B] and list(bwd[B]) == [A]
+        assert len(d.pred_entries(P.value)) == 2
+        d2 = d.apply(remove=[quad(A, P, B, G1)], add=[])
+        assert list(d2.pred_nav(P.value)[0][A]) == [B]
+        assert set(d2.pred_entries(P.value)) == {(A, B, G2.value)}
 
 
 class TestSymmetricDifference:

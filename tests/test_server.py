@@ -1,4 +1,10 @@
+import http.client
 import io
+import os
+import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from datetime import datetime, timezone
@@ -226,6 +232,119 @@ class TestSimPut:
         status, body = LdClient(server.base).put_raw("sim", payload)
         assert status == 400
         assert b"initialTime" in body
+
+
+    @pytest.mark.parametrize("literal", [
+        '"five"',                                    # not an integer
+        '"abc"^^xsd:integer',                        # malformed integer
+        '"2020-05-22T00:00:00Z"^^xsd:dateTime',      # a date-time, not a count
+        '2.5',                                       # a decimal, not a count
+    ])
+    def test_ill_typed_count_rejected(self, served, literal):
+        server, runtime, _ = served
+        payload = self.PAYLOAD.replace("sim:iterations 5", f"sim:iterations {literal}")
+        status, body = LdClient(server.base).put_raw("sim", payload)
+        assert status == 400, body
+        assert not runtime.started
+
+    def test_ill_typed_initial_time_rejected(self, served):
+        server, runtime, _ = served
+        payload = self.PAYLOAD.replace(
+            '"2020-05-22T00:00:00+00:00"^^xsd:dateTime', "5")
+        status, body = LdClient(server.base).put_raw("sim", payload)
+        assert status == 400, body
+        assert not runtime.started
+
+
+def exchange(sock: socket.socket, request: bytes) -> http.client.HTTPResponse:
+    """Send one raw request on an open connection and read its whole reply."""
+    sock.sendall(request)
+    reply = http.client.HTTPResponse(sock)
+    reply.begin()
+    reply.read()
+    return reply
+
+
+class TestRawConnection:
+    """Requests on one keep-alive socket, as a client library sends them."""
+
+    @pytest.mark.parametrize("method, target, content_type, status", [
+        ("PUT", "room", "text/turtle", 403),
+        ("POST", "graph", "text/turtle", 405),
+        ("PUT", "graph", "application/json", 415),
+    ])
+    def test_refused_body_is_drained(self, served, method, target, content_type,
+                                     status):
+        server, _, dynamic = served
+        res = command_resource(dynamic)
+        iri = {"graph": res.graph, "room": res.room}[target]
+        body = serialize_triples(
+            {(IRI(iri), IRI(RDF_VALUE), Literal("on"))}, "turtle").encode()
+        host, port = server.base[len("http://"):-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            refused = exchange(sock, (
+                f"{method} /{iri[len(server.base):]} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+            assert refused.status == status
+            path = res.graph[len(server.base):]
+            after = exchange(sock, f"GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            assert after.status == 200
+
+    @pytest.mark.parametrize("length", ["ten", "-5"])
+    def test_malformed_content_length_gets_400(self, served, length):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        host, port = server.base[len("http://"):-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            reply = exchange(sock, (
+                f"PUT /{res.graph[len(server.base):]} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: text/turtle\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode())
+            assert reply.status == 400
+            assert reply.getheader("Connection") == "close"
+            assert sock.recv(1) == b""  # closed: the body's end is unknown
+        assert runtime.dataset is before
+
+
+SKOLEM_SCRIPT = textwrap.dedent("""
+    from ldsim.engine import SimEnvironment, SimulationRuntime
+    from ldsim.httpclient import LdClient
+    from ldsim.rdf import Dataset
+    from ldsim.server import LinkedDataServer, ResourcePolicy
+
+    server = LinkedDataServer()
+    target = server.base + "scratch"
+    env = SimEnvironment(dataset=Dataset(), init_entries=[], update_entries=[],
+                         seed=1, base=server.base)
+    runtime = SimulationRuntime(env)
+    server.attach(runtime, ResourcePolicy(writable=frozenset({target}),
+                                          allow_create=True))
+    server.start()
+    try:
+        client = LdClient(server.base)
+        status, _ = client.put_raw(
+            "scratch", "<scratch#it> <http://example.org/p> _:b1, _:b2 .")
+        assert status == 201, status
+        for _s, _p, o in sorted(runtime.dataset.graph(target), key=repr):
+            print(o.value[len(server.base):])
+    finally:
+        server.stop()
+""")
+
+
+def test_skolem_iris_do_not_depend_on_hash_seed():
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", SKOLEM_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count(".well-known/genid/") == 2
+    assert outputs[0] == outputs[1]
 
 
 class _RecordingSocket:

@@ -17,6 +17,7 @@ from ldsim.sparql import (
     eval_update,
     parse_query,
     parse_update,
+    read_predicates,
 )
 
 EX = "http://example.org/"
@@ -209,6 +210,49 @@ class TestPaths:
     def test_sequence_path(self, hierarchy):
         ast = parse_query(f"SELECT ?x {{ <{EX}floor> <{EX}hasPart>/<{EX}hasPart> ?x }}")
         assert [s["x"] for s in eval_query(hierarchy, ast)] == [IRI(EX + "room")]
+
+
+    @pytest.mark.parametrize("path", ["<{p}>+", "^<{p}>+", "<{p}>/<{p}>", "<{p}>/^<{p}>"])
+    def test_path_in_graph_view_matches_that_graph_alone(self, path):
+        rng = random.Random(5)
+        path = path.format(p=EX + "p0")
+        for _ in range(20):
+            quads = {Quad(IRI(EX + rng.choice("abcdef")), IRI(EX + "p" + str(rng.randrange(2))),
+                          IRI(EX + rng.choice("abcdef")), IRI(EX + "g" + str(rng.randrange(3))))
+                     for _ in range(rng.randrange(0, 40))}
+            ds = Dataset.from_quads(quads)
+            alone = Dataset.from_quads(qd for qd in quads if qd.g.value == EX + "g0")
+            for body in (f"?a {path} ?b", f"<{EX}a> {path} ?b . ?b {path} ?c",
+                         f"?a {path} <{EX}b>"):
+                want = eval_query(alone, parse_query(f"SELECT * {{ {body} }}"))
+                for text in (f"SELECT * {{ GRAPH <{EX}g0> {{ {body} }} }}",
+                             f"SELECT * FROM <{EX}g0> {{ {body} }}"):
+                    assert eval_query(ds, parse_query(text)) == want, text
+
+
+class TestReadPredicates:
+    PREFIX = f"PREFIX ex: <{EX}> "
+
+    @pytest.mark.parametrize("body, expected", [
+        ("?a ex:p ?b . ?b ex:q+ ?c", {"p", "q"}),
+        ("?a ^ex:p/ex:q ?b FILTER(?b != ?a)", {"p", "q"}),
+        ("GRAPH <http://example.org/g> { ?a ex:p ?b . ?b ex:r ?c }", {"p", "r"}),
+        ("GRAPH ?g { ?a ex:p ?b }", {"p"}),
+        ("?a ex:p ?b FILTER(?b > 3 && !(?b = 5))", {"p"}),
+    ])
+    def test_fixed_reads(self, body, expected):
+        ast = parse_query(self.PREFIX + f"SELECT * {{ {body} }}")
+        assert read_predicates(ast) == {EX + name for name in expected}
+
+    @pytest.mark.parametrize("body", [
+        "?a ?p ?b",                                       # variable predicate
+        "GRAPH ?g { ?a ex:p ?b . ?b ex:q ?c }",           # ranges over graph names
+        "GRAPH ?g { ?a ex:p+ ?b }",
+        "?a ex:p ?b FILTER(rand() < 0.5)",                # randomness
+        "?a ex:p ?b FILTER(?b < <http://example.org/vocab/sim#hourOfDay>())",
+    ])
+    def test_opts_out(self, body):
+        assert read_predicates(parse_query(self.PREFIX + f"SELECT * {{ {body} }}")) is None
 
 
 class TestUpdateEval:

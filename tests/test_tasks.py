@@ -2,9 +2,10 @@ import pytest
 
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim.engine import SimulationRuntime
-from ldsim.metrics import average_fault_count, dry_run, fault_rate, total_faults
-from ldsim.rdf import IRI
-from ldsim.sparql import PathPlus, TriplePattern, eval_query
+from ldsim.metrics import average_fault_count, dry_run, fault_rate, match_faults, \
+    total_faults
+from ldsim.rdf import IRI, Dataset
+from ldsim.sparql import EvalContext, PathPlus, TriplePattern, eval_query
 from ldsim.tasks import (
     TASK_IDS,
     apply_fault_fixes,
@@ -14,6 +15,7 @@ from ldsim.tasks import (
     oracle_schedule,
     single_loop_check,
 )
+from ldsim.tasks import _value_write
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,49 @@ class TestDryRunProfiles:
     def test_tc4_scope_is_sensed_lights(self, pd, tasks):
         trace = short_dry(tasks["TC4"], pd, iterations=48)
         assert 0 < max(trace.counts()) <= 64
+
+
+class TestFullDayOracle:
+    """Full-day dry-run totals at seed 42 on the seed-42 building: the
+    regression table that behaviour-preserving changes must reproduce."""
+
+    @pytest.fixture(scope="class")
+    def pd42(self):
+        return build_dataset(params=GeneratorParams(seed=42))
+
+    @pytest.mark.parametrize("tid, total", [
+        ("TS1", 210386), ("TS2", 210386), ("TS3", 8646), ("TC1", 105911),
+        ("TC2", 108551)])
+    def test_total(self, pd42, tid, total):
+        task = load_task(tid, pd42.base)
+        trace = dry_run(build_environment(task, pd42, 42), default_run_params(task),
+                        task.fault_queries)
+        assert len(trace.slots) == 1441
+        assert sum(trace.counts()) == total
+
+
+class TestMemoisedFaultChecks:
+    """Every recorded slot equals a fault check on a freshly indexed copy of
+    the snapshot, while agent writes land between ticks."""
+
+    @pytest.mark.parametrize("tid", ["TC2", "TC6"])
+    def test_slots_match_fresh_index(self, pd, tasks, tid):
+        task = tasks[tid]
+        runtime = SimulationRuntime(build_environment(task, pd, 42), task.fault_queries)
+        runtime.initialize(default_run_params(task, 48))
+        commands = sorted(res.graph for res in pd.dynamic.values()
+                          if res.category == "command")
+        for t in range(1, 49):
+            if t % 3 == 0:
+                for graph in commands[t % 7::29]:
+                    _value_write(runtime, graph, "on" if t % 2 else "off", "test")
+            runtime.tick()
+            fresh = Dataset(dict(runtime.dataset.graphs()))
+            for fq in task.fault_queries:
+                ctx = EvalContext(rng=runtime.rng, iteration=t, op_id=f"fault:{fq.id}",
+                                  sim_time=runtime.sim_time(t))
+                assert runtime.fault_slots[-1][fq.id] == match_faults(fresh, fq, ctx), \
+                    (tid, t, fq.id)
 
 
 class TestSingleLoop:
