@@ -12,13 +12,13 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .httpclient import LdClient
-from .ns import BF, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SOSA, SSN, defrag
+from .ns import BF, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH, SIM_VOCAB, \
+    SOSA, SSN, defrag
 from .rdf import IRI, Dataset, Literal
 from .sparql import Group, TriplePattern, Query, Var, _QueryParser, eval_query
-from .trace import OperationRecord
 
 log = logging.getLogger(__name__)
 
@@ -291,7 +291,7 @@ class RuleAgent:
                 self.dynamic.add(name)
 
     def _sim_graph(self) -> str:
-        return self.client.base + "sim"
+        return self.client.base + SIM_PATH
 
     def run(self, stop: threading.Event) -> AgentStats:
         if self.config.mode == "traversal":
@@ -374,6 +374,6 @@ class RuleAgent:
     def _still_running(self) -> bool:
         sim = self.kb.dataset.graph(self._sim_graph())
         for _s, p, o in sim:
-            if p.value.endswith("vocab/sim#running") and isinstance(o, Literal):
+            if p.value.endswith(SIM_VOCAB + "running") and isinstance(o, Literal):
                 return o.lexical == "true"
         return True

@@ -14,29 +14,30 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agents import AgentConfig, RuleAgent, parse_rules
+from .agents import DEFAULT_FOLLOW, AgentConfig, RuleAgent, parse_rules
 from .building import (
     GeneratorParams,
     PartitionedDataset,
     build_dataset,
     load_dataset,
     read_manifest,
+    rebase_partitioned,
     validate_counts,
     write_dataset,
     write_manifest,
 )
-from .engine import RunParams, SimulationRuntime
+from .engine import RunParams, SimulationRuntime, dry_run
 from .httpclient import LdClient
 from .metrics import (
     MetricsReport,
     audit_write_deltas,
     compute_metrics,
-    dry_run,
     read_metrics_tsv,
     write_metrics_tsv,
 )
-from .ns import DEFAULT_BASE, DEFAULT_GRAPH
-from .rdf import Dataset, rebase_dataset
+from .ns import DEFAULT_BASE, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH, \
+    SIM_VOCAB
+from .rdf import IRI, Literal
 from .server import LinkedDataServer, default_policy
 from .tasks import (
     TASK_IDS,
@@ -46,30 +47,11 @@ from .tasks import (
     load_task,
     oracle_schedule,
 )
-from .trace import FaultTrace, read_faults_tsv, read_ops_tsv, write_env_changes_tsv, \
-    write_faults_tsv, write_ops_tsv
+from .trace import FaultTrace, read_faults_tsv, read_ops_tsv, write_faults_tsv, write_ops_tsv
 
 log = logging.getLogger(__name__)
 
 AGENT_KINDS = ("noop", "oracle", "prefetch", "traversal")
-
-
-def rebase_partitioned(pd: PartitionedDataset, base: str) -> PartitionedDataset:
-    if base == pd.base:
-        return pd
-    dynamic = {}
-    for res in pd.dynamic.values():
-        moved = res.__class__(
-            graph=res.graph.replace(pd.base, base),
-            node=res.node.replace(pd.base, base),
-            point=res.point.replace(pd.base, base),
-            system=res.system.replace(pd.base, base),
-            room=res.room.replace(pd.base, base),
-            category=res.category, writable=res.writable)
-        dynamic[moved.graph] = moved
-    return PartitionedDataset(
-        dataset=rebase_dataset(pd.dataset, pd.base, base),
-        dynamic=dynamic, base=base, source_triples=pd.source_triples)
 
 
 @dataclass
@@ -83,16 +65,14 @@ class BenchResult:
     dry: FaultTrace
     ops: list
     agent_stats: object | None = None
-    env_changes: list = field(default_factory=list)
-    dry_env_changes: list = field(default_factory=list)
     paths: dict = field(default_factory=dict)
 
 
 def sim_start_payload(params: RunParams) -> str:
     return (
-        "@prefix sim: <vocab/sim#> .\n"
+        f"@prefix sim: <{SIM_VOCAB}> .\n"
         "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
-        f'<sim> sim:initialTime "{params.initial_time.isoformat()}"^^xsd:dateTime ;\n'
+        f'<{SIM_PATH}> sim:initialTime "{params.initial_time.isoformat()}"^^xsd:dateTime ;\n'
         f"      sim:timeslotDuration {params.timeslot_ms} ;\n"
         f"      sim:iterations {params.iterations} ;\n"
         f"      sim:simulatedStep {params.step_seconds} .\n"
@@ -127,9 +107,6 @@ class OracleRunner:
                 if status == 200:
                     self.reads += 1
             for graph, value in action.writes:
-                from .ns import RDF_VALUE
-                from .rdf import IRI, Literal
-
                 node = IRI(graph + "#it")
                 status = self.client.put_graph(
                     graph, {(node, IRI(RDF_VALUE), Literal(value))})
@@ -142,9 +119,6 @@ def _make_agent(kind: str, task: TaskSpec, pd: PartitionedDataset,
     client = LdClient(base, agent=kind)
     if kind == "oracle":
         return OracleRunner(task, runtime, client)
-    from .agents import DEFAULT_FOLLOW
-    from .ns import RDF_TYPE, RDFS_SUBCLASS
-
     rules = parse_rules(task.rules_text, base=base)
     follow = list(DEFAULT_FOLLOW) + [base + "vocab/building#weatherReport"]
     if task.requires_reasoning:
@@ -160,7 +134,6 @@ def _make_agent(kind: str, task: TaskSpec, pd: PartitionedDataset,
 def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
                   iterations: int | None = None, timeslot_ms: int = 500,
                   out_dir: str | Path | None = None, poll_interval: float = 0.0,
-                  record_env: bool = False, reasoning_override: bool | None = None,
                   host: str = "127.0.0.1") -> BenchResult:
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent!r}")
@@ -168,17 +141,11 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
     try:
         pd = build_dataset(params=GeneratorParams(seed=seed), base=server.base)
         task = load_task(task_id, server.base)
-        if reasoning_override is not None:
-            task.requires_reasoning = reasoning_override
         params = default_run_params(task, iterations, timeslot_ms)
         env = build_environment(task, pd, seed)
-        dry_runtime = SimulationRuntime(env, task.fault_queries,
-                                        record_env_digests=record_env)
-        dry_runtime.run_sync(params, pace=False)
-        dry = dry_runtime.fault_trace()
+        dry = dry_run(env, params, task.fault_queries)
 
-        runtime = SimulationRuntime(env, task.fault_queries,
-                                    record_env_digests=record_env)
+        runtime = SimulationRuntime(env, task.fault_queries)
         server.attach(runtime, default_policy(pd.dynamic))
         server.start()
 
@@ -201,7 +168,7 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
             worker.start()
 
         control = LdClient(server.base, agent="control")
-        status, body = control.put_raw("sim", sim_start_payload(params))
+        status, body = control.put_raw(SIM_PATH, sim_start_payload(params))
         if status != 200:
             raise RuntimeError(f"failed to start run: {status} {body!r}")
         budget = params.iterations * (params.timeslot_ms / 1000.0) * 3 + 60
@@ -225,9 +192,7 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
         result = BenchResult(
             task_id=task_id, agent=agent, seed=seed, report=report, meta=meta,
             trace=trace, dry=dry, ops=ops,
-            agent_stats=getattr(agent_obj, "stats", agent_obj),
-            env_changes=list(runtime.env_changes),
-            dry_env_changes=list(dry_runtime.env_changes))
+            agent_stats=getattr(agent_obj, "stats", agent_obj))
         if out_dir is not None:
             result.paths = persist_result(result, out_dir)
         return result
@@ -249,9 +214,6 @@ def persist_result(result: BenchResult, out_dir: str | Path) -> dict:
     write_faults_tsv(result.trace, paths["faults"])
     write_faults_tsv(result.dry, paths["dry_faults"])
     write_metrics_tsv(result.report, paths["metrics"])
-    if result.env_changes:
-        paths["env"] = out / f"{run_id}.env.tsv"
-        write_env_changes_tsv(result.env_changes, paths["env"])
     return paths
 
 

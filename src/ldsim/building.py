@@ -9,6 +9,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .ns import (
     BF,
@@ -25,7 +26,7 @@ from .ns import (
     XSD_INTEGER,
     XSD_TIME,
 )
-from .rdf import IRI, BlankNode, Dataset, Graph, Literal, Quad, skolemize
+from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Triple, rebase_dataset, skolemize
 from .rdfio import parse_document, serialize_dataset
 
 log = logging.getLogger(__name__)
@@ -150,13 +151,31 @@ class PartitionedDataset:
     source_triples: int = 0
 
 
-def partition(g: Graph | frozenset | set) -> Dataset:
+def rebase_partitioned(pd: PartitionedDataset, base: str) -> PartitionedDataset:
+    """The same partitioned dataset with every IRI under `pd.base` moved to `base`."""
+    if base == pd.base:
+        return pd
+    dynamic = {}
+    for res in pd.dynamic.values():
+        moved = DynamicResource(
+            graph=res.graph.replace(pd.base, base),
+            node=res.node.replace(pd.base, base),
+            point=res.point.replace(pd.base, base),
+            system=res.system.replace(pd.base, base),
+            room=res.room.replace(pd.base, base),
+            category=res.category, writable=res.writable)
+        dynamic[moved.graph] = moved
+    return PartitionedDataset(
+        dataset=rebase_dataset(pd.dataset, pd.base, base),
+        dynamic=dynamic, base=base, source_triples=pd.source_triples)
+
+
+def partition(triples: Iterable[Triple]) -> Dataset:
     """Scope every triple by its subject, and by its object when it is an IRI.
 
     Input triples must not contain blank nodes (skolemize first); blank
     nodes cannot name graphs.
     """
-    triples = g.triples if isinstance(g, Graph) else g
     quads: list[Quad] = []
     for s, p, o in triples:
         if isinstance(s, BlankNode) or isinstance(o, BlankNode):
@@ -244,7 +263,8 @@ def augment_datapoints(d: Dataset, base: str = DEFAULT_BASE) -> PartitionedDatas
 # -- synthetic building -------------------------------------------------------
 
 
-def generate_synthetic(params: GeneratorParams, base: str = DEFAULT_BASE) -> Graph:
+def generate_synthetic(params: GeneratorParams,
+                       base: str = DEFAULT_BASE) -> frozenset[Triple]:
     """Deterministic building graph realizing the target category counts.
 
     Layout: floors have wings, wings have rooms; lighting systems feed rooms
@@ -394,7 +414,7 @@ def generate_synthetic(params: GeneratorParams, base: str = DEFAULT_BASE) -> Gra
     _add_room_type_vocabulary(t, b, [room for room, _ in hygiene_rooms])
     _add_class_documentation(t)
     _add_weather_resources(t, b)
-    return Graph(name=b + "building", triples=frozenset(t))
+    return frozenset(t)
 
 
 def _spread(total: int, buckets: int) -> list[int]:
@@ -611,13 +631,12 @@ def build_dataset(source: str | Path | None = None,
         text = Path(source).read_text()
         parsed = parse_document(text, "turtle", base=base)
         merged = frozenset((s, p, o) for s, p, o, _ in parsed.quads())
-        ds = skolemize(Dataset({DEFAULT_GRAPH: merged}), base, "src")
-        graph = Graph(name=base + "building", triples=ds.graph(DEFAULT_GRAPH))
+        triples = skolemize(Dataset({DEFAULT_GRAPH: merged}), base,
+                            "src").graph(DEFAULT_GRAPH)
     else:
-        graph = generate_synthetic(params or GeneratorParams(), base)
-    partitioned = partition(graph)
-    pd = augment_datapoints(partitioned, base)
-    pd.source_triples = len(graph.triples)
+        triples = generate_synthetic(params or GeneratorParams(), base)
+    pd = augment_datapoints(partition(triples), base)
+    pd.source_triples = len(triples)
     pd.dataset = pd.dataset.apply([], occupant_quads(pd))
     return pd
 

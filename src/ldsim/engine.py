@@ -25,18 +25,19 @@ from .building import (
     CAT_SETPOINT,
     DynamicResource,
 )
+from .metrics import FaultQuery, match_faults
 from .ns import (
     DEFAULT_GRAPH,
     OWL_TIME,
-    RDF_TYPE,
     RDF_VALUE,
+    SIM_PATH,
+    SIM_VOCAB,
     XSD_BOOLEAN,
     XSD_DATETIMESTAMP,
     XSD_DECIMAL,
     XSD_INTEGER,
 )
 from .rdf import IRI, Dataset, Literal, Quad
-from .rdfio import graph_digest
 from .sparql import EvalContext, Update, eval_update, read_predicates
 from .trace import FaultTrace, OperationRecord
 
@@ -58,10 +59,6 @@ class KeyedRandom:
         material = "\x1f".join(str(part) for part in (self.seed, *key))
         digest = hashlib.sha256(material.encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-def keyed_rand(seed: int, iteration: int, update_id: str, binding_key: str) -> float:
-    return KeyedRandom(seed).unit(iteration, update_id, binding_key)
 
 
 # -- sunlight -------------------------------------------------------------------
@@ -195,9 +192,6 @@ class EnvEntry:
     update: Update | None = None
 
 
-BUILTIN_PROCESSES = ("sunlight", "occupancy", "setpoints")
-
-
 @dataclass
 class SimEnvironment:
     dataset: Dataset
@@ -227,11 +221,9 @@ class SimulationRuntime:
     either pre-tick plus agent operations or post-tick.
     """
 
-    def __init__(self, env: SimEnvironment, fault_checks: tuple = (),
-                 record_env_digests: bool = False):
+    def __init__(self, env: SimEnvironment, fault_checks: tuple = ()):
         self.env = env
         self.fault_checks = tuple(fault_checks)
-        self.record_env_digests = record_env_digests
         self.rng = KeyedRandom(env.seed)
         self.dataset = env.dataset
         self.params: RunParams | None = None
@@ -245,7 +237,6 @@ class SimulationRuntime:
         # slot), and the index entries and result of its last evaluation.
         self._fault_memo: list[tuple[frozenset[str] | None, tuple | None, frozenset]] = [
             (read_predicates(fc.query), None, frozenset()) for fc in self.fault_checks]
-        self.env_changes: list[list[tuple[str, str]]] = []
         self.ops: list[OperationRecord] = []
         self.coverage: tuple[float, float] = (0.0, 0.0)
         self.occlusion: dict[str, float] = {}
@@ -310,7 +301,6 @@ class SimulationRuntime:
         ds = ds.replace_graphs({self._sim_graph_name(): self._sim_graph(0)})
         self.dataset = ds
         self.fault_slots.append(self._check_faults(ds, 0, ctx_time))
-        self.env_changes.append([])
 
     def _load_occupants(self) -> tuple[Occupant, ...]:
         works_in = self.env.base + "vocab/building#worksIn"
@@ -335,12 +325,12 @@ class SimulationRuntime:
     # -- sim resource -------------------------------------------------------
 
     def _sim_graph_name(self) -> str:
-        return self.env.base + "sim"
+        return self.env.base + SIM_PATH
 
     def _sim_graph(self, iteration: int) -> frozenset:
         assert self.params is not None
         sim = IRI(self._sim_graph_name())
-        vocab = self.env.base + "vocab/sim#"
+        vocab = self.env.base + SIM_VOCAB
         t = self.sim_time(iteration)
         time_node = IRI(sim.value + "#time")
         desc_node = IRI(sim.value + "#time-desc")
@@ -373,27 +363,14 @@ class SimulationRuntime:
             assert self.params is not None and self.started
             t = self.iteration + 1
             sim_time = self.sim_time(t)
-            changed: list[tuple[str, str]] = []
-            ds = self.dataset
-            ds = self._log_changes(ds, ds.replace_graphs(
-                {self._sim_graph_name(): self._sim_graph(t)}), changed)
+            ds = self.dataset.replace_graphs(
+                {self._sim_graph_name(): self._sim_graph(t)})
             for entry in self.env.update_entries:
-                ds = self._log_changes(ds, self._apply_entry(ds, entry, t, sim_time),
-                                       changed)
+                ds = self._apply_entry(ds, entry, t, sim_time)
             self.dataset = ds
             self.iteration = t
             self.fault_slots.append(self._check_faults(ds, t, sim_time))
-            self.env_changes.append(changed)
         self.tick_seconds.append(_time.monotonic() - started_at)
-
-    def _log_changes(self, before: Dataset, after: Dataset,
-                     changed: list[tuple[str, str]]) -> Dataset:
-        if self.record_env_digests and after is not before:
-            from .rdf import symmetric_difference
-
-            for name in sorted(symmetric_difference(before, after).graph_names()):
-                changed.append((name, graph_digest(after.graph(name))))
-        return after
 
     def _apply_entry(self, ds: Dataset, entry: EnvEntry, iteration: int,
                      sim_time: datetime) -> Dataset:
@@ -460,8 +437,6 @@ class SimulationRuntime:
 
     def _check_faults(self, ds: Dataset, iteration: int,
                       sim_time: datetime) -> dict[str, frozenset[str]]:
-        from .metrics import match_faults
-
         out = {}
         for i, fc in enumerate(self.fault_checks):
             reads, last_entries, last_result = self._fault_memo[i]
@@ -564,6 +539,14 @@ class SimulationRuntime:
         self.finished.set()
 
 
+def dry_run(env: SimEnvironment, params: RunParams,
+            fault_queries: tuple[FaultQuery, ...]) -> FaultTrace:
+    """Run the environment with no agent operations and record faults."""
+    runtime = SimulationRuntime(env, fault_queries)
+    runtime.run_sync(params, pace=False)
+    return runtime.fault_trace()
+
+
 def tick_percentile(samples: list[float], pct: float) -> float:
     if not samples:
         return 0.0
@@ -574,7 +557,3 @@ def tick_percentile(samples: list[float], pct: float) -> float:
 
 def _lux(value: float) -> Literal:
     return Literal(f"{value:.1f}", XSD_DECIMAL)
-
-
-def parse_xsd_datetime(lexical: str) -> datetime:
-    return datetime.fromisoformat(lexical.replace("Z", "+00:00"))

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import RunParams, SimEnvironment, SimulationRuntime
 from .rdf import Dataset
 from .sparql import EvalContext, Query, binding_key, eval_query
 from .trace import FaultTrace, OperationRecord
@@ -85,14 +84,6 @@ def operation_counts(ops: list[OperationRecord], agent: str | None = None) -> tu
     selected = [op for op in ops if op.ok and (agent is None or op.agent == agent)]
     reads = sum(1 for op in selected if op.is_read)
     return reads, len(selected) - reads
-
-
-def dry_run(env: SimEnvironment, params: RunParams,
-            fault_queries: tuple[FaultQuery, ...]) -> FaultTrace:
-    """Run the environment with no agent operations and record faults."""
-    runtime = SimulationRuntime(env, fault_queries)
-    runtime.run_sync(params, pace=False)
-    return runtime.fault_trace()
 
 
 def audit_write_deltas(ops: list[OperationRecord]) -> list[str]:

@@ -39,9 +39,6 @@ DEFAULT_GRAPH = "urn:ldsim:default"
 # query and rule files stay independent of host and port.
 SIM_PATH = "sim"
 SIM_VOCAB = "vocab/sim#"
-BLDG_VOCAB = "vocab/building#"
-ROOM_TYPES_PATH = "vocab/room-types/"
-WEATHER_REPORT_PATH = "weather-report"
 
 DEFAULT_BASE = "http://localhost:8080/"
 
@@ -80,15 +77,3 @@ def resolve(ref: str, base: str | None) -> str:
 def defrag(iri: str) -> str:
     """Strip a fragment; fragment IRIs share their document's graph."""
     return iri.split("#", 1)[0]
-
-
-def sim_iri(base: str) -> str:
-    return base + SIM_PATH
-
-
-def sim_vocab(base: str) -> str:
-    return base + SIM_VOCAB
-
-
-def bldg_vocab(base: str) -> str:
-    return base + BLDG_VOCAB

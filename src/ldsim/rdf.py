@@ -312,26 +312,6 @@ def symmetric_difference(d1: Dataset, d2: Dataset) -> Dataset:
     return Dataset(out)
 
 
-def graph_projection(d: Dataset) -> frozenset[str]:
-    """The set of resource IRIs (graph names) appearing in a dataset."""
-    return d.graph_names()
-
-
-@dataclass(frozen=True)
-class Graph:
-    """A named graph: the projection of a dataset onto one graph name."""
-
-    name: str
-    triples: frozenset
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-
-def graph_view(d: Dataset, name: str) -> Graph:
-    return Graph(name, d.graph(name))
-
-
 # -- blank node handling ----------------------------------------------------
 
 

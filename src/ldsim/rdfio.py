@@ -8,7 +8,6 @@ labels are scoped to a single document.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import Iterable
 
@@ -28,7 +27,7 @@ from .ns import (
     is_absolute,
     resolve,
 )
-from .rdf import IRI, BlankNode, Dataset, Graph, Literal, Quad, Term
+from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
 
 FORMATS = ("turtle", "trig", "n-triples", "n-quads")
 
@@ -643,10 +642,6 @@ def serialize_triples(triples: Iterable, fmt: str = "turtle",
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def serialize_graph(graph: Graph, fmt: str = "turtle") -> str:
-    return serialize_triples(graph.triples, fmt)
-
-
 def serialize_dataset(ds: Dataset, fmt: str = "trig") -> str:
     """TriG (default-graph triples bare, named graphs in blocks) or N-Quads."""
     if fmt == "n-quads":
@@ -680,9 +675,3 @@ def nq_line(s: Term, p: Term, o: Term, g: IRI) -> str:
     if g.value == DEFAULT_GRAPH:
         return f"{term_nt(s)} {term_nt(p)} {term_nt(o)} ."
     return f"{term_nt(s)} {term_nt(p)} {term_nt(o)} {term_nt(g)} ."
-
-
-def graph_digest(triples: Iterable) -> str:
-    """Stable content hash of a triple set."""
-    lines = sorted(f"{term_nt(s)} {term_nt(p)} {term_nt(o)}" for s, p, o in triples)
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .engine import RunParams, SimulationRuntime, parse_xsd_datetime
-from .ns import DEFAULT_GRAPH, defrag
-from .rdf import IRI, BlankNode, Literal, skolemize, Dataset
+from .engine import RunParams, SimulationRuntime
+from .ns import DEFAULT_GRAPH, SIM_PATH, SIM_VOCAB, defrag
+from .rdf import BlankNode, Dataset, Literal, skolemize
 from .rdfio import ParseError, parse_document, serialize_triples
-from .sparql import literal_value
+from .sparql import literal_value, parse_datetime
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        if target == self.base + "sim":
+        if target == self.base + SIM_PATH:
             self._sim_put(body)
             return
         if not self.policy.is_writable(target):
@@ -205,7 +205,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.runtime.started:
             self._reply(409, b"run already in progress\n")
             return
-        target = self.base + "sim"
+        target = self.base + SIM_PATH
         content_type = (self.headers.get("Content-Type") or TURTLE).split(";")[0].strip()
         try:
             parsed = parse_document(body.decode("utf-8"),
@@ -214,7 +214,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (ParseError, UnicodeDecodeError) as exc:
             self._reply(400, f"unparsable payload: {exc}\n".encode())
             return
-        vocab = self.base + "vocab/sim#"
+        vocab = self.base + SIM_VOCAB
         values: dict[str, object] = {}
         try:
             for _s, p, o, _g in parsed.quads():
@@ -222,7 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
                     values[p.value[len(vocab):]] = literal_value(o)
             initial_time = values["initialTime"]
             if isinstance(initial_time, str):
-                initial_time = parse_xsd_datetime(initial_time)
+                initial_time = parse_datetime(initial_time)
             if not isinstance(initial_time, datetime):
                 raise TypeError("sim:initialTime is not a date-time")
             params = RunParams(

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .ns import (
     DEFAULT_GRAPH,
@@ -196,8 +196,6 @@ _VAR_RE = re.compile(r"[?$]([A-Za-z_][A-Za-z0-9_]*)")
 _NUMBER_RE = re.compile(r"(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z0-9_][A-Za-z0-9_\-.]*)?")
-_PUNCT = ("^^", "&&", "||", "!=", "<=", ">=", "{", "}", "(", ")", ".", ";", ",",
-          "=", "<", ">", "!", "+", "-", "*", "/", "^", "a")
 
 
 class _Lexer:
@@ -760,9 +758,6 @@ def binding_key(binding: dict) -> str:
     """Canonical string of a solution's sorted variable/term pairs."""
     return "|".join(f"?{name}={term_nt(term)}"
                     for name, term in sorted(binding.items()))
-
-
-Binding = dict
 
 
 def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None):

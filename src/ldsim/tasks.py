@@ -18,12 +18,10 @@ from .engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime, \
 from .metrics import FaultQuery
 from .ns import RDF_VALUE, defrag
 from .rdf import IRI, Literal
-from .sparql import EvalContext, eval_query, parse_query, parse_update
+from .sparql import EvalContext, PathLink, PathPlus, eval_path, eval_query, parse_query, \
+    parse_update
 
 TASK_IDS = ("TS1", "TS2", "TS3", "TC1", "TC2", "TC3", "TC4", "TC5", "TC6", "TC7")
-
-SINGLE_LOOP_TASKS = ("TS1", "TS2", "TS3")
-
 
 @dataclass
 class TaskSpec:
@@ -332,8 +330,6 @@ def oracle_schedule(task: TaskSpec, runtime: SimulationRuntime) -> OracleScript:
 
 def _tc2_schedule(task: TaskSpec, runtime: SimulationRuntime,
                   commands: list[str], values) -> OracleScript:
-    from .sparql import PathLink, PathPlus, eval_path
-
     base = runtime.env.base
     ds = runtime.dataset
     bldg = base + "vocab/building#"

@@ -124,11 +124,3 @@ def read_faults_tsv(path: str | Path) -> FaultTrace:
         slots[int(t)].setdefault(fq_id, set()).add(key)
     frozen = [{q: frozenset(keys) for q, keys in slot.items()} for slot in slots]
     return FaultTrace(k=k, slots=frozen, lengths=lengths)
-
-
-def write_env_changes_tsv(changes: list[list[tuple[str, str]]], path: str | Path) -> None:
-    lines = ["timeslot\tgraph\tdigest"]
-    for t, slot in enumerate(changes):
-        for graph, digest in slot:
-            lines.append(f"{t}\t{graph}\t{digest}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -13,7 +13,6 @@ from ldsim.engine import (
     SimulationRuntime,
     baseline_illuminance,
     hours_of_day,
-    keyed_rand,
     occupancy_step,
     occupied_rooms,
     outside_illuminance,
@@ -55,14 +54,14 @@ def run_params(iterations=10, step_seconds=60, start_hour=0):
 
 class TestKeyedRandom:
     def test_pure(self):
-        assert keyed_rand(7, 3, "u", "k") == keyed_rand(7, 3, "u", "k")
+        assert KeyedRandom(7).unit(3, "u", "k") == KeyedRandom(7).unit(3, "u", "k")
 
     def test_component_sensitivity(self):
-        base_draw = keyed_rand(7, 3, "u", "k")
-        assert keyed_rand(7, 4, "u", "k") != base_draw
-        assert keyed_rand(7, 3, "v", "k") != base_draw
-        assert keyed_rand(7, 3, "u", "j") != base_draw
-        assert keyed_rand(8, 3, "u", "k") != base_draw
+        base_draw = KeyedRandom(7).unit(3, "u", "k")
+        assert KeyedRandom(7).unit(4, "u", "k") != base_draw
+        assert KeyedRandom(7).unit(3, "v", "k") != base_draw
+        assert KeyedRandom(7).unit(3, "u", "j") != base_draw
+        assert KeyedRandom(8).unit(3, "u", "k") != base_draw
 
     def test_iteration_draws_distinct(self):
         rng = KeyedRandom(1)
@@ -289,16 +288,21 @@ class TestRuntime:
     def test_env_change_digests_match_across_seeded_runs(self, small_build):
         entries = [EnvEntry("sunlight", "builtin"), EnvEntry("occupancy", "builtin"),
                    EnvEntry("setpoints", "builtin")]
-        traces = []
+        runs = []
         for _ in range(2):
-            runtime = SimulationRuntime(make_env(small_build, updates=entries),
-                                        record_env_digests=True)
+            runtime = SimulationRuntime(make_env(small_build, updates=entries))
             runtime.initialize(run_params(iterations=40, step_seconds=1200, start_hour=5))
+            snapshots = [runtime.dataset]
             for _ in range(40):
                 runtime.tick()
-            traces.append(runtime.env_changes)
-        assert traces[0] == traces[1]
-        assert any(slot for slot in traces[0])  # sunlight produced changes
+                snapshots.append(runtime.dataset)
+            runs.append(snapshots)
+        assert runs[0] == runs[1]
+        deltas = [[symmetric_difference(before, after)
+                   for before, after in zip(run, run[1:])] for run in runs]
+        assert deltas[0] == deltas[1]
+        # Sunlight changes graphs other than the run-control graph.
+        assert any(delta.graph_names() - {BASE + "sim"} for delta in deltas[0])
 
 
 class TestRunLoop:

@@ -1,0 +1,113 @@
+"""The package's import graph: module-level imports only, and no cycles.
+
+The cycle check counts every import, lazy ones included, so a cycle cannot
+hide behind an import inside a function.
+"""
+
+import ast
+from pathlib import Path
+
+import ldsim
+
+PACKAGE = Path(ldsim.__file__).parent
+
+
+def _imports(tree: ast.Module, module: str):
+    """(imported ldsim module, line, inside a function) for every import."""
+
+    def target(node: ast.ImportFrom, alias: ast.alias) -> str | None:
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] != "ldsim":
+                return None
+            return parts[1] if len(parts) > 1 else alias.name
+        # `from . import x` names a module; `from .x import y` names x.
+        return node.module.split(".")[0] if node.module else alias.name
+
+    def visit(node: ast.AST, in_function: bool):
+        for child in ast.iter_child_nodes(node):
+            nested = in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            if isinstance(child, ast.ImportFrom):
+                for alias in child.names:
+                    name = target(child, alias)
+                    if name is not None and name != module:
+                        yield name, child.lineno, nested
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.startswith("ldsim."):
+                        yield alias.name.split(".")[1], child.lineno, nested
+            yield from visit(child, nested)
+
+    return list(visit(tree, False))
+
+
+def _graph():
+    graph, lazy = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        graph[module] = set()
+        for name, line, in_function in _imports(tree, module):
+            graph[module].add(name)
+            if in_function:
+                lazy.append(f"{path.name}:{line} imports .{name} inside a function")
+    return graph, lazy
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    state: dict[str, str] = {}
+    stack: list[str] = []
+
+    def dfs(node: str) -> list[str] | None:
+        state[node] = "open"
+        stack.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == "open":
+                return stack[stack.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = dfs(nxt)
+                if found:
+                    return found
+        stack.pop()
+        state[node] = "done"
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            found = dfs(node)
+            if found:
+                return found
+    return None
+
+
+def test_no_function_level_intra_package_imports():
+    _, lazy = _graph()
+    assert lazy == []
+
+
+def test_imports_are_acyclic():
+    graph, _ = _graph()
+    cycle = _cycle(graph)
+    assert cycle is None, " -> ".join(cycle)
+
+
+def test_metrics_sits_below_engine():
+    graph, _ = _graph()
+    reached, todo = set(), ["metrics"]
+    while todo:
+        for name in graph[todo.pop()] - reached:
+            reached.add(name)
+            todo.append(name)
+    assert "engine" not in reached
+    assert "metrics" in graph["engine"]
+
+
+def test_guard_sees_cycles_and_lazy_imports():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b"}, "b": set()}) is None
+    tree = ast.parse("from .x import y\n"
+                     "def f():\n"
+                     "    from .z import w\n"
+                     "    from . import v\n")
+    assert _imports(tree, "m") == [("x", 1, False), ("z", 3, True), ("v", 4, True)]

@@ -1,11 +1,11 @@
 import pytest
 
+from ldsim.engine import dry_run
 from ldsim.metrics import (
     FaultQuery,
     audit_write_deltas,
     average_fault_count,
     compute_metrics,
-    dry_run,
     fault_rate,
     match_faults,
     normalized_fault_count,

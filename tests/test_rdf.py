@@ -11,14 +11,12 @@ from ldsim.rdf import (
     Dataset,
     Literal,
     Quad,
-    graph_projection,
-    graph_view,
     isomorphic,
     rebase_dataset,
     skolemize,
     symmetric_difference,
 )
-from ldsim.rdfio import ParseError, parse_document, serialize_dataset, serialize_graph
+from ldsim.rdfio import ParseError, parse_document, serialize_dataset, serialize_triples
 
 EX = "http://example.org/"
 A = IRI(EX + "a")
@@ -51,7 +49,7 @@ class TestDataset:
     def test_contains_and_projection(self, d_two_graphs):
         assert quad(A, P, B, G1) in d_two_graphs
         assert quad(A, P, B, G2) not in d_two_graphs
-        assert graph_projection(d_two_graphs) == {G1.value, G2.value}
+        assert d_two_graphs.graph_names() == {G1.value, G2.value}
 
     def test_apply_keeps_original(self, d_two_graphs):
         extra = quad(C, P, A, G2)
@@ -190,13 +188,13 @@ class TestParsing:
         """
         ds = parse_document(doc, "trig")
         assert len(ds) == 10
-        assert graph_projection(ds) == {G1.value, G2.value}
+        assert ds.graph_names() == {G1.value, G2.value}
         assert len(ds.graph(G1.value)) == 6
         assert len(ds.graph(G2.value)) == 4
 
     def test_custom_default_graph(self):
         ds = parse_document("<a> <b> 1 .", "turtle", base=EX, default_graph=EX + "tgt")
-        assert graph_projection(ds) == {EX + "tgt"}
+        assert ds.graph_names() == {EX + "tgt"}
 
     def test_relative_iri_without_base_fails(self):
         with pytest.raises(ParseError):
@@ -219,7 +217,7 @@ class TestParsing:
 
     def test_nquads(self):
         ds = parse_document("<http://x/s> <http://x/p> 5 <http://x/g> .", "n-quads")
-        assert graph_projection(ds) == {"http://x/g"}
+        assert ds.graph_names() == {"http://x/g"}
 
     def test_blank_nodes_scoped_per_document(self):
         one = parse_document("_:x <http://x/p> _:y .", "n-triples")
@@ -229,12 +227,12 @@ class TestParsing:
 
 class TestRoundTrip:
     def test_empty_graph(self):
-        g = graph_view(Dataset(), EX + "g")
-        assert parse_document(serialize_graph(g), "turtle").__len__() == 0
+        triples = Dataset().graph(EX + "g")
+        assert parse_document(serialize_triples(triples), "turtle").__len__() == 0
 
     def test_single_triple(self):
         ds = Dataset.from_quads([quad(A, P, Literal("on"), G1)])
-        text = serialize_graph(graph_view(ds, G1.value))
+        text = serialize_triples(ds.graph(G1.value))
         back = parse_document(text, "turtle", default_graph=G1.value)
         assert back.graph(G1.value) == ds.graph(G1.value)
 
@@ -247,7 +245,7 @@ class TestRoundTrip:
             s = rng.choice(names + blanks)
             o = rng.choice(names + blanks + [Literal(str(rng.randrange(9)))])
             triples.add((s, rng.choice(names[:3]), o))
-        text = serialize_triples_via_graph(triples)
+        text = serialize_triples(triples)
         back = parse_document(text, "turtle")
         assert isomorphic(back.graph(DEFAULT_GRAPH), triples)
 
@@ -257,7 +255,7 @@ class TestRoundTrip:
         for _ in range(20):
             triples = {_random_ground_triple(rng) for _ in range(rng.randrange(0, 30))}
             ds = Dataset({EX + "g": frozenset(triples)} if triples else {})
-            text = serialize_graph(graph_view(ds, EX + "g"), fmt)
+            text = serialize_triples(ds.graph(EX + "g"), fmt)
             back = parse_document(text, fmt, default_graph=EX + "g")
             assert back.graph(EX + "g") == frozenset(triples)
 
@@ -267,12 +265,6 @@ class TestRoundTrip:
         ds = Dataset.from_quads(quads)
         back = parse_document(serialize_dataset(ds), "trig")
         assert back == ds
-
-
-def serialize_triples_via_graph(triples):
-    from ldsim.rdfio import serialize_triples
-
-    return serialize_triples(triples)
 
 
 def _random_ground_triple(rng: random.Random):

@@ -11,12 +11,12 @@ from datetime import datetime, timezone
 
 import pytest
 
-from ldsim.building import GeneratorParams, build_dataset
+from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned
 from ldsim.engine import RunParams, SimEnvironment, SimulationRuntime
 from ldsim.httpclient import LdClient
 from ldsim.metrics import audit_write_deltas
 from ldsim.ns import RDF_VALUE
-from ldsim.rdf import IRI, Literal, rebase_dataset
+from ldsim.rdf import IRI, Literal
 from ldsim.rdfio import serialize_triples
 from ldsim.server import LinkedDataServer, ResourcePolicy, _Handler, default_policy
 
@@ -31,24 +31,14 @@ def small_params():
 
 
 def start_server(policy=None, params=None, seed=7):
-    pd = build_dataset(params=params or small_params())
     server = LinkedDataServer()
-    dataset = rebase_dataset(pd.dataset, pd.base, server.base)
-    dynamic = {}
-    for res in pd.dynamic.values():
-        moved = res.__class__(**{**res.__dict__})
-        moved.graph = res.graph.replace(pd.base, server.base)
-        moved.node = res.node.replace(pd.base, server.base)
-        moved.point = res.point.replace(pd.base, server.base)
-        moved.system = res.system.replace(pd.base, server.base)
-        moved.room = res.room.replace(pd.base, server.base)
-        dynamic[moved.graph] = moved
-    env = SimEnvironment(dataset=dataset, init_entries=[], update_entries=[],
-                         seed=seed, base=server.base, dynamic=dynamic)
+    pd = rebase_partitioned(build_dataset(params=params or small_params()), server.base)
+    env = SimEnvironment(dataset=pd.dataset, init_entries=[], update_entries=[],
+                         seed=seed, base=server.base, dynamic=pd.dynamic)
     runtime = SimulationRuntime(env)
-    server.attach(runtime, policy or default_policy(dynamic))
+    server.attach(runtime, policy or default_policy(pd.dynamic))
     server.start()
-    return server, runtime, dynamic
+    return server, runtime, pd.dynamic
 
 
 @pytest.fixture()
