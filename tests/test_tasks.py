@@ -203,16 +203,22 @@ class TestOracleSchedules:
 
     # Loop counts are the oracle's phases; `ideal.loops` in task.properties
     # disagrees for TC1-TC3 and TC5-TC7, so it is not used here.
-    @pytest.mark.parametrize("tid,loops", [
-        ("TS1", 1), ("TS2", 1), ("TS3", 1), ("TC3", 1),
-        ("TC4", 2), ("TC5", 2), ("TC6", 2), ("TC7", 2),
+    @pytest.mark.parametrize("tid,reads,writes,loops", [
+        ("TS1", 0, 146, 1),
+        ("TS2", 146, 146, 1),
+        ("TS3", 0, 6, 1),
+        ("TC3", 147, 146, 1),
+        ("TC4", 128, 64, 2),
+        ("TC5", 128, 64, 2),
+        ("TC6", 192, 64, 2),
+        ("TC7", 256, 64, 2),
     ])
-    def test_exact_operation_counts(self, pd, tasks, tid, loops):
+    def test_exact_operation_counts(self, pd, tasks, tid, reads, writes, loops):
         task = tasks[tid]
         runtime = self.runtime_for(task, pd)
         script = oracle_schedule(task, runtime)
-        assert script.read_count == task.ideal_reads
-        assert script.write_count == task.ideal_writes
+        assert script.read_count == reads == task.ideal_reads
+        assert script.write_count == writes == task.ideal_writes
         assert script.loops == loops
 
     def test_tc1_covers_lower_bounds(self, pd, tasks):
