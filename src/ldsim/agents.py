@@ -9,6 +9,7 @@ rules, and fire HTTP requests for every rule condition that matches.
 from __future__ import annotations
 
 import logging
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,13 +19,15 @@ from .httpclient import LdClient
 from .ns import BF, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH, SIM_VOCAB, \
     SOSA, SSN, defrag
 from .rdf import IRI, Dataset, Literal
-from .sparql import Group, TriplePattern, Query, Var, _QueryParser, eval_query
+from .sparql import Group, Parser, Query, TriplePattern, Var, eval_query
 
 log = logging.getLogger(__name__)
 
 INFERRED_GRAPH = "urn:ldsim:inferred"
 HAS_PART = BF + "hasPart"
 IS_PART_OF = BF + "isPartOf"
+
+_RULE_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
 
 DEFAULT_FOLLOW = (
     BF + "hasPart", BF + "hasPoint", BF + "feeds", BF + "isLocatedIn",
@@ -54,10 +57,14 @@ class Rule:
     def fire_key(self) -> str:
         return self.group or self.name
 
+    def solutions(self, view: Dataset) -> list[dict]:
+        """The distinct solutions of the WHEN pattern over a knowledge base."""
+        return eval_query(view, Query("select", (), self.condition, None))
+
 
 def parse_rules(text: str, base: str | None = None) -> list[Rule]:
     """RULE <name> [ONCE] [GROUP <g>] WHEN { pattern } THEN PUT ?v { payload }"""
-    parser = _QueryParser(text, base)
+    parser = Parser(text, base)
     parser.prologue()
     rules: list[Rule] = []
     while True:
@@ -106,14 +113,17 @@ def parse_rules(text: str, base: str | None = None) -> list[Rule]:
                           once=once, group=group))
 
 
-def _rule_name(parser: _QueryParser) -> str:
-    # Names may contain hyphens, which lex as separate tokens.
-    parts = [parser.lex.next()[1]]
-    while parser.lex.peek()[0] == "-":
-        parser.lex.next()
-        parts.append("-")
-        parts.append(str(parser.lex.next()[1]))
-    return "".join(str(p) for p in parts)
+def _rule_name(parser: Parser) -> str:
+    # Names may hold hyphens and digits, which the query lexer splits into
+    # several tokens (a number token even carries its datatype), so the
+    # name is matched on the source text from the next token on.
+    lex = parser.lex
+    start = lex.next()[2]
+    m = _RULE_NAME_RE.match(lex.text, start)
+    if not m:
+        raise parser.error("expected a rule name")
+    lex.pos = m.end()
+    return m.group(0)
 
 
 def _action_vars(target, payload) -> set[str]:
@@ -322,8 +332,7 @@ class RuleAgent:
         view = self.kb.with_inferences(self.config.reasoning)
         acted: set[tuple[str, str]] = set()
         for rule in self.config.rules:
-            query = Query("select", (), rule.condition, None)
-            for solution in eval_query(view, query):
+            for solution in rule.solutions(view):
                 request = self._instantiate(rule, solution)
                 if request is None:
                     continue

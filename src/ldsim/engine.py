@@ -43,6 +43,7 @@ from .trace import FaultTrace, OperationRecord
 
 log = logging.getLogger(__name__)
 
+_RDF_VALUE = IRI(RDF_VALUE)
 WRITE_METHODS = ("PUT", "POST", "DELETE")
 
 
@@ -172,7 +173,10 @@ def occupancy_step(occupants: tuple[Occupant, ...], iteration: int, hour: float,
             if ((iteration - since) * step_minutes >= cfg.lunch_min_minutes
                     and draw < scaled(cfg.lunch_return_rate)):
                 state, since, lunched = AT_DESK, iteration, True
-        out.append(replace(occ, state=state, since=since, lunched=lunched))
+        if (state, since, lunched) == (occ.state, occ.since, occ.lunched):
+            out.append(occ)
+        else:
+            out.append(replace(occ, state=state, since=since, lunched=lunched))
     return tuple(out)
 
 
@@ -232,6 +236,7 @@ class SimulationRuntime:
         self.finished = threading.Event()
         self.deadline_misses = 0
         self.tick_seconds: list[float] = []
+        self.fault_check_seconds: list[float] = []  # the fault-check phase of each tick
         self.fault_slots: list[dict[str, frozenset[str]]] = []
         # Per fault check: the predicates it reads (None: evaluate every
         # slot), and the index entries and result of its last evaluation.
@@ -369,7 +374,9 @@ class SimulationRuntime:
                 ds = self._apply_entry(ds, entry, t, sim_time)
             self.dataset = ds
             self.iteration = t
+            checking_at = _time.monotonic()
             self.fault_slots.append(self._check_faults(ds, t, sim_time))
+            self.fault_check_seconds.append(_time.monotonic() - checking_at)
         self.tick_seconds.append(_time.monotonic() - started_at)
 
     def _apply_entry(self, ds: Dataset, entry: EnvEntry, iteration: int,
@@ -392,24 +399,29 @@ class SimulationRuntime:
 
     # -- built-in processes ----------------------------------------------------
 
-    def _set_value(self, ds: Dataset, staged: dict, res: DynamicResource,
-                   value: Literal) -> None:
+    def _set_value(self, ds: Dataset, values: dict, staged: dict,
+                   res: DynamicResource, value: Literal) -> None:
+        """Stage `res.graph` with `value` as the node's only `rdf:value`,
+        unless it already is; `values` is the snapshot's `rdf:value`
+        subject -> object -> graphs map."""
         node = IRI(res.node)
-        triples = ds.graph(res.graph)
-        kept = {tr for tr in triples
-                if not (tr[0] == node and tr[1].value == RDF_VALUE)}
-        kept.add((node, IRI(RDF_VALUE), value))
-        if kept != triples:
-            staged[res.graph] = kept
+        current = [o for o, graphs in values.get(node, {}).items() if res.graph in graphs]
+        if current == [value]:
+            return
+        staged[res.graph] = (ds.graph(res.graph)
+                             - {(node, _RDF_VALUE, o) for o in current}
+                             | {(node, _RDF_VALUE, value)})
 
     def _sunlight(self, ds: Dataset, sim_time: datetime) -> Dataset:
         outside = outside_illuminance(sim_time, self.coverage)
+        values = ds.pred_nav(RDF_VALUE)[0]
         staged: dict = {}
         for res in self._by_category.get(CAT_OUTSIDE, ()):
-            self._set_value(ds, staged, res, _lux(outside))
+            self._set_value(ds, values, staged, res, _lux(outside))
         for res in self._by_category.get(CAT_LUMINANCE, ()):
             occl = self.occlusion.get(res.room, 0.05)
-            self._set_value(ds, staged, res, _lux(room_illuminance(outside, occl)))
+            self._set_value(ds, values, staged, res,
+                            _lux(room_illuminance(outside, occl)))
         return ds.replace_graphs(staged) if staged else ds
 
     def _occupancy(self, ds: Dataset, iteration: int, sim_time: datetime) -> Dataset:
@@ -417,20 +429,22 @@ class SimulationRuntime:
             self.occupants, iteration, hours_of_day(sim_time), self.step_minutes,
             self.rng, self.env.occupancy_cfg)
         present = occupied_rooms(self.occupants)
+        values = ds.pred_nav(RDF_VALUE)[0]
         staged: dict = {}
         for res in self._by_category.get(CAT_OCCUPANCY, ()):
             value = Literal("on" if res.room in present else "off")
-            self._set_value(ds, staged, res, value)
+            self._set_value(ds, values, staged, res, value)
         return ds.replace_graphs(staged) if staged else ds
 
     def _setpoints(self, ds: Dataset, iteration: int) -> Dataset:
         low, high = self.env.setpoint_range
+        values = ds.pred_nav(RDF_VALUE)[0]
         staged: dict = {}
         for res in self._by_category.get(CAT_SETPOINT, ()):
             if self.rng.unit(iteration, "setpoints", res.node) < self.env.setpoint_rate:
                 draw = self.rng.unit(iteration, "setpoints-value", res.node)
                 value = Literal(str(low + int(draw * (high - low + 1))), XSD_INTEGER)
-                self._set_value(ds, staged, res, value)
+                self._set_value(ds, values, staged, res, value)
         return ds.replace_graphs(staged) if staged else ds
 
     # -- faults -----------------------------------------------------------------
@@ -516,7 +530,9 @@ class SimulationRuntime:
             "seed": self.env.seed,
             "deadline_misses": self.deadline_misses,
             "finished": self.finished.is_set(),
+            "tick_p50_ms": tick_percentile(self.tick_seconds, 50.0) * 1000,
             "tick_p95_ms": tick_percentile(self.tick_seconds, 95.0) * 1000,
+            "fault_check_p95_ms": tick_percentile(self.fault_check_seconds, 95.0) * 1000,
         }
         return meta, list(self.ops)
 

@@ -13,6 +13,7 @@ errors make the enclosing FILTER false.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -303,8 +304,17 @@ class _Lexer:
 # -- parser -------------------------------------------------------------------
 
 
-class _QueryParser:
-    def __init__(self, text: str, base: str | None):
+class Parser:
+    """Recursive-descent parser of the subset's queries and updates.
+
+    Also the entry point for grammars that embed its group patterns, such
+    as agent rule files: `prologue`, `keyword`, `group`, `iri_from` and
+    `error` are public; `lex.peek()`/`lex.next()` give (kind, value,
+    offset) tokens, and `lex.text`/`lex.pos` let such a grammar read a
+    token of its own.
+    """
+
+    def __init__(self, text: str, base: str | None = None):
         self.lex = _Lexer(text)
         self.base = base
         self.prefixes: dict[str, str] = {}
@@ -725,11 +735,11 @@ class _QueryParser:
 
 
 def parse_query(text: str, base: str | None = None) -> Query:
-    return _QueryParser(text, base).parse_query()
+    return Parser(text, base).parse_query()
 
 
 def parse_update(text: str, base: str | None = None) -> Update:
-    return _QueryParser(text, base).parse_update()
+    return Parser(text, base).parse_update()
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -826,18 +836,110 @@ def _instantiate(templates: tuple[QuadPattern, ...], sol: dict) -> Iterator[Quad
 
 def _eval_group(d: Dataset, graphs: list[str] | None, group: Group,
                 bindings: list[dict], ctx: EvalContext) -> list[dict]:
-    filters = [el for el in group.elements if isinstance(el, Filter)]
+    if not bindings:
+        return []
+    # Every solution of a group binds the same variables, so the first
+    # incoming one tells the planner what is bound.
     solutions = bindings
-    for el in group.elements:
-        if isinstance(el, TriplePattern):
+    for el in _plan(d, group, set(bindings[0])):
+        if isinstance(el, Filter):
+            solutions = [sol for sol in solutions if _filter_true(el.expr, sol, ctx)]
+        elif isinstance(el, TriplePattern):
             solutions = _join_pattern(d, graphs, el, solutions)
-        elif isinstance(el, GraphBlock):
+        else:
             solutions = _join_graph_block(d, el, solutions, ctx)
         if not solutions:
             break
-    for flt in filters:
-        solutions = [sol for sol in solutions if _filter_true(flt.expr, sol, ctx)]
     return solutions
+
+
+def _plan(d: Dataset, group: Group, bound: set[str]) -> Iterator:
+    """The group's elements in join order, with each filter placed where
+    its variables are all bound. Lazy, so an evaluation that runs out of
+    solutions plans no further.
+
+    Greedy and bound-first (Stocker et al., WWW 2008): the next element is
+    the one with the fewest estimated matches per solution (`_cost`), ties
+    going to the one written first, among those that share a variable
+    with what is bound or match at most once (no growing cross products).
+    A filter that calls a function stays last, since `rand()` is keyed on
+    the whole solution. A filter inside a GRAPH block sees what the
+    elements before the block bound, so a group keeps its written order
+    when such a filter calls a function or reads a variable its own group
+    does not bind.
+    """
+    pending = [el for el in group.elements if not isinstance(el, Filter)]
+    filters = [el for el in group.elements if isinstance(el, Filter)]
+    if not all(_self_contained(el.group) for el in pending if isinstance(el, GraphBlock)):
+        yield from pending + filters
+        return
+    pending = [(el, _element_vars(el)) for el in pending]
+    waiting = [(flt, _expr_vars(flt.expr)) for flt in filters if not _has_call(flt.expr)]
+    bound = set(bound)
+    while True:
+        yield from (flt for flt, names in waiting if names <= bound)
+        waiting = [(flt, names) for flt, names in waiting if not names <= bound]
+        if not pending:
+            break
+        scored = [(_cost(d, el, bound), el, names) for el, names in pending]
+        linked = [entry for entry in scored if entry[0] <= 1 or entry[2] & bound] or scored
+        best, names = min(linked, key=lambda entry: entry[0])[1:]
+        pending.remove((best, names))
+        bound |= names
+        yield best
+    yield from (flt for flt, _names in waiting)
+    yield from (flt for flt in filters if _has_call(flt.expr))
+
+
+def _cost(d: Dataset, el, bound: set[str]) -> float:
+    """Estimated matches of one element per solution, from index counts:
+    exact for a constant subject or object, the average fan-out for a
+    bound variable, every entry when neither end is bound. A path counts
+    the entries of all its predicates, a variable predicate everything,
+    and a GRAPH block its cheapest inner pattern."""
+    if isinstance(el, GraphBlock):
+        return min((_cost(d, inner, bound) for inner in el.group.elements
+                    if not isinstance(inner, Filter)), default=math.inf)
+    if isinstance(el.p, Var):
+        return math.inf
+    if not isinstance(el.p, IRI):
+        return sum(len(d.pred_entries(p)) for p in _path_iris(el.p))
+    entry = d.pred_entries(el.p.value)
+    estimates = [len(entry)]
+    for term, side in ((el.s, entry.fwd), (el.o, entry.bwd)):
+        if not isinstance(term, Var):
+            estimates.append(len(side.get(term, ())))
+        elif term.name in bound:
+            estimates.append(len(entry) / max(1, len(side)))
+    return min(estimates)
+
+
+def _element_vars(el) -> set[str]:
+    if isinstance(el, GraphBlock):
+        return Group((el,)).variables()
+    return {t.name for t in (el.s, el.p, el.o) if isinstance(t, Var)}
+
+
+def _expr_vars(expr: Expr) -> set[str]:
+    if isinstance(expr, EVar):
+        return {expr.name}
+    if isinstance(expr, EBin):
+        return _expr_vars(expr.left) | _expr_vars(expr.right)
+    if isinstance(expr, (ENot, ENeg)):
+        return _expr_vars(expr.inner)
+    if isinstance(expr, ECall):
+        return set().union(*(_expr_vars(arg) for arg in expr.args))
+    return set()
+
+
+def _self_contained(group: Group) -> bool:
+    """Whether each filter in the group, nested ones too, calls no function
+    and reads only variables that its own group binds."""
+    names = group.variables()
+    return all((not _has_call(el.expr) and _expr_vars(el.expr) <= names)
+               if isinstance(el, Filter)
+               else not isinstance(el, GraphBlock) or _self_contained(el.group)
+               for el in group.elements)
 
 
 def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
@@ -849,8 +951,11 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
     single = _single_pattern(block.group)
     for sol in bindings:
         if var in sol:
+            # A bound graph name ranges over the named graphs, as an
+            # unbound one does, whichever element bound it first.
             bound = sol[var]
-            if isinstance(bound, IRI) and d.has_graph(bound.value):
+            if isinstance(bound, IRI) and bound.value != DEFAULT_GRAPH \
+                    and d.has_graph(bound.value):
                 out.extend(_eval_group(d, [bound.value], block.group, [sol], ctx))
             continue
         if single is not None:
@@ -945,12 +1050,17 @@ def _join_pattern(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
     out: list[dict] = []
     # The same triple can sit in several graphs (resource partitioning);
     # solutions do not bind the graph here, so match distinct rows once.
-    # Joins look up the bound side where possible.
+    # Joins look up the bound side where possible, and each predicate's
+    # maps once per pattern.
     scan: frozenset | None = None
+    navs: dict[IRI, tuple[dict, dict]] = {}
     for sol in bindings:
         p = _resolved(tp.p, sol)
         if isinstance(p, IRI):
-            fwd, bwd = d.pred_nav(p.value)
+            nav = navs.get(p)
+            if nav is None:
+                nav = navs[p] = d.pred_nav(p.value)
+            fwd, bwd = nav
             s_val = _resolved(tp.s, sol)
             o_val = _resolved(tp.o, sol)
             if s_val is not None:

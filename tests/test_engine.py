@@ -19,7 +19,7 @@ from ldsim.engine import (
     room_illuminance,
 )
 from ldsim.metrics import FaultQuery
-from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_INTEGER
+from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_DECIMAL, XSD_INTEGER
 from ldsim.rdf import IRI, Literal, symmetric_difference
 from ldsim.sparql import parse_query, parse_update
 
@@ -159,6 +159,25 @@ class TestOccupancy:
         assert occ[0].state == "at-desk" and occ[0].lunched
 
 
+    def test_unchanged_occupants_are_kept_and_each_draws_once(self):
+        class Counting(ForcedRandom):
+            def __init__(self):
+                super().__init__(0.99)
+                self.keys = []
+
+            def unit(self, *key):
+                self.keys.append(key)
+                return self.value
+
+        before = self.occupants() + (
+            Occupant(iri="urn:o9", room="urn:r0", state="arriving", since=0),)
+        rng = Counting()
+        after = occupancy_step(before, 20, 9.0, 1.0, rng, OccupancyConfig())
+        assert all(a is b for a, b in zip(after[:4], before[:4]))
+        assert after[4] == Occupant(iri="urn:o9", room="urn:r0", state="at-desk", since=20)
+        assert sorted(rng.keys) == sorted((20, "occupancy", o.iri) for o in before)
+
+
 class TestRuntime:
     def test_tick_without_updates_touches_only_time(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))
@@ -210,6 +229,34 @@ class TestRuntime:
                           if p.value == RDF_VALUE)
         expected = room_illuminance(outside, runtime.occlusion[lum.room])
         assert room_value.lexical == f"{expected:.1f}"
+
+    def test_sensor_write_replaces_only_the_value(self, small_build):
+        runtime = SimulationRuntime(make_env(
+            small_build, updates=[EnvEntry("sunlight", "builtin")]))
+        runtime.initialize(run_params(iterations=5, start_hour=1))
+        sensor = next(r for r in small_build.dynamic.values() if r.category == "luminance")
+        node, value = IRI(sensor.node), IRI(RDF_VALUE)
+        dark = Literal("0.0", XSD_DECIMAL)  # the night-time value, held among others
+        other = (node, IRI(BASE + "vocab/building#note"), Literal("kept"))
+        stale = {(node, value, dark), (node, value, Literal("2.0", XSD_DECIMAL))}
+        kept = {tr for tr in runtime.dataset.graph(sensor.graph) if tr[1] != value}
+        runtime.apply_agent_write("PUT", sensor.graph, frozenset(kept | stale | {other}),
+                                  "a1", 201)
+        runtime.tick()
+        after = runtime.dataset.graph(sensor.graph)
+        assert after == kept | {other, (node, value, dark)}
+
+    def test_unchanged_sensor_values_leave_graphs_shared(self, small_build):
+        runtime = SimulationRuntime(make_env(small_build, updates=[
+            EnvEntry("sunlight", "builtin"), EnvEntry("occupancy", "builtin")]))
+        runtime.initialize(run_params(iterations=5, start_hour=1))
+        runtime.tick()  # night: no light, nobody in
+        before = runtime.dataset
+        runtime.tick()
+        delta = symmetric_difference(before, runtime.dataset)
+        assert delta.graph_names() == {BASE + "sim"}
+        for res in small_build.dynamic.values():
+            assert runtime.dataset.graph(res.graph) is before.graph(res.graph)
 
     def test_update_file_entry_applied_each_tick(self, small_build):
         text = ("PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
@@ -312,6 +359,19 @@ class TestRunLoop:
         assert runtime.iteration == 8
         assert runtime.finished.is_set()
         assert len(runtime.fault_slots) == 9
+
+    def test_phase_timings_reported(self, small_build):
+        query = parse_query("SELECT ?s { ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#value> ?v "
+                            "FILTER(rand() < 0.5) }")
+        runtime = SimulationRuntime(make_env(small_build), (FaultQuery("q", query),))
+        runtime.run_sync(run_params(iterations=8), pace=False)
+        assert len(runtime.fault_check_seconds) == len(runtime.tick_seconds) == 8
+        assert all(0 < f <= t for f, t in zip(runtime.fault_check_seconds,
+                                                runtime.tick_seconds))
+        meta, _ops = runtime.snapshot_log()
+        assert 0 < meta["tick_p50_ms"] <= meta["tick_p95_ms"]
+        assert 0 < meta["fault_check_p95_ms"] <= max(runtime.tick_seconds) * 1000
+        assert meta["fault_check_p95_ms"] == max(runtime.fault_check_seconds) * 1000
 
     def test_start_twice_rejected(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))

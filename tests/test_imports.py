@@ -42,6 +42,18 @@ def _imports(tree: ast.Module, module: str):
     return list(visit(tree, False))
 
 
+def _private_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for every underscore-prefixed name imported from a
+    sibling module: `from .x import _y` or `from ldsim.x import _y`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "ldsim"):
+            out += [(alias.name, node.lineno) for alias in node.names
+                    if alias.name.startswith("_")]
+    return out
+
+
 def _graph():
     graph, lazy = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -86,6 +98,13 @@ def test_no_function_level_intra_package_imports():
     assert lazy == []
 
 
+def test_no_private_names_imported_between_modules():
+    found = [f"{path.name}:{line} imports {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, line in _private_names(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_imports_are_acyclic():
     graph, _ = _graph()
     cycle = _cycle(graph)
@@ -111,3 +130,12 @@ def test_guard_sees_cycles_and_lazy_imports():
                      "    from .z import w\n"
                      "    from . import v\n")
     assert _imports(tree, "m") == [("x", 1, False), ("z", 3, True), ("v", 4, True)]
+
+
+def test_guard_sees_private_names():
+    tree = ast.parse("from .sparql import Parser, _Lexer\n"
+                     "from ldsim.rdf import _put\n"
+                     "from os import _exit\n"
+                     "def f():\n"
+                     "    from . import _hidden\n")
+    assert _private_names(tree) == [("_Lexer", 1), ("_put", 2), ("_hidden", 5)]

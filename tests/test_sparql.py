@@ -1,12 +1,19 @@
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ldsim import sparql
+from ldsim.engine import KeyedRandom
 from ldsim.ns import DEFAULT_GRAPH, RDF_VALUE, XSD_INTEGER
 from ldsim.rdf import IRI, Dataset, Literal, Quad
 from ldsim.rdfio import ParseError
 from ldsim.sparql import (
     EvalContext,
+    Filter,
     PathLink,
     PathPlus,
     SubsetError,
@@ -436,3 +443,147 @@ def test_select_matches_bruteforce():
         brute_keys = {binding_key({k: v for k, v in sol.items() if k in ("s", "g")})
                       for sol in brute_solutions(quads, ast.pattern)}
         assert engine_keys == brute_keys
+
+
+# -- join planning ---------------------------------------------------------------
+
+
+def written_order(_d, group, _bound):
+    """The reference plan: elements as written, every filter at the end."""
+    return ([el for el in group.elements if not isinstance(el, Filter)]
+            + [el for el in group.elements if isinstance(el, Filter)])
+
+
+NODES = [f"<{EX}{n}>" for n in "abcd"]
+VARS = ["?v0", "?v1", "?v2", "?v3"]
+PREDICATES = [f"<{EX}p{i}>" for i in range(3)]
+quad_sets = st.sets(st.tuples(
+    st.sampled_from("abcd"), st.integers(0, 2),
+    st.one_of(st.sampled_from("abcd"), st.integers(0, 3)),
+    st.integers(0, 2)), max_size=40)
+subjects = st.sampled_from(VARS + NODES[:2])
+objects = st.sampled_from(VARS + NODES[:2] + [f'"{i}"^^<{XSD_INTEGER}>' for i in (1, 2)])
+verbs = st.one_of(st.sampled_from(PREDICATES), st.sampled_from(PREDICATES).map(lambda p: p + "+"),
+                  st.sampled_from(PREDICATES).map(lambda p: "^" + p), st.just("?vp"))
+patterns = st.builds("{} {} {} .".format, subjects, verbs, objects)
+filters = st.one_of(
+    st.builds("FILTER({} {} {})".format, st.sampled_from(VARS),
+              st.sampled_from(["<", "<=", ">", ">=", "=", "!="]),
+              st.sampled_from(VARS + ["1", "2", NODES[0]])),
+    st.builds("FILTER(!({} = {}) || {} < 2)".format, st.sampled_from(VARS),
+              st.sampled_from(VARS), st.sampled_from(VARS)))
+graph_blocks = st.builds(
+    lambda g, inner: f"GRAPH <{EX}g{g}> {{ {' '.join(inner)} }}",
+    st.integers(0, 2), st.lists(st.one_of(patterns, filters), min_size=1, max_size=3))
+groups = st.lists(st.one_of(patterns, patterns, graph_blocks, filters), min_size=1, max_size=6)
+
+
+def random_dataset(quads) -> Dataset:
+    return Dataset.from_quads(
+        Quad(IRI(EX + s), IRI(EX + f"p{p}"),
+             IRI(EX + o) if isinstance(o, str) else Literal(str(o), XSD_INTEGER),
+             IRI(EX + f"g{g}"))
+        for s, p, o, g in quads)
+
+
+def solution_bag(ds: Dataset, group) -> Counter:
+    ctx = EvalContext(rng=KeyedRandom(7), iteration=1, op_id="plan")
+    return Counter(binding_key(sol)
+                   for sol in sparql._eval_group(ds, None, group, [{}], ctx))
+
+
+class TestJoinPlanning:
+    @settings(max_examples=300, deadline=None)
+    @given(quad_sets, groups)
+    def test_planned_bag_equals_written_order(self, quads, elements):
+        ds = random_dataset(quads)
+        group = parse_query(f"SELECT * {{ {' '.join(elements)} }}").pattern
+        planned = solution_bag(ds, group)
+        with mock.patch.object(sparql, "_plan", written_order):
+            assert solution_bag(ds, group) == planned
+
+    @settings(max_examples=150, deadline=None)
+    @given(quad_sets, groups, st.booleans())
+    @example(quads={("a", 0, 0, 0), ("a", 0, "a", 0)}, nested=False,
+             elements=[f"GRAPH <{EX}g0> {{ FILTER(?v3 < 1) }}", "?v0 ?vp ?v3 ."])
+    def test_rand_update_same_under_both_orders(self, quads, elements, nested):
+        # rand() is keyed on the whole solution, so the planner must hand it
+        # the same solutions, including inside a GRAPH block.
+        rand_block = (f"GRAPH <{EX}g0> {{ ?v0 <{EX}p1> ?v3 FILTER(rand() < 0.5) }}"
+                      if nested else "")
+        text = (f"DELETE {{ GRAPH <{EX}g0> {{ ?v0 <{EX}p0> ?v1 }} }} "
+                f"INSERT {{ GRAPH <{EX}g1> {{ ?v0 <{EX}mark> ?v1 }} }} "
+                f"WHERE {{ ?v0 <{EX}p0> ?v1 . {' '.join(elements)} {rand_block} "
+                f"FILTER(rand() < 0.5) }}")
+        update = parse_update(text)
+        ds = random_dataset(quads)
+        ctx = EvalContext(rng=KeyedRandom(11), iteration=3, op_id="u")
+        planned = eval_update(ds, update, ctx)
+        with mock.patch.object(sparql, "_plan", written_order):
+            assert eval_update(ds, update, ctx) == planned
+
+    def test_filter_runs_as_soon_as_its_variables_are_bound(self):
+        ds = Dataset.from_quads([q("a", "p", "b"), q("b", "q", "c")])
+        group = parse_query(f"SELECT * {{ ?x <{EX}p> ?y . ?y <{EX}q> ?z "
+                            f"FILTER(?z != ?x) FILTER(?x != <{EX}b>) "
+                            f"FILTER(rand() < 2) }}").pattern
+        plan = list(sparql._plan(ds, group, set()))
+        kinds = [type(el).__name__ for el in plan]
+        assert kinds == ["TriplePattern", "Filter", "TriplePattern", "Filter", "Filter"]
+        assert plan[1].expr.right == sparql.EConst(IRI(EX + "b"))
+
+    def test_bound_first_and_connected(self):
+        # The constant object matches once, so it goes first; the pattern
+        # sharing no variable waits behind a linked one that fans out more.
+        ds = Dataset.from_quads([q("a", "p", "b"), q("a", "p", "c"), q("a", "p", "d"),
+                                 q("b", "q", "x"), q("d", "q", "y"),
+                                 q("x", "r", "y"), q("z", "r", "y"),
+                                 Quad(IRI(EX + "a"), IRI(EX + "v"), Literal("on"), IRI(EX + "g")),
+                                 Quad(IRI(EX + "c"), IRI(EX + "v"), Literal("off"), IRI(EX + "g"))])
+        group = parse_query(f"SELECT * {{ ?s <{EX}p> ?o . ?m <{EX}r> ?n . "
+                            f"?s <{EX}v> \"on\" . GRAPH <{EX}g> {{ ?o <{EX}q> ?t }} }}").pattern
+        first, second, third, fourth = sparql._plan(ds, group, set())
+        assert first.o == Literal("on")
+        assert second.p == IRI(EX + "p")
+        assert isinstance(third, sparql.GraphBlock)
+        assert fourth.p == IRI(EX + "r")
+
+    def test_single_match_joins_early_and_lets_its_filter_prune(self):
+        # The clock shares no variable, but it matches once, so it joins
+        # before the linked pattern that fans out and its filter prunes.
+        ds = Dataset.from_quads([
+            q("x", "p", "a"), q("x", "p", "b"), q("y", "p", "c"),
+            Quad(IRI(EX + "x"), IRI(EX + "v"), Literal("on"), IRI(EX + "g")),
+            Quad(IRI(EX + "clock"), IRI(EX + "hour"), Literal("3", XSD_INTEGER),
+                 IRI(EX + "sim"))])
+        group = parse_query(f"SELECT * {{ ?s <{EX}v> \"on\" . ?s <{EX}p> ?o . "
+                            f"GRAPH <{EX}sim> {{ ?c <{EX}hour> ?h }} FILTER(?h > 8) }}").pattern
+        plan = list(sparql._plan(ds, group, set()))
+        assert [type(el).__name__ for el in plan] == [
+            "TriplePattern", "GraphBlock", "Filter", "TriplePattern"]
+        assert plan[0].o == Literal("on") and plan[3].p == IRI(EX + "p")
+        assert sparql._eval_group(ds, None, group, [{}], EvalContext()) == []
+
+    def test_graph_name_bound_elsewhere_skips_the_default_graph(self):
+        ds = Dataset.from_quads([
+            Quad(IRI(EX + "x"), IRI(EX + "in"), IRI(DEFAULT_GRAPH), IRI(EX + "g")),
+            Quad(IRI(EX + "x"), IRI(EX + "in"), IRI(EX + "g"), IRI(EX + "g")),
+            q("s", "p", "o", DEFAULT_GRAPH)])
+        link, block = f"?x <{EX}in> ?g .", "GRAPH ?g { ?s ?p ?o }"
+        for body in (f"{link} {block}", f"{block} {link}"):
+            sols = eval_query(ds, parse_query(f"SELECT ?g ?s {{ {body} }}"))
+            assert {sol["g"] for sol in sols} == {IRI(EX + "g")}, body
+
+    @pytest.mark.parametrize("inner", [
+        "?o <{ex}q> ?t FILTER(rand() < 0.5)",       # keyed on the whole solution
+        "?o <{ex}q> ?t FILTER(?s != ?t)",           # reads ?s from outside
+        "GRAPH <{ex}h> {{ ?o <{ex}q> ?t FILTER(?t < ?s) }}",
+    ])
+    def test_graph_block_filter_looking_outside_keeps_written_order(self, inner):
+        # Unguarded, the planner would start with the one "on" value.
+        ds = Dataset.from_quads([q("a", "p", "b"), q("c", "p", "d"), q("b", "q", "c"),
+                                 Quad(IRI(EX + "a"), IRI(EX + "v"), Literal("on"), IRI(EX + "g"))])
+        inner = inner.format(ex=EX)
+        group = parse_query(f"SELECT * {{ ?s <{EX}p> ?o . ?s <{EX}v> \"on\" . "
+                            f"GRAPH <{EX}g> {{ {inner} }} }}").pattern
+        assert list(sparql._plan(ds, group, set())) == list(group.elements)
