@@ -26,6 +26,8 @@ log = logging.getLogger(__name__)
 INFERRED_GRAPH = "urn:ldsim:inferred"
 HAS_PART = BF + "hasPart"
 IS_PART_OF = BF + "isPartOf"
+# The predicates `reason` reads, and the only ones its inferences carry.
+REASONED_PREDICATES = (RDFS_SUBCLASS, RDF_TYPE, HAS_PART, IS_PART_OF)
 
 _RULE_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
 
@@ -146,23 +148,44 @@ class KnowledgeBase:
     def __init__(self):
         self.dataset = Dataset()
         self.fetched_at: dict[str, float] = {}
+        # The last reasoned view with the dataset it extends, and the last
+        # inferred graph with the REASONED_PREDICATES entries it came from.
+        self._view: tuple[Dataset, Dataset] | None = None
+        self._inferred: tuple[tuple, frozenset] | None = None
 
     def ingest(self, source: str, triples, stamp: float = 0.0) -> None:
         self.dataset = self.dataset.replace_graphs({source: frozenset(triples)})
         self.fetched_at[source] = stamp
 
     def with_inferences(self, enabled: bool) -> Dataset:
+        """The knowledge base, closed by `reason` when `enabled`.
+
+        Datasets are immutable, so an unchanged dataset gets the same view.
+        Inferences read and carry only the REASONED_PREDICATES, and index
+        entries are shared across versions while their triples stay the
+        same (see `rdf`), so the same entry objects give the same inferred
+        graph without reasoning again."""
         if not enabled:
             return self.dataset
-        return reason(self.dataset)
+        kb = self.dataset
+        if self._view is not None and self._view[0] is kb:
+            return self._view[1]
+        entries = tuple(kb.pred_entries(p) for p in REASONED_PREDICATES)
+        if self._inferred is None or any(
+                a is not b for a, b in zip(self._inferred[0], entries)):
+            self._inferred = (entries, reason(kb).graph(INFERRED_GRAPH))
+        view = kb.replace_graphs({INFERRED_GRAPH: self._inferred[1]})
+        self._view = (kb, view)
+        return view
 
 
 def reason(kb: Dataset) -> Dataset:
     """Forward-chaining closure: subclass transitivity plus type propagation,
     and part-of transitivity with hasPart/isPartOf inversion."""
     inferred: set = set()
+    entries = {p: kb.pred_entries(p) for p in REASONED_PREDICATES}
 
-    subclass = {(s, o) for s, o, _ in kb.pred_entries(RDFS_SUBCLASS)
+    subclass = {(s, o) for s, o, _ in entries[RDFS_SUBCLASS]
                 if isinstance(s, IRI) and isinstance(o, IRI)}
     closed = _transitive(subclass)
     inferred |= {(s, IRI(RDFS_SUBCLASS), o) for s, o in closed - subclass}
@@ -170,19 +193,20 @@ def reason(kb: Dataset) -> Dataset:
     supers: dict = {}
     for sub, sup in closed:
         supers.setdefault(sub, set()).add(sup)
-    for s, cls, _ in kb.pred_entries(RDF_TYPE):
+    for s, cls, _ in entries[RDF_TYPE]:
         for sup in supers.get(cls, ()):
             inferred.add((s, IRI(RDF_TYPE), sup))
 
-    parts = {(s, o) for s, o, _ in kb.pred_entries(HAS_PART)}
-    parts |= {(o, s) for s, o, _ in kb.pred_entries(IS_PART_OF)}
+    parts = {(s, o) for s, o, _ in entries[HAS_PART]}
+    parts |= {(o, s) for s, o, _ in entries[IS_PART_OF]}
     closed_parts = _transitive(parts)
     for whole, part in closed_parts:
         inferred.add((whole, IRI(HAS_PART), part))
         inferred.add((part, IRI(IS_PART_OF), whole))
 
-    existing = {(s, p, o) for _, triples in kb.graphs() for s, p, o in triples}
-    new = frozenset(t for t in inferred if t not in existing)
+    # An inferred triple is stated in some graph iff its predicate's entry holds it.
+    new = frozenset((s, p, o) for s, p, o in inferred
+                    if o not in entries[p.value].fwd.get(s, ()))
     if not new:
         return kb
     return kb.replace_graphs({INFERRED_GRAPH: new})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import sys
 import threading
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -288,9 +289,11 @@ class SimulationRuntime:
             self._thread.join(timeout)
 
     def initialize(self, params: RunParams) -> None:
-        """Draw run-scoped randomness, apply init updates, record slot 0."""
+        """Draw run-scoped randomness, apply init updates, record slot 0.
+
+        `started` turns true only once slot 0's snapshot and faults are
+        published, since callers that wait for it then read `dataset`."""
         self.params = params
-        self.started = True
         self.iteration = 0
         self.coverage = (self.rng.unit(0, "coverage", "sunrise"),
                          self.rng.unit(0, "coverage", "sunset"))
@@ -306,6 +309,7 @@ class SimulationRuntime:
         ds = ds.replace_graphs({self._sim_graph_name(): self._sim_graph(0)})
         self.dataset = ds
         self.fault_slots.append(self._check_faults(ds, 0, ctx_time))
+        self.started = True
 
     def _load_occupants(self) -> tuple[Occupant, ...]:
         works_in = self.env.base + "vocab/building#worksIn"
@@ -480,9 +484,11 @@ class SimulationRuntime:
     # -- agent operations ----------------------------------------------------------
 
     def record_read(self, target: str, status: int, nbytes: int, agent: str) -> None:
-        record = OperationRecord(timeslot=self.iteration, method="GET", target=target,
-                                 classification="read", status=status,
-                                 payload_bytes=nbytes, agent=agent)
+        # Interned, every read of one graph by one agent shares the strings.
+        record = OperationRecord(timeslot=self.iteration, method="GET",
+                                 target=sys.intern(target), classification="read",
+                                 status=status, payload_bytes=nbytes,
+                                 agent=sys.intern(agent))
         with self._lock:
             self.ops.append(record)
 

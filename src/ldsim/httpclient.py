@@ -1,4 +1,12 @@
-"""Minimal keep-alive HTTP client for talking to the Linked Data server."""
+"""Minimal keep-alive HTTP client for talking to the Linked Data server.
+
+`get_graph` keeps, per IRI, the last 200 body and the triples parsed from
+it, and returns those very triples for a byte-equal body without parsing
+again. This is exact: the parse is a pure function of the body, the IRI
+(its base and default graph) and the format, and blank-node labels come
+from a per-parse counter. Returning the same frozenset also lets a caller
+see by identity that the graph is unchanged.
+"""
 
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ class LdClient:
         self._host = parts.hostname or "127.0.0.1"
         self._port = parts.port or 80
         self._local = threading.local()
+        self._parsed: dict[str, tuple[bytes, frozenset]] = {}
 
     def _conn(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
@@ -57,9 +66,13 @@ class LdClient:
                                      headers={"Accept": TURTLE})
         if status != 200:
             return status, frozenset()
-        parsed = parse_document(body.decode("utf-8"), "turtle", base=iri,
-                                default_graph=iri)
-        return status, parsed.graph(iri)
+        cached = self._parsed.get(iri)
+        if cached is not None and cached[0] == body:
+            return status, cached[1]
+        triples = parse_document(body.decode("utf-8"), "turtle", base=iri,
+                                 default_graph=iri).graph(iri)
+        self._parsed[iri] = (body, triples)
+        return status, triples
 
     def put_graph(self, iri: str, triples) -> int:
         body = serialize_triples(triples, "turtle").encode("utf-8")

@@ -219,19 +219,19 @@ class Dataset:
         A built index is patched into the child: a predicate whose entries
         the change did not touch keeps the very same entry object."""
         changed: list[tuple[str, frozenset, frozenset]] = []
-        graphs = dict(self._graphs)
         for name, triples in updates.items():
             before = self._graphs.get(name, frozenset())
             after = frozenset(triples)
-            if before == after:
-                continue
-            changed.append((name, before, after))
+            if after is not before and after != before:
+                changed.append((name, before, after))
+        if not changed:
+            return self
+        graphs = dict(self._graphs)
+        for name, _before, after in changed:
             if after:
                 graphs[name] = after
             else:
                 graphs.pop(name, None)
-        if not changed:
-            return self
         child = Dataset(graphs)
         if self._index is not None:
             child._index = _patched_index(self._index, _entries_by_predicate(changed))

@@ -3,6 +3,14 @@
 Graph Store Protocol with direct addressing: the request path names the
 graph. Reads serve the latest snapshot without locking; writes go through
 the runtime so they serialize against ticks and land in the operation log.
+
+Reply bodies are cached per (graph IRI, media type): the triple set a body
+was serialised from, and the body. A GET serves the cached body when the
+snapshot's graph is that very frozenset. This is exact: dataset graphs are
+immutable and an unchanged graph is shared by reference across versions
+(see `rdf`), a body depends on nothing but the triples and the media type,
+and an entry holds its frozenset, so the object's identity is never reused
+while the entry lives. There is one cache per attached runtime.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ class _Handler(BaseHTTPRequestHandler):
     runtime: SimulationRuntime = None  # type: ignore[assignment]
     policy: ResourcePolicy = None  # type: ignore[assignment]
     base: str = ""
+    # (graph IRI, media type) -> (triples, body). attach() gives each runtime
+    # its own; a handler class built without it shares this one, which is as
+    # exact, since an entry is used only while its own frozenset is served.
+    bodies: dict[tuple[str, str], tuple[frozenset, bytes]] = {}
 
     def log_message(self, *args) -> None:  # pragma: no cover - silence stdlib
         pass
@@ -137,15 +149,19 @@ class _Handler(BaseHTTPRequestHandler):
             self.runtime.record_failure("GET", target, 404, self._agent())
             self._reply(404, b"no such resource\n")
             return
-        accept = self.headers.get("Accept", "")
-        if NTRIPLES in accept:
-            body = serialize_triples(triples, "n-triples").encode()
-            content_type = NTRIPLES
-        else:
-            body = serialize_triples(triples, "turtle").encode()
-            content_type = TURTLE
+        content_type = NTRIPLES if NTRIPLES in self.headers.get("Accept", "") else TURTLE
+        body = self._body(target, triples, content_type)
         self.runtime.record_read(target, 200, len(body), self._agent())
         self._reply(200, body, content_type)
+
+    def _body(self, target: str, triples: frozenset, content_type: str) -> bytes:
+        key = (target, content_type)
+        cached = self.bodies.get(key)
+        if cached is not None and cached[0] is triples:
+            return cached[1]
+        body = serialize_triples(triples, PARSE_FORMATS[content_type]).encode()
+        self.bodies[key] = (triples, body)
+        return body
 
     def do_PUT(self) -> None:
         target = self._target()
@@ -269,6 +285,7 @@ class LinkedDataServer:
         self._handler.runtime = runtime
         self._handler.policy = policy
         self._handler.base = self.base
+        self._handler.bodies = {}
 
     def start(self) -> None:
         if self._handler.runtime is None:

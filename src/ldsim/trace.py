@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationRecord:
     """One HTTP operation against the live dataset."""
 

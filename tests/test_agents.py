@@ -5,11 +5,15 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldsim.agents import HAS_PART, INFERRED_GRAPH, IS_PART_OF, parse_rules, reason
+from ldsim import agents
+from ldsim.agents import HAS_PART, INFERRED_GRAPH, IS_PART_OF, KnowledgeBase, parse_rules, \
+    reason
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim.engine import RunParams, SimulationRuntime
-from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDFS_SUBCLASS
+from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS
 from ldsim.rdf import IRI, Dataset, Literal, Quad
 from ldsim.rdfio import ParseError
 from ldsim.sparql import Group, TriplePattern, Var
@@ -132,6 +136,49 @@ class TestReason:
         (rule,) = parse_rules(PREFIX + "RULE r WHEN { ?room a ex:Hygiene } THEN DELETE ?room")
         assert rule.solutions(kb) == []
         assert rule.solutions(reason(kb)) == [{"room": ex("r1")}]
+
+
+NODES = st.sampled_from([ex(name) for name in "abcde"])
+PREDICATES = st.sampled_from([IRI(RDFS_SUBCLASS), IRI(RDF_TYPE), IRI(HAS_PART),
+                              IRI(IS_PART_OF), IRI(RDF_VALUE)])
+SOURCES = st.sampled_from([EX + "g1", EX + "g2", EX + "g3"])
+INGESTS = st.lists(st.tuples(SOURCES, st.frozensets(st.tuples(NODES, PREDICATES, NODES),
+                                                    max_size=5)), max_size=12)
+
+
+class TestMemoisedReasoning:
+    @settings(max_examples=150, deadline=None)
+    @given(INGESTS)
+    def test_memoised_view_equals_fresh_reason(self, steps):
+        kb = KnowledgeBase()
+        for source, triples in steps:
+            kb.ingest(source, triples)
+            fresh = reason(Dataset(dict(kb.dataset.graphs())))
+            for _ in range(2):
+                view = kb.with_inferences(True)
+                assert view == fresh
+                rebuilt = Dataset(dict(view.graphs()))
+                for p in (RDFS_SUBCLASS, RDF_TYPE, HAS_PART, IS_PART_OF):
+                    assert set(view.pred_entries(p)) == set(rebuilt.pred_entries(p))
+        assert kb.with_inferences(False) is kb.dataset
+
+    def test_reasons_again_only_when_its_predicates_change(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(agents, "reason", lambda kb: calls.append(kb) or reason(kb))
+        kb = KnowledgeBase()
+        kb.ingest(EX + "model", {(ex("A"), IRI(RDFS_SUBCLASS), ex("B")),
+                                 (ex("x"), IRI(RDF_TYPE), ex("A"))})
+        first = kb.with_inferences(True)
+        assert kb.with_inferences(True) is first
+        kb.ingest(EX + "light", {(ex("x"), IRI(RDF_VALUE), Literal("on"))})
+        second = kb.with_inferences(True)
+        assert (ex("x"), IRI(RDF_TYPE), ex("B")) in second.graph(INFERRED_GRAPH)
+        assert (ex("x"), IRI(RDF_VALUE), Literal("on")) in second.graph(EX + "light")
+        assert len(calls) == 1
+        kb.ingest(EX + "light", {(ex("y"), IRI(RDF_TYPE), ex("A"))})
+        assert (ex("y"), IRI(RDF_TYPE), ex("B")) in \
+            kb.with_inferences(True).graph(INFERRED_GRAPH)
+        assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")

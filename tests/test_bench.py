@@ -2,10 +2,13 @@
 
 import pytest
 
+from ldsim import httpclient, server
 from ldsim.bench import main, run_benchmark
 from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned, \
     write_manifest
+from ldsim.engine import SimulationRuntime
 from ldsim.ns import DEFAULT_BASE
+from ldsim.tasks import load_task, oracle_schedule
 
 # 24 slots of 100 ms keep a run short; the prefetch agent is left out
 # because it misses tick deadlines at much shorter slots.
@@ -75,3 +78,44 @@ def test_rebase_partitioned_round_trip(tmp_path):
     write_manifest(back, tmp_path / "b.tsv")
     assert (tmp_path / "a.tsv").read_text() == (tmp_path / "b.tsv").read_text()
     assert rebase_partitioned(original, DEFAULT_BASE) is original
+
+
+def test_oracle_plans_from_the_initialised_snapshot():
+    # TC1's night fixes depend on the lights its init randomises, so an
+    # oracle that planned before slot 0 was published would miss them.
+    result = run_benchmark("TC1", agent="oracle", seed=42, iterations=24,
+                           timeslot_ms=200)
+    assert result.report.valid, result.report.notes
+    runner = result.agent_stats
+    initialised = SimulationRuntime(runner.runtime.env, runner.task.fault_queries)
+    initialised.initialize(runner.runtime.params)
+    planned = sum(len(action.writes)
+                  for action in oracle_schedule(runner.task, initialised).actions)
+    assert planned > 2 * 146  # night fixes beside the sunrise and sunset writes
+    assert runner.writes >= planned
+
+
+def test_prefetch_run_reuses_unchanged_bodies_and_parses(monkeypatch):
+    # Slots stay at the 500 ms default: the prefetch agent misses tick
+    # deadlines at much shorter ones.
+    counts = {"serialised": 0, "parsed": 0}
+
+    def counting(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(server, "serialize_triples",
+                        counting("serialised", server.serialize_triples))
+    monkeypatch.setattr(httpclient, "parse_document",
+                        counting("parsed", httpclient.parse_document))
+    result = run_benchmark("TS3", agent="prefetch", seed=42, iterations=8,
+                           timeslot_ms=500)
+    assert result.report.valid, result.report.notes
+    assert result.report.writes == load_task("TS3", DEFAULT_BASE).ideal_writes == 6
+    gets = sum(1 for op in result.ops
+               if op.agent == "prefetch" and op.is_read and op.ok)
+    assert result.agent_stats.loops >= 3
+    assert 0 < counts["serialised"] * 2 < gets
+    assert 0 < counts["parsed"] * 2 < gets

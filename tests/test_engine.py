@@ -179,6 +179,24 @@ class TestOccupancy:
 
 
 class TestRuntime:
+    def test_started_only_once_slot_zero_is_published(self, small_build):
+        # Callers wait for `started` and then plan from `dataset`.
+        seen = []
+
+        class Watched(SimulationRuntime):
+            def __setattr__(self, name, value):
+                if name == "started" and value:
+                    seen.append((self.dataset is not self.env.dataset,
+                                 len(self.fault_slots)))
+                super().__setattr__(name, value)
+
+        runtime = Watched(make_env(small_build, init=[EnvEntry("sunlight", "builtin")]))
+        assert not runtime.started
+        runtime.start(run_params(iterations=2), pace=False)
+        runtime.join(10)
+        assert runtime.finished.is_set()
+        assert seen == [(True, 1)]
+
     def test_tick_without_updates_touches_only_time(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))
         runtime.initialize(run_params())

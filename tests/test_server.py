@@ -12,7 +12,8 @@ from datetime import datetime, timezone
 import pytest
 
 from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned
-from ldsim.engine import RunParams, SimEnvironment, SimulationRuntime
+from ldsim import server as server_module
+from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime
 from ldsim.httpclient import LdClient
 from ldsim.metrics import audit_write_deltas
 from ldsim.ns import RDF_VALUE
@@ -30,11 +31,12 @@ def small_params():
         command_points=2, luminance_points=1, hygiene_lights=0, seed=3)
 
 
-def start_server(policy=None, params=None, seed=7):
+def start_server(policy=None, params=None, seed=7, updates=()):
     server = LinkedDataServer()
     pd = rebase_partitioned(build_dataset(params=params or small_params()), server.base)
-    env = SimEnvironment(dataset=pd.dataset, init_entries=[], update_entries=[],
-                         seed=seed, base=server.base, dynamic=pd.dynamic)
+    env = SimEnvironment(dataset=pd.dataset, init_entries=[],
+                         update_entries=list(updates), seed=seed, base=server.base,
+                         dynamic=pd.dynamic)
     runtime = SimulationRuntime(env)
     server.attach(runtime, policy or default_policy(pd.dynamic))
     server.start()
@@ -99,6 +101,101 @@ class TestGet:
         values = {o.lexical for s, p, o in triples
                   if p.value.endswith("currentIteration")}
         assert values == {"4"}
+
+
+def start_params(step_seconds=60):
+    return RunParams(initial_time=datetime(2020, 5, 22, 6, tzinfo=timezone.utc),
+                     timeslot_ms=10, iterations=100, step_seconds=step_seconds)
+
+
+class TestBodyCache:
+    """GET bodies are cached per graph and media type while the snapshot's
+    graph stays the same object; every body must still be what a fresh
+    serialisation of the current snapshot gives."""
+
+    @staticmethod
+    def fetch(client, iri, accept):
+        status, body = client._request("GET", client.path_of(iri),
+                                       headers={"Accept": accept})
+        assert status == 200
+        return body
+
+    def test_get_after_put_returns_new_graph(self, served):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        client = LdClient(server.base, agent="tester")
+        node = IRI(res.node)
+        for value in ("on", "off", "on"):
+            client.get_graph(res.graph)
+            assert client.put_graph(res.graph, {(node, IRI(RDF_VALUE), Literal(value))}) == 204
+            _, triples = client.get_graph(res.graph)
+            assert triples == {(node, IRI(RDF_VALUE), Literal(value))}
+
+    def test_get_after_tick_returns_new_graph(self, served):
+        server, runtime, _ = served
+        runtime.initialize(start_params())
+        client = LdClient(server.base)
+        for iteration in range(4):
+            _, triples = client.get_graph(server.base + "sim")
+            assert {o.lexical for _, p, o in triples
+                    if p.value.endswith("currentIteration")} == {str(iteration)}
+            runtime.tick()
+
+    def test_alternating_formats_each_get_their_own(self, served):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        client = LdClient(server.base)
+        graph = runtime.dataset.graph(res.graph)
+        for _ in range(3):
+            for accept, fmt in (("text/turtle", "turtle"),
+                                ("application/n-triples", "n-triples")):
+                body = self.fetch(client, res.graph, accept)
+                assert body == serialize_triples(graph, fmt).encode()
+
+    def test_every_body_is_a_fresh_serialisation(self):
+        server, runtime, dynamic = start_server(
+            updates=[EnvEntry("sunlight", "builtin"), EnvEntry("occupancy", "builtin")])
+        try:
+            runtime.initialize(start_params(step_seconds=1800))
+            client = LdClient(server.base, agent="tester")
+            graphs = sorted(dynamic) + [server.base + "sim", command_resource(dynamic).room]
+            commands = [r for r in sorted(dynamic.values(), key=lambda r: r.graph)
+                        if r.category == "command"]
+            for step in range(6):
+                for iri in graphs:
+                    for accept, fmt in (("text/turtle", "turtle"),
+                                        ("application/n-triples", "n-triples")):
+                        body = self.fetch(client, iri, accept)
+                        fresh = serialize_triples(runtime.dataset.graph(iri), fmt)
+                        assert body == fresh.encode(), (step, iri, fmt)
+                res = commands[step % len(commands)]
+                value = Literal("on" if step % 2 else "off")
+                client.put_graph(res.graph, {(IRI(res.node), IRI(RDF_VALUE), value)})
+                runtime.tick()
+        finally:
+            server.stop()
+
+    def test_unchanged_graph_is_serialised_once(self, served, monkeypatch):
+        server, runtime, dynamic = served
+        calls = []
+
+        def counting(triples, fmt):
+            calls.append(fmt)
+            return serialize_triples(triples, fmt)
+
+        monkeypatch.setattr(server_module, "serialize_triples", counting)
+        res = command_resource(dynamic)
+        client = LdClient(server.base, agent="tester")
+        bodies = []
+        for _ in range(3):
+            bodies.append(self.fetch(client, res.graph, "text/turtle"))
+            bodies.append(self.fetch(client, res.graph, "application/n-triples"))
+        assert calls == ["turtle", "n-triples"]
+        client.put_graph(res.graph, {(IRI(res.node), IRI(RDF_VALUE), Literal("on"))})
+        bodies.append(self.fetch(client, res.graph, "text/turtle"))
+        assert calls == ["turtle", "n-triples", "turtle"]
+        _, ops = runtime.snapshot_log()
+        assert [op.payload_bytes for op in ops if op.is_read] == [len(b) for b in bodies]
 
 
 class TestPut:
