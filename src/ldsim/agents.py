@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import re
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -143,19 +142,17 @@ def _action_vars(target, payload) -> set[str]:
 
 
 class KnowledgeBase:
-    """Union of retrieved graphs, tagged by source IRI and fetch timeslot."""
+    """Union of retrieved graphs, one per source IRI."""
 
     def __init__(self):
         self.dataset = Dataset()
-        self.fetched_at: dict[str, float] = {}
         # The last reasoned view with the dataset it extends, and the last
         # inferred graph with the REASONED_PREDICATES entries it came from.
         self._view: tuple[Dataset, Dataset] | None = None
         self._inferred: tuple[tuple, frozenset] | None = None
 
-    def ingest(self, source: str, triples, stamp: float = 0.0) -> None:
+    def ingest(self, source: str, triples) -> None:
         self.dataset = self.dataset.replace_graphs({source: frozenset(triples)})
-        self.fetched_at[source] = stamp
 
     def with_inferences(self, enabled: bool) -> Dataset:
         """The knowledge base, closed by `reason` when `enabled`.
@@ -254,7 +251,7 @@ def traverse(client: LdClient, seed_iri: str, follow_predicates=DEFAULT_FOLLOW,
                 if status != 200:
                     log.info("traversal: skipping %s (%s)", iri, status)
                     continue
-                kb.ingest(iri, triples, time.monotonic())
+                kb.ingest(iri, triples)
                 if any(p.value == RDF_VALUE for _, p, _ in triples):
                     dynamic.add(iri)
                 for _s, p, o in triples:
@@ -333,22 +330,23 @@ class RuleAgent:
                 self.client, self.config.seed_iri or self.client.base + "building",
                 self.config.follow_predicates, self.kb, self.config.fanout)
             self.stats.reads += reads
-        while not stop.is_set():
-            if not self._epoch(stop):
-                break
-            if self.config.poll_interval:
-                stop.wait(self.config.poll_interval)
+        # One pool for the whole run: connections are per thread, so fresh
+        # threads each epoch would each open a connection of their own.
+        with ThreadPoolExecutor(max_workers=self.config.fanout) as pool:
+            while not stop.is_set():
+                if not self._epoch(stop, pool):
+                    break
+                if self.config.poll_interval:
+                    stop.wait(self.config.poll_interval)
         return self.stats
 
-    def _epoch(self, stop: threading.Event) -> bool:
+    def _epoch(self, stop: threading.Event, pool: ThreadPoolExecutor) -> bool:
         targets = sorted(self.dynamic) + [self._sim_graph()]
-        with ThreadPoolExecutor(max_workers=self.config.fanout) as pool:
-            results = list(pool.map(lambda iri: (iri, *_fetch(self.client, iri)),
-                                    targets))
+        results = list(pool.map(lambda iri: (iri, *_fetch(self.client, iri)), targets))
         for iri, status, triples in results:
             self.stats.reads += 1
             if status == 200:
-                self.kb.ingest(iri, triples, time.monotonic())
+                self.kb.ingest(iri, triples)
             else:
                 self.stats.errors += 1
         if stop.is_set():

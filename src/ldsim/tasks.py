@@ -35,7 +35,6 @@ class TaskSpec:
     requires_reasoning: bool
     ideal_reads: int
     ideal_writes: int
-    ideal_loops: int
     rules_text: str = ""
     base: str = ""
 
@@ -109,7 +108,6 @@ def load_task(task_id: str, base: str, root: Path | None = None) -> TaskSpec:
         requires_reasoning=props.get("reasoning", "false") == "true",
         ideal_reads=int(props.get("ideal.reads", 0)),
         ideal_writes=int(props.get("ideal.writes", 0)),
-        ideal_loops=int(props.get("ideal.loops", 1)),
         rules_text=rules_path.read_text() if rules_path.exists() else "",
         base=base,
     )

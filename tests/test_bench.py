@@ -1,8 +1,11 @@
 """End-to-end runs through `run_benchmark` and the `ldsim` command line."""
 
+import functools
+
 import pytest
 
-from ldsim import httpclient, server
+from ldsim import bench, httpclient, server
+from ldsim.agents import AgentConfig
 from ldsim.bench import main, run_benchmark
 from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned, \
     write_manifest
@@ -119,3 +122,24 @@ def test_prefetch_run_reuses_unchanged_bodies_and_parses(monkeypatch):
     assert result.agent_stats.loops >= 3
     assert 0 < counts["serialised"] * 2 < gets
     assert 0 < counts["parsed"] * 2 < gets
+
+
+def test_prefetch_run_keeps_its_connections_across_epochs(monkeypatch):
+    # Connections are per thread, so the fetch pool lives for the whole run:
+    # the server accepts the pool's, the agent's own (for writes) and the
+    # control client's connections, however many epochs the agent runs.
+    fanout = 2
+    accepted = []
+    setup = server._Handler.setup
+
+    def counting_setup(handler):
+        accepted.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(server._Handler, "setup", counting_setup)
+    monkeypatch.setattr(bench, "AgentConfig", functools.partial(AgentConfig, fanout=fanout))
+    result = run_benchmark("TS3", agent="prefetch", seed=42, iterations=8,
+                           timeslot_ms=500)
+    assert result.report.valid, result.report.notes
+    assert result.agent_stats.loops >= 3  # a pool per epoch would open 2 * 3 + 2
+    assert len(accepted) <= 2 * fanout + 1

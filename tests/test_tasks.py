@@ -35,7 +35,7 @@ class TestLoading:
         ts1 = tasks["TS1"]
         assert ts1.update_entries == []
         assert len(ts1.fault_queries) == 1
-        assert (ts1.ideal_reads, ts1.ideal_writes, ts1.ideal_loops) == (0, 146, 1)
+        assert (ts1.ideal_reads, ts1.ideal_writes) == (0, 146)
         assert not ts1.requires_reasoning
 
     def test_tc7_shape(self, tasks):
@@ -201,8 +201,7 @@ class TestOracleSchedules:
         runtime.initialize(default_run_params(task, iterations))
         return runtime
 
-    # Loop counts are the oracle's phases; `ideal.loops` in task.properties
-    # disagrees for TC1-TC3 and TC5-TC7, so it is not used here.
+    # Loop counts are the oracle's phases.
     @pytest.mark.parametrize("tid,reads,writes,loops", [
         ("TS1", 0, 146, 1),
         ("TS2", 146, 146, 1),
