@@ -325,19 +325,22 @@ class RuleAgent:
         return self.client.base + SIM_PATH
 
     def run(self, stop: threading.Event) -> AgentStats:
-        if self.config.mode == "traversal":
-            self.kb, reads, self.dynamic = traverse(
-                self.client, self.config.seed_iri or self.client.base + "building",
-                self.config.follow_predicates, self.kb, self.config.fanout)
-            self.stats.reads += reads
-        # One pool for the whole run: connections are per thread, so fresh
-        # threads each epoch would each open a connection of their own.
-        with ThreadPoolExecutor(max_workers=self.config.fanout) as pool:
-            while not stop.is_set():
-                if not self._epoch(stop, pool):
-                    break
-                if self.config.poll_interval:
-                    stop.wait(self.config.poll_interval)
+        try:
+            if self.config.mode == "traversal":
+                self.kb, reads, self.dynamic = traverse(
+                    self.client, self.config.seed_iri or self.client.base + "building",
+                    self.config.follow_predicates, self.kb, self.config.fanout)
+                self.stats.reads += reads
+            # One pool for the whole run: connections are per thread, so fresh
+            # threads each epoch would each open a connection of their own.
+            with ThreadPoolExecutor(max_workers=self.config.fanout) as pool:
+                while not stop.is_set():
+                    if not self._epoch(stop, pool):
+                        break
+                    if self.config.poll_interval:
+                        stop.wait(self.config.poll_interval)
+        finally:
+            self.client.close_all()
         return self.stats
 
     def _epoch(self, stop: threading.Event, pool: ThreadPoolExecutor) -> bool:

@@ -138,6 +138,7 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent!r}")
     server = LinkedDataServer(host=host)
+    clients: list[LdClient] = []
     try:
         pd = build_dataset(params=GeneratorParams(seed=seed), base=server.base)
         task = load_task(task_id, server.base)
@@ -156,6 +157,7 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
         if agent != "noop":
             agent_obj = _make_agent(agent, task, pd, runtime, server.base,
                                     poll_interval)
+            clients.append(agent_obj.client)
 
             def _agent_main():
                 try:
@@ -168,6 +170,7 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
             worker.start()
 
         control = LdClient(server.base, agent="control")
+        clients.append(control)
         status, body = control.put_raw(SIM_PATH, sim_start_payload(params))
         if status != 200:
             raise RuntimeError(f"failed to start run: {status} {body!r}")
@@ -197,6 +200,8 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
             result.paths = persist_result(result, out_dir)
         return result
     finally:
+        for client in clients:
+            client.close_all()
         server.stop()
 
 

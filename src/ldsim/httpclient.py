@@ -10,9 +10,11 @@ status line is HTTP/1.x, it carries a `Content-Length` and no
 `Transfer-Encoding`, no line is longer than 65,536 bytes and there are at
 most 100 headers (the bounds of `http.client`). Any other reply, or one that
 ends early, raises a subclass of `http.client.HTTPException`. A reply with
-`Connection: close`, or an HTTP/1.0 one, closes the socket after its body.
-A request that fails with such an exception or an `OSError` is sent once
-more on a fresh connection; a second failure raises.
+`Connection: close`, or an HTTP/1.0 one, closes the socket after its body. A
+request that fails with such an exception, an `OSError`, or a `ValueError`
+from a reader that `close_all` closed, is sent once more on a fresh
+connection; a second failure raises. `close` closes the calling thread's
+socket, `close_all` the sockets of every thread.
 
 `get_graph` keeps, per IRI, the last 200 body and the triples parsed from
 it, and returns those very triples for a byte-equal body without parsing
@@ -50,15 +52,20 @@ class LdClient:
         self._port = parts.port or 80
         self._netloc = parts.netloc.rpartition("@")[2]
         self._local = threading.local()
+        # Every open connection of every thread, for close_all().
+        self._open: set[tuple] = set()
+        self._open_lock = threading.Lock()
         self._parsed: dict[str, tuple[bytes, frozenset]] = {}
 
     def _conn(self):
         """This thread's (socket, buffered reader), connecting if needed."""
         conn = getattr(self._local, "conn", None)
-        if conn is None:
+        if conn is None or conn[0].fileno() < 0:  # none yet, or closed by close_all
             sock = socket.create_connection((self._host, self._port), timeout=30)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = self._local.conn = (sock, sock.makefile("rb"))
+            with self._open_lock:
+                self._open.add(conn)
         return conn
 
     def _request(self, method: str, path: str, body: bytes | None = None,
@@ -79,7 +86,9 @@ class LdClient:
                 sock, reader = self._conn()
                 sock.sendall(message)
                 status, reply, close = _read_reply(reader)
-            except (http.client.HTTPException, OSError):
+            # ValueError: close_all() closed the reader while this request
+            # was in flight on it.
+            except (http.client.HTTPException, OSError, ValueError):
                 self.close()
                 if attempt:
                     raise
@@ -133,8 +142,24 @@ class LdClient:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             self._local.conn = None
-            conn[1].close()
-            conn[0].close()
+            with self._open_lock:
+                self._open.discard(conn)
+            _close(conn)
+
+    def close_all(self) -> None:
+        """Close the connections of every thread, including threads that have
+        ended. A thread still using this client connects again on its next
+        request; a request caught in flight is sent again on a fresh one."""
+        with self._open_lock:
+            conns, self._open = self._open, set()
+        for conn in conns:
+            _close(conn)
+
+
+def _close(conn: tuple) -> None:
+    sock, reader = conn
+    reader.close()
+    sock.close()
 
 
 def _read_line(reader, what: str) -> bytes:

@@ -11,15 +11,42 @@ immutable and an unchanged graph is shared by reference across versions
 (see `rdf`), a body depends on nothing but the triples and the media type,
 and an entry holds its frozenset, so the object's identity is never reused
 while the entry lives. There is one cache per attached runtime.
+
+Requests (RFC 9112 message syntax) are parsed byte by byte in the handler,
+without `http.client.parse_headers`. The request line is read up to 65,536
+bytes (414 beyond). It is `METHOD TARGET VERSION`, or `GET TARGET` for
+HTTP/0.9, which has no header block and closes the connection. Another shape
+gets 400; a malformed version gets 400 and HTTP/2 or later 505, both sent as
+`http.server` sends them, without a status line. A target starting with `//`
+is read as starting with one `/`. Header lines follow up to the blank line:
+at most 100, each at most 65,536 bytes (431 beyond either). Header names are
+looked up without regard to case, the first field of a name wins, and a
+value has its leading and trailing blanks stripped. A folded (obs-fold)
+line, a line without a colon or whose name is not printable ASCII up to the
+colon, and a second `Content-Length` get 400 with `Connection: close`: the
+end of the header block or of the body cannot be trusted after them (RFC
+9112 5.1, 5.2 and 6.3). An HTTP/1.1 connection stays open unless a
+`Connection` token says `close`; an HTTP/1.0 one closes unless it says
+`keep-alive`. An HTTP/1.1 request with `Expect: 100-continue` gets `100
+Continue` before its body is read. Every final HTTP/1.x reply carries
+`Content-Length`.
+
+Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
+the client address, the request line, the status and the `X-Agent` header.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import re
 import threading
+import time
 from dataclasses import dataclass, field
 from datetime import datetime
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import RunParams, SimulationRuntime
@@ -33,6 +60,24 @@ log = logging.getLogger(__name__)
 TURTLE = "text/turtle"
 NTRIPLES = "application/n-triples"
 PARSE_FORMATS = {TURTLE: "turtle", NTRIPLES: "n-triples"}
+MAX_LINE = 65536
+MAX_HEADERS = 100
+# A header name: printable ASCII but the colon, with no blank before the colon.
+_FIELD_NAME = re.compile(rb"[!-9;-~]+")
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class _Headers(dict):
+    """Request header values by lower-cased name; the first field of a name
+    wins, as with `email.message.Message.get`."""
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+@lru_cache(maxsize=2)
+def _http_date(second: int) -> str:
+    return formatdate(second, usegmt=True)
 
 
 @dataclass(frozen=True)
@@ -67,9 +112,103 @@ class _Handler(BaseHTTPRequestHandler):
     # its own; a handler class built without it shares this one, which is as
     # exact, since an entry is used only while its own frozenset is served.
     bodies: dict[tuple[str, str], tuple[frozenset, bytes]] = {}
+    # Replaced per request by parse_request; empty until the first one.
+    headers = _Headers()
 
-    def log_message(self, *args) -> None:  # pragma: no cover - silence stdlib
-        pass
+    def log_message(self, format: str, *args) -> None:
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s agent=%s", self.client_address[0], format % args,
+                      self._agent())
+
+    def date_time_string(self, timestamp: float | None = None) -> str:
+        return _http_date(int(time.time() if timestamp is None else timestamp))
+
+    # -- request parsing (the contract is in the module docstring) -------------
+
+    def parse_request(self) -> bool:
+        """Fill `command`, `path`, `request_version`, `close_connection` and
+        `headers` from `raw_requestline` and the header block. False once an
+        error reply has been sent, or for an empty request line."""
+        self.command = None
+        self.request_version = "HTTP/0.9"
+        self.close_connection = True
+        self.headers = _Headers()
+        self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        version = (1, 1)
+        if len(words) >= 3:
+            if words[-1] != "HTTP/1.1":
+                match = _VERSION.fullmatch(words[-1])
+                if match is None:
+                    self.send_error(HTTPStatus.BAD_REQUEST,
+                                    f"Bad request version ({words[-1]!r})")
+                    return False
+                version = int(match[1]), int(match[2])
+                if version >= (2, 0):
+                    self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                    f"Invalid HTTP version ({words[-1][5:]})")
+                    return False
+            self.close_connection = version < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({line!r})")
+            return False
+        command, path = words[0], words[1]
+        if len(words) == 2 and command != "GET":
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        if path.startswith("//"):  # not a scheme-relative URL (gh-87389)
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        if len(words) == 2:  # HTTP/0.9 has no header block
+            return True
+        if not self._read_headers():
+            return False
+        connection = self.headers.get("Connection")
+        if connection:
+            tokens = {token.strip() for token in connection.lower().split(",")}
+            if "close" in tokens:
+                self.close_connection = True
+            elif "keep-alive" in tokens:
+                self.close_connection = False
+        if version >= (1, 1) and \
+                self.headers.get("Expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> bool:
+        """Fill `headers` up to the blank line; False after a 400 or 431."""
+        headers = self.headers
+        readline = self.rfile.readline
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Line too long", "header line")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                return True
+            if line[0] in b" \t":
+                return self._bad_header(f"folded header line {line!r}")
+            name, colon, value = line.partition(b":")
+            if not colon or _FIELD_NAME.fullmatch(name) is None:
+                return self._bad_header(f"malformed header line {line!r}")
+            name = name.decode("ascii").lower()
+            if name not in headers:
+                headers[name] = value.strip(b" \t\r\n").decode("iso-8859-1")
+            elif name == "content-length":
+                return self._bad_header("more than one Content-Length")
+        self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                        "Too many headers", f"got more than {MAX_HEADERS} headers")
+        return False
+
+    def _bad_header(self, explain: str) -> bool:
+        # send_error's `Connection: close` also sets close_connection.
+        self.send_error(HTTPStatus.BAD_REQUEST, "Bad request header", explain)
+        return False
 
     # -- helpers ------------------------------------------------------------
 

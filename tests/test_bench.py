@@ -1,6 +1,8 @@
 """End-to-end runs through `run_benchmark` and the `ldsim` command line."""
 
 import functools
+import gc
+import warnings
 
 import pytest
 
@@ -143,3 +145,18 @@ def test_prefetch_run_keeps_its_connections_across_epochs(monkeypatch):
     assert result.report.valid, result.report.notes
     assert result.agent_stats.loops >= 3  # a pool per epoch would open 2 * 3 + 2
     assert len(accepted) <= 2 * fanout + 1
+
+
+def test_prefetch_run_closes_every_socket():
+    # The fetch pool's threads end with the run; the sockets they leave in
+    # their thread-locals must have been closed by then, not by the GC.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_benchmark("TS3", agent="prefetch", seed=42, iterations=4,
+                               timeslot_ms=500)
+        assert result.agent_stats.loops >= 1
+        del result
+        gc.collect()
+    leaks = [str(w.message) for w in caught
+             if issubclass(w.category, ResourceWarning) and "socket" in str(w.message)]
+    assert leaks == []

@@ -20,7 +20,8 @@ from ldsim.building import (
     write_manifest,
 )
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE
-from ldsim.rdf import IRI, Literal, symmetric_difference
+from ldsim.rdf import IRI, Literal
+from rdf_helpers import symmetric_difference
 
 BASE = DEFAULT_BASE
 EX = "http://example.org/"

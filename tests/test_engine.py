@@ -20,8 +20,9 @@ from ldsim.engine import (
 )
 from ldsim.metrics import FaultQuery
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_DECIMAL, XSD_INTEGER
-from ldsim.rdf import IRI, Literal, symmetric_difference
+from ldsim.rdf import IRI, Literal
 from ldsim.sparql import parse_query, parse_update
+from rdf_helpers import symmetric_difference
 
 BASE = DEFAULT_BASE
 

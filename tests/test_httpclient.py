@@ -5,6 +5,7 @@ HTTP/1.1 transport, against a scripted socket server and the live server."""
 import http.client
 import re
 import socket
+import sys
 import threading
 import time
 
@@ -17,6 +18,8 @@ from ldsim.httpclient import LdClient
 from ldsim.ns import RDF_VALUE, SIM_PATH
 from ldsim.rdf import IRI, Dataset, Literal
 from ldsim.server import LinkedDataServer, ResourcePolicy
+
+pytestmark = pytest.mark.usefixtures("close_clients")
 
 BASE = "http://example.org/"
 
@@ -298,7 +301,8 @@ def live():
     server.start()
     yield server, runtime
     server.stop()
-    runtime.finished.wait(5)
+    if runtime.started:
+        runtime.finished.wait(5)
 
 
 def reference(server, method: str, path: str, body: bytes | None = None):
@@ -330,8 +334,8 @@ def test_error_replies_keep_status_and_body(live):
 
 def test_client_does_not_use_http_client_parsing(live, monkeypatch):
     # The agent's reads must not go back through `http.client` and its
-    # `email`-based header parser. The server's handler threads still parse
-    # requests with it, so only calls on this thread are refused.
+    # `email`-based header parser. Only calls on this thread are refused;
+    # tests/test_server.py holds the server's handler threads to the same.
     client_thread = threading.current_thread()
 
     def refusing(original):
@@ -353,3 +357,58 @@ def test_client_does_not_use_http_client_parsing(live, monkeypatch):
     start = sim_start_payload(RunParams(timeslot_ms=20, iterations=2))
     assert client.put_raw(SIM_PATH, start) == (200, b"run started\n")
     assert runtime.finished.wait(5)
+
+
+def test_close_all_closes_the_connection_of_every_thread(live):
+    server, _ = live
+    client = LdClient(server.base, agent="tester")
+    light = server.base + "light"
+    sockets = []
+
+    def fetch():
+        assert client.get_graph(light)[0] == 200
+        sockets.append(client._local.conn[0])
+
+    for thread in [threading.Thread(target=fetch) for _ in range(2)]:
+        thread.start()
+        thread.join()
+    fetch()
+    assert len({id(sock) for sock in sockets}) == 3
+    assert all(sock.fileno() >= 0 for sock in sockets)
+    client.close_all()
+    assert all(sock.fileno() < 0 for sock in sockets)
+    fetch()  # this thread connects again
+    assert sockets[-1].fileno() >= 0 and sockets[-1] is not sockets[2]
+    client.close_all()
+
+
+def test_close_all_while_threads_request(live):
+    # Connections opened while close_all runs must not escape its set: after
+    # the last close_all every socket any thread used is closed.
+    server, _ = live
+    client = LdClient(server.base, agent="tester")
+    light = server.base + "light"
+    used, statuses = [], []
+
+    def worker():
+        for _ in range(200):
+            statuses.append(client.get_graph(light)[0])
+            used.append(client._local.conn[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for _ in range(5):
+            time.sleep(0.05)
+            client.close_all()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    client.close_all()
+    assert statuses == [200] * 800
+    assert all(sock.fileno() < 0 for sock in used)

@@ -11,12 +11,11 @@ from ldsim.rdf import (
     Dataset,
     Literal,
     Quad,
-    isomorphic,
     rebase_dataset,
     skolemize,
-    symmetric_difference,
 )
 from ldsim.rdfio import ParseError, parse_document, serialize_dataset, serialize_triples
+from rdf_helpers import isomorphic, symmetric_difference
 
 EX = "http://example.org/"
 A = IRI(EX + "a")

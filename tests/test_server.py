@@ -1,5 +1,7 @@
+import email.utils
 import http.client
 import io
+import logging
 import os
 import socket
 import subprocess
@@ -10,16 +12,20 @@ import time
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned
 from ldsim import server as server_module
 from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime
-from ldsim.httpclient import LdClient
+from ldsim.httpclient import LdClient, _read_reply
 from ldsim.metrics import audit_write_deltas
 from ldsim.ns import RDF_VALUE
 from ldsim.rdf import IRI, Literal
 from ldsim.rdfio import serialize_triples
 from ldsim.server import LinkedDataServer, ResourcePolicy, _Handler, default_policy
+
+pytestmark = pytest.mark.usefixtures("close_clients")
 
 
 def small_params():
@@ -493,6 +499,14 @@ class TestReplyWrites:
         assert len(sends) == 1
         assert sends[0].startswith(b"@prefix")
 
+    def test_date_header_is_now(self, served):
+        head = serve_raw(served, b"GET /nothing-here HTTP/1.1\r\n\r\n")[0]
+        dates = [line.split(b":", 1)[1].strip() for line in head.split(b"\r\n")
+                 if line.startswith(b"Date:")]
+        assert len(dates) == 1
+        sent = email.utils.parsedate_to_datetime(dates[0].decode())
+        assert abs(sent.timestamp() - time.time()) < 5
+
 
 class TestConcurrency:
     def test_atomic_writes_under_ticks(self, served):
@@ -578,3 +592,202 @@ class TestConcurrency:
             raise errors[0]
         rate = sum(done) / 2.0
         assert rate >= 200, f"only {rate:.0f} requests/s"
+
+
+# -- request parsing ---------------------------------------------------------------
+
+
+def parse_head(block: bytes, request_line: bytes = b"GET / HTTP/1.1\r\n"):
+    """Run the handler's request parser over one request head, with no
+    socket; return (whether it accepted the request, the handler)."""
+    handler = _Handler.__new__(_Handler)
+    handler.rfile = io.BytesIO(block)
+    handler.wfile = io.BytesIO()
+    handler.client_address = ("127.0.0.1", 0)
+    handler.raw_requestline = request_line
+    return handler.parse_request(), handler
+
+
+# The header names the server reads, and some it does not.
+READ_NAMES = ["Content-Length", "Content-Type", "Accept", "X-Agent", "Connection",
+              "Expect"]
+OTHER_NAMES = ["Host", "User-Agent", "X-Forwarded-For"]
+# Printable ASCII, space and tab: outside these, `email` splits a line at
+# characters such as \x0b or \x85 that are not line breaks in HTTP.
+VALUE_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7e) | st.just("\t")
+
+
+@st.composite
+def header_fields(draw):
+    name = draw(st.sampled_from(READ_NAMES + OTHER_NAMES))
+    name = "".join(c.upper() if draw(st.booleans()) else c.lower() for c in name)
+    blanks = st.text(" \t", max_size=3)
+    value = draw(st.text(VALUE_CHARS, max_size=12))
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    return name, f"{name}:{draw(blanks)}{value}{draw(blanks)}{end}"
+
+
+class TestRequestParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(header_fields(), max_size=12), st.sampled_from([b"\r\n", b"\n"]))
+    def test_headers_read_as_the_stdlib_reads_them(self, fields, end):
+        block = "".join(line for _, line in fields).encode("latin-1") + end
+        accepted, handler = parse_head(block)
+        lengths = sum(name.lower() == "content-length" for name, _ in fields)
+        if lengths > 1:
+            assert not accepted
+            assert handler.wfile.getvalue().startswith(b"HTTP/1.1 400 ")
+            assert handler.close_connection
+            return
+        assert accepted
+        stdlib = http.client.parse_headers(io.BytesIO(block))
+        for name in READ_NAMES:
+            expected = stdlib.get(name)
+            # The stdlib keeps trailing blanks, which are not part of a
+            # field value (RFC 9112 5.1).
+            expected = None if expected is None else expected.rstrip(" \t")
+            assert handler.headers.get(name) == expected, name
+            assert handler.headers.get(name.upper()) == expected, name
+
+    @pytest.mark.parametrize("request_line, headers, expected", [
+        ("HTTP/1.1", [], False),
+        ("HTTP/1.1", ["Connection: close"], True),
+        ("HTTP/1.1", ["Connection: Upgrade, Close"], True),
+        ("HTTP/1.1", ["Connection: keep-alive", "Connection: close"], False),
+        ("HTTP/1.0", [], True),
+        ("HTTP/1.0", ["Connection: Keep-Alive"], False),
+    ])
+    def test_connection_header(self, request_line, headers, expected):
+        block = "".join(h + "\r\n" for h in headers).encode() + b"\r\n"
+        accepted, handler = parse_head(block, f"GET / {request_line}\r\n".encode())
+        assert accepted and handler.close_connection == expected
+
+    def test_double_slash_collapses(self):
+        accepted, handler = parse_head(b"\r\n", b"GET ///sim HTTP/1.1\r\n")
+        assert accepted and handler.path == "/sim"
+
+    def test_get_and_put_do_not_use_stdlib_header_parsing(self, served, monkeypatch):
+        test_thread = threading.current_thread()
+
+        def refuse(*args, **kwargs):
+            if threading.current_thread() is not test_thread:
+                raise AssertionError("http.client.parse_headers used")
+            return original(*args, **kwargs)
+
+        original = http.client.parse_headers
+        monkeypatch.setattr(http.client, "parse_headers", refuse)
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        client = LdClient(server.base, agent="tester")
+        node = IRI(res.node)
+        assert client.put_graph(res.graph, {(node, IRI(RDF_VALUE), Literal("on"))}) == 204
+        assert client.get_graph(res.graph) == (200, {(node, IRI(RDF_VALUE), Literal("on"))})
+
+
+def connect(server) -> socket.socket:
+    host, port = server.base[len("http://"):-1].split(":")
+    return socket.create_connection((host, int(port)), timeout=5)
+
+
+def headers(count: int) -> bytes:
+    return b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(count))
+
+
+class TestRequestRefusals:
+    """Each request ends where the server stops reading it, so that closing
+    the connection does not reset it before the reply is read."""
+
+    @pytest.mark.parametrize("head, status", [
+        pytest.param(b"GET /sim HTTP/1.1\r\nX-Agent: a\r\n b\r\n", 400, id="folded"),
+        pytest.param(b"GET /sim HTTP/1.1\r\nX-Agent a\r\n", 400, id="no-colon"),
+        pytest.param(b"GET /sim HTTP/1.1\r\nX-Agent : a\r\n", 400, id="blank-before-colon"),
+        pytest.param(b"PUT /sim HTTP/1.1\r\nContent-Length: 0\r\ncontent-length: 0\r\n",
+                     400, id="two-content-lengths"),
+        pytest.param(b"GET /sim HTTP/1.1\r\n" + headers(101), 431, id="101-headers"),
+        pytest.param(b"GET /sim HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 8), 431,
+                     id="long-header-line"),
+        pytest.param(b"GET /" + b"a" * (65537 - 5), 414, id="long-request-line"),
+        pytest.param(b"GET /sim extra HTTP/1.1\r\n", 400, id="four-words"),
+    ])
+    def test_refused_and_closed(self, served, head, status):
+        with connect(served[0]) as sock:
+            reply = exchange(sock, head)
+            assert reply.status == status
+            assert reply.getheader("Connection") == "close"
+            assert sock.recv(1) == b""
+
+    def test_hundred_headers_are_accepted(self, served):
+        server, _, dynamic = served
+        path = command_resource(dynamic).graph[len(server.base):]
+        with connect(server) as sock:
+            head = f"GET /{path} HTTP/1.1\r\n".encode() + headers(100) + b"\r\n"
+            assert exchange(sock, head).status == 200
+
+    @pytest.mark.parametrize("head, status", [
+        pytest.param(b"GET /sim HTTP/1.x\r\n", 400, id="bad-version"),
+        pytest.param(b"GET /sim HTTP/2.0\r\n", 505, id="http-2"),
+        pytest.param(b"PUT /sim\r\n", 400, id="http-0.9-put"),
+    ])
+    def test_refused_without_status_line_and_closed(self, served, head, status):
+        # Before a version is accepted the reply is HTTP/0.9: the error page
+        # alone, as `http.server` sends it.
+        with connect(served[0]) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"<!DOCTYPE HTML>")
+        assert f"Error code: {status}".encode() in reply
+
+    def test_expect_100_continue(self, served):
+        server, _, dynamic = served
+        res = command_resource(dynamic)
+        body = serialize_triples(
+            {(IRI(res.node), IRI(RDF_VALUE), Literal("on"))}, "turtle").encode()
+        with connect(server) as sock:
+            sock.sendall((f"PUT /{res.graph[len(server.base):]} HTTP/1.1\r\n"
+                          f"Content-Type: text/turtle\r\nExpect: 100-continue\r\n"
+                          f"Content-Length: {len(body)}\r\n\r\n").encode())
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            assert exchange(sock, body).status == 204
+
+    def test_pipelined_requests_are_answered_in_order(self, served):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        path = res.graph[len(server.base):]
+        with connect(server) as sock:
+            sock.sendall(f"GET /{path} HTTP/1.1\r\n\r\n"
+                         f"GET /nothing-here HTTP/1.1\r\n\r\n"
+                         f"GET /{path} HTTP/1.1\r\nAccept: application/n-triples\r\n\r\n"
+                         .encode())
+            with sock.makefile("rb") as reader:
+                replies = [_read_reply(reader) for _ in range(3)]
+        graph = runtime.dataset.graph(res.graph)
+        assert [(status, close) for status, _, close in replies] == \
+            [(200, False), (404, False), (200, False)]
+        assert replies[0][1] == serialize_triples(graph, "turtle").encode()
+        assert replies[2][1] == serialize_triples(graph, "n-triples").encode()
+
+
+class TestAccessLog:
+    def test_debug_logs_request_status_and_agent(self, served, caplog):
+        caplog.set_level(logging.DEBUG, logger="ldsim.server")
+        server, _, dynamic = served
+        res = command_resource(dynamic)
+        client = LdClient(server.base, agent="tester")
+        client.get_graph(res.graph)
+        client.get_graph(server.base + "nothing-here")
+        lines = [r.getMessage() for r in caplog.records if r.name == "ldsim.server"]
+        path = res.graph[len(server.base):]
+        assert any(f'"GET /{path} HTTP/1.1" 200' in line and line.endswith("agent=tester")
+                   for line in lines), lines
+        assert any('"GET /nothing-here HTTP/1.1" 404' in line for line in lines), lines
+
+    def test_off_above_debug(self, served, caplog):
+        caplog.set_level(logging.INFO, logger="ldsim.server")
+        server, _, dynamic = served
+        LdClient(server.base, agent="tester").get_graph(command_resource(dynamic).graph)
+        assert [r for r in caplog.records if r.name == "ldsim.server"] == []

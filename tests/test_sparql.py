@@ -26,6 +26,7 @@ from ldsim.sparql import (
     parse_update,
     read_predicates,
 )
+from rdf_helpers import symmetric_difference
 
 EX = "http://example.org/"
 VALUE = IRI(RDF_VALUE)
@@ -303,8 +304,6 @@ class TestUpdateEval:
                 f'INSERT {{ GRAPH <{EX}property-L3> {{ ?s ?p "on" }} }} '
                 f'WHERE {{ GRAPH <{EX}property-L3> {{ ?s ?p "off" }} }}')
         out = eval_update(lights, parse_update(text))
-        from ldsim.rdf import symmetric_difference
-
         delta = symmetric_difference(lights, out)
         assert delta.graph_names() == {EX + "property-L3"}
 
