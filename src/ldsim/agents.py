@@ -3,7 +3,7 @@
 Two variants: a link-traversal agent seeded with the building root, and a
 prefetch agent primed with the static building model. Both poll dynamic
 resources, optionally close their knowledge base under simple RDFS/part-of
-rules, and fire HTTP requests for every rule condition that matches.
+rules, and PUT a rule's payload for every solution of its condition.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ DEFAULT_FOLLOW = (
 
 @dataclass(frozen=True)
 class RuleAction:
-    method: str
+    """PUT `payload`, instantiated per solution, to the graph of `target`."""
+
     target: Var | IRI
     payload: tuple[TriplePattern, ...]
 
@@ -64,7 +65,9 @@ class Rule:
 
 
 def parse_rules(text: str, base: str | None = None) -> list[Rule]:
-    """RULE <name> [ONCE] [GROUP <g>] WHEN { pattern } THEN PUT ?v { payload }"""
+    """RULE <name> [ONCE] [GROUP <g>] WHEN { pattern } THEN PUT ?v { payload }
+
+    The target may also be an IRI; the payload holds at least one triple."""
     parser = Parser(text, base)
     parser.prologue()
     rules: list[Rule] = []
@@ -94,23 +97,22 @@ def parse_rules(text: str, base: str | None = None) -> list[Rule]:
         if parser.keyword() != "then":
             raise parser.error("expected THEN")
         parser.lex.next()
-        method = parser.keyword()
-        if method not in ("put", "post", "delete"):
-            raise parser.error("expected PUT, POST or DELETE")
+        if parser.keyword() != "put":
+            raise parser.error("expected PUT")
         parser.lex.next()
         tok = parser.lex.next()
         target = Var(tok[1]) if tok[0] == "var" else parser.iri_from(tok)
-        payload: tuple[TriplePattern, ...] = ()
-        if parser.lex.peek()[0] == "{":
-            payload = tuple(parser.group().elements)
-            if not all(isinstance(tp, TriplePattern) for tp in payload):
-                raise parser.error("payload templates allow plain triples only")
+        payload = tuple(parser.group().elements)
+        if not payload:
+            raise parser.error("empty payload: a PUT replaces a graph")
+        if not all(isinstance(tp, TriplePattern) for tp in payload):
+            raise parser.error("payload templates allow plain triples only")
         condition_vars = condition.variables()
         for term in _action_vars(target, payload):
             if term not in condition_vars:
                 raise parser.error(f"action variable ?{term} not bound by WHEN")
         rules.append(Rule(name=name, condition=condition,
-                          action=RuleAction(method.upper(), target, payload),
+                          action=RuleAction(target, payload),
                           once=once, group=group))
 
 
@@ -367,7 +369,7 @@ class RuleAgent:
                     continue
                 acted.add(key)
                 self._fired.add(key)
-                self._act(rule.action.method, target, payload)
+                self._act(target, payload)
         self.stats.loops += 1
         running = self._still_running()
         return running
@@ -389,14 +391,9 @@ class RuleAgent:
             triples.append((term(tp.s), term(tp.p), term(tp.o)))
         return target, frozenset(triples)
 
-    def _act(self, method: str, target: str, payload: frozenset) -> None:
+    def _act(self, target: str, payload: frozenset) -> None:
         try:
-            if method == "PUT":
-                status = self.client.put_graph(target, payload)
-            elif method == "POST":
-                status = self.client.post_graph(target, payload)
-            else:
-                status = self.client.delete(target)
+            status = self.client.put_graph(target, payload)
         except OSError:
             self.stats.errors += 1
             return

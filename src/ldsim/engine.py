@@ -45,7 +45,6 @@ from .trace import FaultTrace, OperationRecord
 log = logging.getLogger(__name__)
 
 _RDF_VALUE = IRI(RDF_VALUE)
-WRITE_METHODS = ("PUT", "POST", "DELETE")
 
 
 # -- keyed randomness -----------------------------------------------------------
@@ -492,33 +491,17 @@ class SimulationRuntime:
         with self._lock:
             self.ops.append(record)
 
-    def apply_agent_write(self, method: str, target: str, triples: frozenset | None,
-                          agent: str, status: int = 0) -> OperationRecord:
-        """Atomically replace/extend/delete one graph and record the operation."""
-        if method not in WRITE_METHODS:
-            raise ValueError(f"not a write method: {method}")
+    def apply_agent_write(self, target: str, triples: frozenset, agent: str,
+                          status: int = 0) -> OperationRecord:
+        """Atomically replace one graph with `triples` (a PUT) and record it."""
         with self._lock:
-            before = self.dataset.graph(target)
-            existed = bool(before)
-            if method == "PUT":
-                after = triples or frozenset()
-            elif method == "POST":
-                after = before | (triples or frozenset())
-            else:
-                after = frozenset()
-            new_ds = self.dataset.replace_graphs({target: after})
+            new_ds = self.dataset.replace_graphs({target: triples})
             delta = (target,) if new_ds is not self.dataset else ()
-            if method == "DELETE" or (method == "PUT" and not after):
-                classification = "delete" if existed else "replace"
-            elif not existed:
-                classification = "create"
-            else:
-                classification = "replace"
             self.dataset = new_ds
             record = OperationRecord(
-                timeslot=self.iteration, method=method, target=target,
-                classification=classification, status=status,
-                payload_bytes=len(triples or ()), agent=agent, delta_graphs=delta)
+                timeslot=self.iteration, method="PUT", target=target,
+                classification="replace", status=status,
+                payload_bytes=len(triples), agent=agent, delta_graphs=delta)
             self.ops.append(record)
             return record
 

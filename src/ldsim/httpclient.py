@@ -4,7 +4,7 @@ Transport (RFC 9112 message syntax). Each thread holds one socket, with
 TCP_NODELAY and a 30 s timeout, and sends each request in one write: the
 request line, `Host`, `X-Agent` when the client has an agent name, the
 caller's headers, and `Content-Length` whenever a body is sent or the method
-is PUT or POST. A reply is read as a status line, headers up to the blank
+is PUT. A reply is read as a status line, headers up to the blank
 line, and exactly `Content-Length` body bytes. It is accepted only if the
 status line is HTTP/1.x, it carries a `Content-Length` and no
 `Transfer-Encoding`, no line is longer than 65,536 bytes and there are at
@@ -78,7 +78,7 @@ class LdClient:
             head += f"X-Agent: {self.agent}\r\n"
         for name, value in (headers or {}).items():
             head += f"{name}: {value}\r\n"
-        if body is not None or method in ("PUT", "POST"):
+        if body is not None or method == "PUT":
             head += f"Content-Length: {len(body or b'')}\r\n"
         message = (head + "\r\n").encode("latin-1") + (body or b"")
         for attempt in (0, 1):
@@ -126,16 +126,6 @@ class LdClient:
     def put_raw(self, path: str, text: str) -> tuple[int, bytes]:
         return self._request("PUT", path, body=text.encode("utf-8"),
                              headers={"Content-Type": TURTLE})
-
-    def delete(self, iri: str) -> int:
-        status, _ = self._request("DELETE", self.path_of(iri))
-        return status
-
-    def post_graph(self, iri: str, triples) -> int:
-        body = serialize_triples(triples, "turtle").encode("utf-8")
-        status, _ = self._request("POST", self.path_of(iri), body=body,
-                                  headers={"Content-Type": TURTLE})
-        return status
 
     def close(self) -> None:
         """Close this thread's connection, if it has one."""

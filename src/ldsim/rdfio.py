@@ -1,9 +1,9 @@
-"""Parsing and serialization for Turtle, TriG, N-Triples and N-Quads.
+"""Parsing and serialization for Turtle, TriG and N-Triples.
 
-One hand-written tokenizer and recursive-descent parser covers the four
-formats; the line-based formats are handled as restricted cases of the
-block grammar. Pipeline: text -> tokens -> quad sink -> Dataset. Blank node
-labels are scoped to a single document.
+One hand-written tokenizer and recursive-descent parser covers the three
+formats; N-Triples is handled as a restricted case of the block grammar.
+Pipeline: text -> tokens -> quad sink -> Dataset. Blank node labels are
+scoped to a single document.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .ns import (
 )
 from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
 
-FORMATS = ("turtle", "trig", "n-triples", "n-quads")
+FORMATS = ("turtle", "trig", "n-triples")
 
 
 class ParseError(ValueError):
@@ -249,14 +249,13 @@ class _Parser:
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
         self.tok = _Tokenizer(text)
-        self.fmt = fmt
         self.base = base
         self.default_graph = IRI(default_graph)
         self.prefixes: dict[str, str] = {}
         self.quads: list[Quad] = []
         self.blank_count = 0
-        self.line_based = fmt in ("n-triples", "n-quads")
-        self.allow_graphs = fmt in ("trig", "n-quads")
+        self.line_based = fmt == "n-triples"
+        self.allow_graphs = fmt == "trig"
 
     # -- helpers -----------------------------------------------------------
 
@@ -290,7 +289,7 @@ class _Parser:
 
     def parse(self) -> Dataset:
         if self.line_based:
-            self._statements(self.default_graph, allow_fourth=self.allow_graphs)
+            self._statements(self.default_graph)
         else:
             while True:
                 tok = self.tok.peek()
@@ -384,7 +383,7 @@ class _Parser:
 
     # -- triples -------------------------------------------------------------
 
-    def _statements(self, graph: IRI, allow_fourth: bool) -> None:
+    def _statements(self, graph: IRI) -> None:
         while True:
             tok = self.tok.peek()
             if tok[0] == "eof":
@@ -392,11 +391,7 @@ class _Parser:
             s = self._term(position="subject")
             p = self._verb()
             o = self._term(position="object")
-            g = graph
-            nxt = self.tok.peek()
-            if allow_fourth and nxt[0] in ("iri", "pname", "blank"):
-                g = self._graph_name()
-            self.quads.append(Quad(s, p, o, g))
+            self.quads.append(Quad(s, p, o, graph))
             self._statement_dot()
 
     def _triples(self, graph: IRI, presubject: tuple | None = None) -> None:
@@ -454,8 +449,6 @@ class _Parser:
         if kind == "pname":
             return self.expand_pname(value[0], value[1], tok)
         if kind == "blank":
-            if self.line_based and position == "subject" and self.fmt == "n-quads":
-                pass
             return BlankNode(value)
         if kind == "[":
             if self.line_based:
@@ -622,8 +615,7 @@ def _turtle_body(triples: list, used: dict[str, str]) -> list[str]:
     return lines
 
 
-def serialize_triples(triples: Iterable, fmt: str = "turtle",
-                      prefixes: dict[str, str] | None = None) -> str:
+def serialize_triples(triples: Iterable, fmt: str = "turtle") -> str:
     """Serialize triples deterministically (sorted output)."""
     triples = list(triples)
     if fmt == "n-triples":
@@ -631,10 +623,7 @@ def serialize_triples(triples: Iterable, fmt: str = "turtle",
             f"{term_nt(s)} {term_nt(p)} {term_nt(o)} ." for s, p, o in triples))
     if fmt != "turtle":
         raise ValueError(f"unsupported serialization format {fmt!r}")
-    table = dict(PREFIXES)
-    if prefixes:
-        table.update(prefixes)
-    used = _used_prefixes(triples, table)
+    used = _used_prefixes(triples, PREFIXES)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(used.items())]
     if lines:
         lines.append("")
@@ -642,13 +631,8 @@ def serialize_triples(triples: Iterable, fmt: str = "turtle",
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def serialize_dataset(ds: Dataset, fmt: str = "trig") -> str:
-    """TriG (default-graph triples bare, named graphs in blocks) or N-Quads."""
-    if fmt == "n-quads":
-        return "".join(line + "\n" for line in sorted(
-            nq_line(s, p, o, g) for s, p, o, g in ds.quads()))
-    if fmt != "trig":
-        raise ValueError(f"unsupported dataset format {fmt!r}")
+def serialize_dataset(ds: Dataset) -> str:
+    """TriG: default-graph triples bare, named graphs in blocks."""
     all_triples = [(s, p, o) for s, p, o, _ in ds.quads()]
     used = _used_prefixes(all_triples, PREFIXES)
     parts = []
@@ -670,8 +654,3 @@ def serialize_dataset(ds: Dataset, fmt: str = "trig") -> str:
 def _triple_key(t) -> tuple:
     return (term_nt(t[0]), term_nt(t[1]), term_nt(t[2]))
 
-
-def nq_line(s: Term, p: Term, o: Term, g: IRI) -> str:
-    if g.value == DEFAULT_GRAPH:
-        return f"{term_nt(s)} {term_nt(p)} {term_nt(o)} ."
-    return f"{term_nt(s)} {term_nt(p)} {term_nt(o)} {term_nt(g)} ."

@@ -12,12 +12,21 @@ immutable and an unchanged graph is shared by reference across versions
 and an entry holds its frozenset, so the object's identity is never reused
 while the entry lives. There is one cache per attached runtime.
 
+Writes have one form: a PUT whose payload holds at least one triple replaces
+one existing writable graph (an actuatable property's), and answers 204.
+Graphs are never created or deleted: every writable graph exists when the
+runtime is attached, and a payload without triples gets 400. A PUT to any
+other graph gets 403, except that a PUT to `sim` starts the run. POST and
+DELETE get 405 with `Allow: GET, PUT`, after their body is read so that the
+connection stays usable. Only the request path is looked up, under the base
+IRI, so the internal default graph is never served.
+
 Requests (RFC 9112 message syntax) are parsed byte by byte in the handler,
 without `http.client.parse_headers`. The request line is read up to 65,536
 bytes (414 beyond). It is `METHOD TARGET VERSION`, or `GET TARGET` for
 HTTP/0.9, which has no header block and closes the connection. Another shape
-gets 400; a malformed version gets 400 and HTTP/2 or later 505, both sent as
-`http.server` sends them, without a status line. A target starting with `//`
+gets 400; a malformed version gets 400 and HTTP/2 or later 505, each with an
+HTTP/1.1 status line and `Connection: close`. A target starting with `//`
 is read as starting with one `/`. Header lines follow up to the blank line:
 at most 100, each at most 65,536 bytes (431 beyond either). Header names are
 looked up without regard to case, the first field of a name wins, and a
@@ -25,7 +34,9 @@ value has its leading and trailing blanks stripped. A folded (obs-fold)
 line, a line without a colon or whose name is not printable ASCII up to the
 colon, and a second `Content-Length` get 400 with `Connection: close`: the
 end of the header block or of the body cannot be trusted after them (RFC
-9112 5.1, 5.2 and 6.3). An HTTP/1.1 connection stays open unless a
+9112 5.1, 5.2 and 6.3). A request with a `Transfer-Encoding` gets 501 with
+`Connection: close` before its body is read, as no transfer coding is
+decoded (RFC 9112 6.1). An HTTP/1.1 connection stays open unless a
 `Connection` token says `close`; an HTTP/1.0 one closes unless it says
 `keep-alive`. An HTTP/1.1 request with `Expect: 100-continue` gets `100
 Continue` before its body is read. Every final HTTP/1.x reply carries
@@ -42,7 +53,6 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass, field
 from datetime import datetime
 from email.utils import formatdate
 from functools import lru_cache
@@ -50,7 +60,7 @@ from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import RunParams, SimulationRuntime
-from .ns import DEFAULT_GRAPH, SIM_PATH, SIM_VOCAB, defrag
+from .ns import SIM_PATH, SIM_VOCAB, defrag
 from .rdf import BlankNode, Dataset, Literal, skolemize
 from .rdfio import ParseError, parse_document, serialize_triples
 from .sparql import literal_value, parse_datetime
@@ -62,6 +72,7 @@ NTRIPLES = "application/n-triples"
 PARSE_FORMATS = {TURTLE: "turtle", NTRIPLES: "n-triples"}
 MAX_LINE = 65536
 MAX_HEADERS = 100
+ALLOW = "GET, PUT"
 # A header name: printable ASCII but the colon, with no blank before the colon.
 _FIELD_NAME = re.compile(rb"[!-9;-~]+")
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
@@ -80,33 +91,13 @@ def _http_date(second: int) -> str:
     return formatdate(second, usegmt=True)
 
 
-@dataclass(frozen=True)
-class ResourcePolicy:
-    """Which graphs agents may read and write.
-
-    Everything is readable except the internal default graph; only the
-    listed graphs (actuatable properties) accept writes. Graph creation and
-    deletion are disabled unless explicitly switched on.
-    """
-
-    writable: frozenset[str] = field(default_factory=frozenset)
-    allow_create: bool = False
-    allow_delete: bool = False
-
-    def readable(self, graph: str) -> bool:
-        return graph != DEFAULT_GRAPH
-
-    def is_writable(self, graph: str) -> bool:
-        return graph in self.writable
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "ldsim/0.1"
 
     # Set per server instance via the class factory below.
     runtime: SimulationRuntime = None  # type: ignore[assignment]
-    policy: ResourcePolicy = None  # type: ignore[assignment]
+    writable: frozenset[str] = frozenset()
     base: str = ""
     # (graph IRI, media type) -> (triples, body). attach() gives each runtime
     # its own; a handler class built without it shares this one, which is as
@@ -130,7 +121,8 @@ class _Handler(BaseHTTPRequestHandler):
         `headers` from `raw_requestline` and the header block. False once an
         error reply has been sent, or for an empty request line."""
         self.command = None
-        self.request_version = "HTTP/0.9"
+        # An error reply before the version is read still gets a status line.
+        self.request_version = "HTTP/1.1"
         self.close_connection = True
         self.headers = _Headers()
         self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
@@ -164,8 +156,13 @@ class _Handler(BaseHTTPRequestHandler):
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
         if len(words) == 2:  # HTTP/0.9 has no header block
+            self.request_version = "HTTP/0.9"
             return True
         if not self._read_headers():
+            return False
+        if "transfer-encoding" in self.headers:
+            # No transfer coding is decoded, so the body's end is unknown.
+            self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding not supported")
             return False
         connection = self.headers.get("Connection")
         if connection:
@@ -224,6 +221,8 @@ class _Handler(BaseHTTPRequestHandler):
         if body:
             self.send_header("Content-Type", f"{content_type}; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if status == 405:  # RFC 9110 15.5.6
+            self.send_header("Allow", ALLOW)
         if self.close_connection:
             self.send_header("Connection", "close")
         if self.request_version == "HTTP/0.9":  # no head: end_headers() sends nothing
@@ -271,6 +270,9 @@ class _Handler(BaseHTTPRequestHandler):
                     400, f"payload subject {s.value} outside target resource\n".encode())
                 return None
             triples.add((s, p, o))
+        if not triples:
+            self._reply(400, b"payload without triples: a PUT replaces a graph\n")
+            return None
         if any(isinstance(o, BlankNode) for _, _, o in triples):
             ds = skolemize(Dataset({target: frozenset(triples)}), self.base,
                            f"put-{hashlib.sha256(body).hexdigest()[:16]}")
@@ -283,8 +285,7 @@ class _Handler(BaseHTTPRequestHandler):
         target = self._target()
         snapshot = self.runtime.dataset
         triples = snapshot.graph(target)
-        if not triples or not self.policy.readable(target):
-            # 404 for the default graph too, so its existence never leaks.
+        if not triples:
             self.runtime.record_failure("GET", target, 404, self._agent())
             self._reply(404, b"no such resource\n")
             return
@@ -310,49 +311,26 @@ class _Handler(BaseHTTPRequestHandler):
         if target == self.base + SIM_PATH:
             self._sim_put(body)
             return
-        if not self.policy.is_writable(target):
+        if target not in self.writable:
             self.runtime.record_failure("PUT", target, 403, self._agent())
             self._reply(403, b"resource not writable\n")
             return
         triples = self._parse_payload(target, body)
         if triples is None:
             return
-        existed = self.runtime.dataset.has_graph(target)
-        status = 204 if existed else 201
-        self.runtime.apply_agent_write("PUT", target, triples, self._agent(), status)
-        self._reply(status)
+        self.runtime.apply_agent_write(target, triples, self._agent(), 204)
+        self._reply(204)
 
-    def do_POST(self) -> None:
-        target = self._target()
-        body = self._read_body()
-        if body is None:
-            return
-        if not (self.policy.allow_create and self.policy.is_writable(target)):
-            self.runtime.record_failure("POST", target, 405, self._agent())
-            self._reply(405, b"POST disabled by policy\n")
-            return
-        triples = self._parse_payload(target, body)
-        if triples is None:
-            return
-        existed = self.runtime.dataset.has_graph(target)
-        status = 204 if existed else 201
-        self.runtime.apply_agent_write("POST", target, triples, self._agent(), status)
-        self._reply(status)
-
-    def do_DELETE(self) -> None:
+    def _refuse_write(self) -> None:
+        """POST and DELETE: read the body, so that it is not parsed as the
+        next request, then refuse with 405."""
         target = self._target()
         if self._read_body() is None:
             return
-        if not (self.policy.allow_delete and self.policy.is_writable(target)):
-            self.runtime.record_failure("DELETE", target, 405, self._agent())
-            self._reply(405, b"DELETE disabled by policy\n")
-            return
-        if not self.runtime.dataset.has_graph(target):
-            self.runtime.record_failure("DELETE", target, 404, self._agent())
-            self._reply(404, b"no such resource\n")
-            return
-        self.runtime.apply_agent_write("DELETE", target, None, self._agent(), 204)
-        self._reply(204)
+        self.runtime.record_failure(self.command, target, 405, self._agent())
+        self._reply(405, f"{self.command} not allowed: a PUT replaces a graph\n".encode())
+
+    do_POST = do_DELETE = _refuse_write
 
     # -- run control -----------------------------------------------------------
 
@@ -420,9 +398,9 @@ class LinkedDataServer:
         host_out, port_out = self._httpd.server_address[:2]
         self.base = f"http://{host_out}:{port_out}/"
 
-    def attach(self, runtime: SimulationRuntime, policy: ResourcePolicy) -> None:
+    def attach(self, runtime: SimulationRuntime, writable: frozenset[str]) -> None:
         self._handler.runtime = runtime
-        self._handler.policy = policy
+        self._handler.writable = writable
         self._handler.base = self.base
         self._handler.bodies = {}
 
@@ -441,6 +419,6 @@ class LinkedDataServer:
             self._thread.join(2)
 
 
-def default_policy(dynamic: dict) -> ResourcePolicy:
-    writable = frozenset(res.graph for res in dynamic.values() if res.writable)
-    return ResourcePolicy(writable=writable)
+def default_policy(dynamic: dict) -> frozenset[str]:
+    """The graphs that accept writes: those of the actuatable properties."""
+    return frozenset(res.graph for res in dynamic.values() if res.writable)

@@ -1193,10 +1193,8 @@ def _join_path(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
     return out
 
 
-def eval_path(d: Dataset, path: Path | str, start: Term) -> set:
+def eval_path(d: Dataset, path: Path, start: Term) -> set:
     """All terms reachable from `start` over the union of all graphs."""
-    if isinstance(path, str):
-        path = PathLink(path)
     return _path_step(d, None, path, start, forward=True)
 
 

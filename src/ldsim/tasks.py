@@ -158,7 +158,7 @@ def _value_write(runtime: SimulationRuntime, graph: str, value: str,
                  agent: str) -> None:
     node = IRI(graph + "#it")
     triples = frozenset({(node, IRI(RDF_VALUE), Literal(value))})
-    runtime.apply_agent_write("PUT", graph, triples, agent, 204)
+    runtime.apply_agent_write(graph, triples, agent, 204)
 
 
 def current_value(runtime: SimulationRuntime, graph: str) -> str | None:

@@ -15,7 +15,7 @@ class OperationRecord:
     timeslot: int
     method: str
     target: str
-    classification: str  # read | create | replace | delete
+    classification: str  # read | replace
     status: int
     payload_bytes: int = 0
     agent: str = ""

@@ -35,25 +35,24 @@ class TestParseRules:
             THEN PUT ?it { ?it ex:state "off" }
             RULE plain
             WHEN { ?x ex:p ?y . FILTER(?y != ex:z) }
-            THEN DELETE ?x
+            THEN PUT ?x { ?x ex:p ex:z }
             """)
         night, plain = rules
         assert night.name == "lights-off-at-night"
         assert night.once and night.group == "night-shift-2"
         assert night.fire_key == "night-shift-2"
-        assert night.action.method == "PUT"
         assert night.action.target == Var("it")
         assert night.action.payload == (TriplePattern(Var("it"), ex("state"), Literal("off")),)
         assert night.condition.elements == (
             TriplePattern(Var("it"), ex("state"), Literal("on")),)
         assert (plain.name, plain.once, plain.group) == ("plain", False, None)
         assert plain.fire_key == "plain"
-        assert (plain.action.method, plain.action.payload) == ("DELETE", ())
+        assert plain.action.payload == (TriplePattern(Var("x"), ex("p"), ex("z")),)
 
     def test_group_before_once(self):
         (rule,) = parse_rules(PREFIX + "RULE r GROUP g ONCE WHEN { ?a ex:p ?b } "
-                                       "THEN POST ?a { ?a ex:q ?b }")
-        assert rule.once and rule.group == "g" and rule.action.method == "POST"
+                                       "THEN PUT ?a { ?a ex:q ?b }")
+        assert rule.once and rule.group == "g"
 
     def test_iri_target_resolved_against_base(self):
         (rule,) = parse_rules("RULE r WHEN { ?a <p> ?b } THEN PUT <doc> { ?a <q> ?b }",
@@ -64,7 +63,7 @@ class TestParseRules:
     @pytest.mark.parametrize("action", [
         "PUT ?other { ?it ex:state \"off\" }",
         "PUT ?it { ?it ex:state ?other }",
-        "DELETE ?other",
+        "PUT ex:d { ?other ex:p 1 }",
     ])
     def test_action_variable_not_bound_by_when(self, action):
         with pytest.raises(ParseError, match=r"action variable \?other not bound by WHEN"):
@@ -74,7 +73,12 @@ class TestParseRules:
         ("QUERY r", "expected RULE"),
         ("RULE r THEN PUT ?x", "expected WHEN"),
         ("RULE r WHEN { ?x ex:p ?y } PUT ?x", "expected THEN"),
-        ("RULE r WHEN { ?x ex:p ?y } THEN PATCH ?x", "expected PUT, POST or DELETE"),
+        ("RULE r WHEN { ?x ex:p ?y } THEN PATCH ?x", "expected PUT"),
+        ("RULE r WHEN { ?x ex:p ?y } THEN POST ?x { ?x ex:p ?y }", "expected PUT"),
+        ("RULE r WHEN { ?x ex:p ?y } THEN DELETE ?x", "expected PUT"),
+        ("RULE r WHEN { ?x ex:p ?y } THEN PUT ?x", "expected '{'"),
+        ("RULE r WHEN { ?x ex:p ?y } THEN PUT ?x RULE s", "expected '{'"),
+        ("RULE r WHEN { ?x ex:p ?y } THEN PUT ?x { }", "empty payload"),
         ("RULE r WHEN { ?x ex:p ?y } THEN PUT ?x { GRAPH ?x { ?x ex:p ?y } }",
          "plain triples only"),
     ])
@@ -90,7 +94,7 @@ class TestParseRules:
             task = load_task(tid, EX)
             rules = parse_rules(task.rules_text, base=EX)
             assert rules, tid
-            assert all(rule.action.method in ("PUT", "POST", "DELETE") for rule in rules)
+            assert all(rule.action.payload for rule in rules)
 
 
 def dataset(*triples, graph=EX + "g") -> Dataset:
@@ -133,7 +137,8 @@ class TestReason:
         sub = IRI(RDFS_SUBCLASS)
         kb = dataset((ex("Shower"), sub, ex("Washroom")), (ex("Washroom"), sub, ex("Hygiene")),
                      (ex("r1"), IRI(RDF_TYPE), ex("Shower")))
-        (rule,) = parse_rules(PREFIX + "RULE r WHEN { ?room a ex:Hygiene } THEN DELETE ?room")
+        (rule,) = parse_rules(PREFIX + "RULE r WHEN { ?room a ex:Hygiene } "
+                                       "THEN PUT ?room { ?room ex:lit false }")
         assert rule.solutions(kb) == []
         assert rule.solutions(reason(kb)) == [{"room": ex("r1")}]
 

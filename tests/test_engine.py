@@ -259,8 +259,8 @@ class TestRuntime:
         other = (node, IRI(BASE + "vocab/building#note"), Literal("kept"))
         stale = {(node, value, dark), (node, value, Literal("2.0", XSD_DECIMAL))}
         kept = {tr for tr in runtime.dataset.graph(sensor.graph) if tr[1] != value}
-        runtime.apply_agent_write("PUT", sensor.graph, frozenset(kept | stale | {other}),
-                                  "a1", 201)
+        runtime.apply_agent_write(sensor.graph, frozenset(kept | stale | {other}),
+                                  "a1", 204)
         runtime.tick()
         after = runtime.dataset.graph(sensor.graph)
         assert after == kept | {other, (node, value, dark)}
@@ -307,19 +307,14 @@ class TestRuntime:
                        if r.category == "command")
         node = IRI(command.node)
         on = frozenset({(node, IRI(RDF_VALUE), Literal("on"))})
-        record = runtime.apply_agent_write("PUT", command.graph, on, "a1", 204)
-        assert record.classification == "replace"
+        record = runtime.apply_agent_write(command.graph, on, "a1", 204)
+        assert (record.method, record.classification) == ("PUT", "replace")
         assert record.delta_graphs == (command.graph,)
+        assert runtime.dataset.graph(command.graph) == on
         # Same payload again: no delta, still recorded.
-        record2 = runtime.apply_agent_write("PUT", command.graph, on, "a1", 204)
+        record2 = runtime.apply_agent_write(command.graph, on, "a1", 204)
         assert record2.delta_graphs == ()
-        fresh = runtime.apply_agent_write("PUT", BASE + "newgraph",
-                                          frozenset({(IRI(BASE + "newgraph"),
-                                                      IRI(RDF_VALUE), Literal("1"))}),
-                                          "a1", 201)
-        assert fresh.classification == "create"
-        gone = runtime.apply_agent_write("DELETE", BASE + "newgraph", None, "a1", 204)
-        assert gone.classification == "delete"
+        assert runtime.snapshot_log()[1] == [record, record2]
 
     def test_read_and_write_slot_attribution(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))
@@ -330,7 +325,8 @@ class TestRuntime:
                        if r.category == "command")
         for _ in range(3):
             runtime.record_read(command.graph, 200, 100, "a1")
-        runtime.apply_agent_write("PUT", command.graph, frozenset(), "a1", 204)
+        on = frozenset({(IRI(command.node), IRI(RDF_VALUE), Literal("on"))})
+        runtime.apply_agent_write(command.graph, on, "a1", 204)
         meta, ops = runtime.snapshot_log()
         slot5 = [op for op in ops if op.timeslot == 5]
         assert len(slot5) == 4

@@ -17,7 +17,7 @@ from ldsim.engine import RunParams, SimEnvironment, SimulationRuntime
 from ldsim.httpclient import LdClient
 from ldsim.ns import RDF_VALUE, SIM_PATH
 from ldsim.rdf import IRI, Dataset, Literal
-from ldsim.server import LinkedDataServer, ResourcePolicy
+from ldsim.server import LinkedDataServer
 
 pytestmark = pytest.mark.usefixtures("close_clients")
 
@@ -297,7 +297,7 @@ def live():
     env = SimEnvironment(dataset=dataset, init_entries=[], update_entries=[],
                          seed=1, base=server.base)
     runtime = SimulationRuntime(env)
-    server.attach(runtime, ResourcePolicy(writable=frozenset({light})))
+    server.attach(runtime, frozenset({light}))
     server.start()
     yield server, runtime
     server.stop()

@@ -214,9 +214,9 @@ class TestParsing:
     def test_language_literal_distinct_from_plain(self):
         assert Literal("x", XSD_STRING) != Literal("x", "y")
 
-    def test_nquads(self):
-        ds = parse_document("<http://x/s> <http://x/p> 5 <http://x/g> .", "n-quads")
-        assert ds.graph_names() == {"http://x/g"}
+    def test_ntriples_line_has_no_graph_term(self):
+        with pytest.raises(ParseError, match="expected '.'"):
+            parse_document("<http://x/s> <http://x/p> 5 <http://x/g> .", "n-triples")
 
     def test_blank_nodes_scoped_per_document(self):
         one = parse_document("_:x <http://x/p> _:y .", "n-triples")

@@ -20,10 +20,11 @@ from ldsim import server as server_module
 from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime
 from ldsim.httpclient import LdClient, _read_reply
 from ldsim.metrics import audit_write_deltas
-from ldsim.ns import RDF_VALUE
+from ldsim.ns import DEFAULT_GRAPH, RDF_VALUE
 from ldsim.rdf import IRI, Literal
 from ldsim.rdfio import serialize_triples
-from ldsim.server import LinkedDataServer, ResourcePolicy, _Handler, default_policy
+from ldsim.server import LinkedDataServer, _Handler, default_policy
+from ldsim.tasks import build_environment, default_run_params, fault_targets, load_task
 
 pytestmark = pytest.mark.usefixtures("close_clients")
 
@@ -37,14 +38,14 @@ def small_params():
         command_points=2, luminance_points=1, hygiene_lights=0, seed=3)
 
 
-def start_server(policy=None, params=None, seed=7, updates=()):
+def start_server(params=None, seed=7, updates=()):
     server = LinkedDataServer()
     pd = rebase_partitioned(build_dataset(params=params or small_params()), server.base)
     env = SimEnvironment(dataset=pd.dataset, init_entries=[],
                          update_entries=list(updates), seed=seed, base=server.base,
                          dynamic=pd.dynamic)
     runtime = SimulationRuntime(env)
-    server.attach(runtime, policy or default_policy(pd.dynamic))
+    server.attach(runtime, default_policy(pd.dynamic))
     server.start()
     return server, runtime, pd.dynamic
 
@@ -76,6 +77,14 @@ class TestGet:
         server, _, _ = served
         status, _ = LdClient(server.base).get_graph(server.base + "nothing-here")
         assert status == 404
+
+    def test_default_graph_is_not_a_target(self, served):
+        # Even in absolute form, a target is looked up under the base IRI.
+        server, runtime, _ = served
+        assert runtime.dataset.has_graph(DEFAULT_GRAPH)
+        with connect(server) as sock:
+            reply = exchange(sock, f"GET {DEFAULT_GRAPH} HTTP/1.1\r\n\r\n".encode())
+        assert reply.status == 404
 
     def test_default_graph_hidden(self, served):
         server, runtime, _ = served
@@ -251,45 +260,50 @@ class TestPut:
                                                Literal("off"))})
         assert status == 204
 
-    def test_post_and_delete_gated_off(self, served):
-        server, _, dynamic = served
+    @pytest.mark.parametrize("payload", ["", "@prefix ex: <http://example.org/> ."])
+    def test_payload_without_triples_refused(self, served, payload):
+        server, runtime, dynamic = served
         res = command_resource(dynamic)
-        client = LdClient(server.base)
-        assert client.post_graph(res.graph, {(IRI(res.node), IRI(RDF_VALUE),
-                                              Literal("x"))}) == 405
-        assert client.delete(res.graph) == 405
+        before = runtime.dataset
+        client = LdClient(server.base, agent="tester")
+        status, body = client.put_raw(client.path_of(res.graph), payload)
+        assert status == 400 and b"without triples" in body
+        assert runtime.dataset is before
+        assert runtime.snapshot_log()[1] == []
 
 
-class TestPermissivePolicy:
-    def test_create_and_delete_classified(self):
-        params = small_params()
-        pd = build_dataset(params=params)
+class TestWriteContract:
+    """A PUT replaces a graph that exists; none is created or deleted."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_every_writable_graph_exists_at_attach(self, seed):
+        pd = build_dataset(params=GeneratorParams(seed=seed))
+        writable = default_policy(pd.dynamic)
+        assert writable
+        assert all(pd.dataset.has_graph(graph) for graph in writable)
+
+    def test_empty_puts_leave_every_fault_and_graph(self):
         server = LinkedDataServer()
-        from ldsim.rdf import rebase_dataset as rb
-
-        dataset = rb(pd.dataset, pd.base, server.base)
-        env = SimEnvironment(dataset=dataset, init_entries=[], update_entries=[],
-                             seed=1, base=server.base, dynamic={})
-        runtime = SimulationRuntime(env)
-        fresh = server.base + "scratch"
-        policy = ResourcePolicy(writable=frozenset({fresh}), allow_create=True,
-                                allow_delete=True)
-        server.attach(runtime, policy)
+        pd = build_dataset(params=GeneratorParams(seed=42), base=server.base)
+        task = load_task("TS1", server.base)
+        runtime = SimulationRuntime(build_environment(task, pd, 42), task.fault_queries)
+        server.attach(runtime, default_policy(pd.dynamic))
         server.start()
         try:
-            client = LdClient(server.base, agent="writer")
-            node = IRI(fresh)
-            assert client.put_graph(fresh, {(node, IRI(RDF_VALUE), Literal("1"))}) == 201
-            assert client.post_graph(fresh, {(node, IRI(RDF_VALUE), Literal("2"))}) == 204
-            _, triples = client.get_graph(fresh)
-            assert len(triples) == 2  # POST merges
-            assert client.delete(fresh) == 204
-            status, _ = client.get_graph(fresh)
-            assert status == 404
+            runtime.initialize(default_run_params(task, 48))
+
+            def faults():
+                return sorted(g for fq in task.fault_queries
+                              for g in fault_targets(runtime, fq))
+
+            targets = faults()
+            assert len(targets) == 146
+            client = LdClient(server.base, agent="emptier")
+            assert {client.put_raw(client.path_of(g), "")[0] for g in targets} == {400}
+            assert faults() == targets
+            assert {client.get_graph(g)[0] for g in targets} == {200}
             _, ops = runtime.snapshot_log()
-            writes = [op for op in ops if not op.is_read and op.ok]
-            assert [op.classification for op in writes] == ["create", "replace", "delete"]
-            assert audit_write_deltas(ops) == []
+            assert all(op.is_read for op in ops)
         finally:
             server.stop()
 
@@ -384,6 +398,43 @@ class TestRawConnection:
             after = exchange(sock, f"GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
             assert after.status == 200
 
+    @pytest.mark.parametrize("method", ["POST", "DELETE"])
+    def test_post_and_delete_refused_with_allow(self, served, method):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        path = res.graph[len(server.base):]
+        body = serialize_triples(
+            {(IRI(res.node), IRI(RDF_VALUE), Literal("on"))}, "turtle").encode()
+        with connect(server) as sock:
+            refused = exchange(sock, (
+                f"{method} /{path} HTTP/1.1\r\nHost: x\r\nX-Agent: tester\r\n"
+                f"Content-Type: text/turtle\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+            assert refused.status == 405
+            assert refused.getheader("Allow") == "GET, PUT"
+            after = exchange(sock, f"GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            assert after.status == 200
+        assert runtime.dataset is before
+        _, ops = runtime.snapshot_log()
+        assert [(op.method, op.target, op.status, op.ok, op.agent) for op in ops
+                if not op.is_read] == [(method, res.graph, 405, False, "tester")]
+
+    def test_transfer_encoding_gets_501_and_closes(self, served):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        with connect(server) as sock:
+            reply = exchange(sock, (
+                f"PUT /{res.graph[len(server.base):]} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: text/turtle\r\n"
+                f"Transfer-Encoding: chunked\r\n\r\n").encode())
+            assert reply.status == 501
+            assert reply.getheader("Connection") == "close"
+            assert sock.recv(1) == b""
+        assert runtime.dataset is before
+        assert LdClient(server.base).get_graph(res.graph)[1] == before.graph(res.graph)
+
     @pytest.mark.parametrize("length", ["ten", "-5"])
     def test_malformed_content_length_gets_400(self, served, length):
         server, runtime, dynamic = served
@@ -404,22 +455,22 @@ class TestRawConnection:
 SKOLEM_SCRIPT = textwrap.dedent("""
     from ldsim.engine import SimEnvironment, SimulationRuntime
     from ldsim.httpclient import LdClient
-    from ldsim.rdf import Dataset
-    from ldsim.server import LinkedDataServer, ResourcePolicy
+    from ldsim.rdf import IRI, Dataset, Literal
+    from ldsim.server import LinkedDataServer
 
     server = LinkedDataServer()
     target = server.base + "scratch"
-    env = SimEnvironment(dataset=Dataset(), init_entries=[], update_entries=[],
-                         seed=1, base=server.base)
+    seeded = frozenset({(IRI(target + "#it"), IRI("http://example.org/p"), Literal("0"))})
+    env = SimEnvironment(dataset=Dataset({target: seeded}), init_entries=[],
+                         update_entries=[], seed=1, base=server.base)
     runtime = SimulationRuntime(env)
-    server.attach(runtime, ResourcePolicy(writable=frozenset({target}),
-                                          allow_create=True))
+    server.attach(runtime, frozenset({target}))
     server.start()
     try:
         client = LdClient(server.base)
         status, _ = client.put_raw(
             "scratch", "<scratch#it> <http://example.org/p> _:b1, _:b2 .")
-        assert status == 201, status
+        assert status == 204, status
         for _s, _p, o in sorted(runtime.dataset.graph(target), key=repr):
             print(o.value[len(server.base):])
     finally:
@@ -458,7 +509,7 @@ def serve_raw(served, request: bytes) -> list[bytes]:
     """Handle one raw request with the server's handler; return each send."""
     server, runtime, dynamic = served
     handler = type("RecordedHandler", (_Handler,), {
-        "runtime": runtime, "policy": default_policy(dynamic), "base": server.base})
+        "runtime": runtime, "writable": default_policy(dynamic), "base": server.base})
     sock = _RecordingSocket(request)
     handler(sock, ("127.0.0.1", 0), None)
     return sock.sends
@@ -729,15 +780,13 @@ class TestRequestRefusals:
         pytest.param(b"PUT /sim\r\n", 400, id="http-0.9-put"),
     ])
     def test_refused_without_status_line_and_closed(self, served, head, status):
-        # Before a version is accepted the reply is HTTP/0.9: the error page
-        # alone, as `http.server` sends it.
+        # Requests without a usable version. `http.server` would answer them
+        # as HTTP/0.9, with the error page alone; they get an HTTP/1.1 reply.
         with connect(served[0]) as sock:
-            sock.sendall(head)
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        assert reply.startswith(b"<!DOCTYPE HTML>")
-        assert f"Error code: {status}".encode() in reply
+            reply = exchange(sock, head)
+            assert (reply.version, reply.status) == (11, status)
+            assert reply.getheader("Connection") == "close"
+            assert sock.recv(1) == b""
 
     def test_expect_100_continue(self, served):
         server, _, dynamic = served
