@@ -4,6 +4,10 @@ Two variants: a link-traversal agent seeded with the building root, and a
 prefetch agent primed with the static building model. Both poll dynamic
 resources, optionally close their knowledge base under simple RDFS/part-of
 rules, and PUT a rule's payload for every solution of its condition.
+
+A batch of GETs (a traversal level, an epoch's poll) goes to the fetch pool
+as one task per thread, each a strided share of the IRIs, so the caller
+wakes `fanout` times per batch, not once per GET to contend for the GIL.
 """
 
 from __future__ import annotations
@@ -246,9 +250,8 @@ def traverse(client: LdClient, seed_iri: str, follow_predicates=DEFAULT_FOLLOW,
     dynamic: set[str] = set()
     with ThreadPoolExecutor(max_workers=fanout) as pool:
         while frontier:
-            results = list(pool.map(lambda iri: (iri, *_fetch(client, iri)), frontier))
             next_frontier: list[str] = []
-            for iri, status, triples in results:
+            for iri, status, triples in _fetch_all(pool, client, frontier, fanout):
                 reads += 1
                 if status != 200:
                     log.info("traversal: skipping %s (%s)", iri, status)
@@ -265,6 +268,15 @@ def traverse(client: LdClient, seed_iri: str, follow_predicates=DEFAULT_FOLLOW,
                             next_frontier.append(candidate)
             frontier = next_frontier
     return kb, reads, dynamic
+
+
+def _fetch_all(pool: ThreadPoolExecutor, client: LdClient, iris: list[str],
+               fanout: int) -> list[tuple[str, int, frozenset]]:
+    """`(iri, status, triples)` per IRI, in input order."""
+    shares = [pool.submit(lambda share: [(iri, *_fetch(client, iri)) for iri in share],
+                          iris[i::fanout]) for i in range(fanout)]
+    parts = [share.result() for share in shares]
+    return [parts[i % fanout][i // fanout] for i in range(len(iris))]
 
 
 def _fetch(client: LdClient, iri: str) -> tuple[int, frozenset]:
@@ -347,8 +359,8 @@ class RuleAgent:
 
     def _epoch(self, stop: threading.Event, pool: ThreadPoolExecutor) -> bool:
         targets = sorted(self.dynamic) + [self._sim_graph()]
-        results = list(pool.map(lambda iri: (iri, *_fetch(self.client, iri)), targets))
-        for iri, status, triples in results:
+        for iri, status, triples in _fetch_all(pool, self.client, targets,
+                                               self.config.fanout):
             self.stats.reads += 1
             if status == 200:
                 self.kb.ingest(iri, triples)

@@ -243,6 +243,7 @@ class SimulationRuntime:
         self._fault_memo: list[tuple[frozenset[str] | None, tuple | None, frozenset]] = [
             (read_predicates(fc.query), None, frozenset()) for fc in self.fault_checks]
         self.ops: list[OperationRecord] = []
+        self._last_read: dict[tuple[str, str], OperationRecord] = {}
         self.coverage: tuple[float, float] = (0.0, 0.0)
         self.occlusion: dict[str, float] = {}
         self.occupants: tuple[Occupant, ...] = ()
@@ -483,12 +484,18 @@ class SimulationRuntime:
     # -- agent operations ----------------------------------------------------------
 
     def record_read(self, target: str, status: int, nbytes: int, agent: str) -> None:
-        # Interned, every read of one graph by one agent shares the strings.
-        record = OperationRecord(timeslot=self.iteration, method="GET",
-                                 target=sys.intern(target), classification="read",
-                                 status=status, payload_bytes=nbytes,
-                                 agent=sys.intern(agent))
+        """Log one read; one equal to the agent's last of the graph (same slot,
+        status and size) is that frozen record again. New ones are interned."""
+        slot = self.iteration
         with self._lock:
+            record = self._last_read.get((target, agent))
+            if record is None or (record.timeslot, record.status,
+                                  record.payload_bytes) != (slot, status, nbytes):
+                record = OperationRecord(timeslot=slot, method="GET",
+                                         target=sys.intern(target), classification="read",
+                                         status=status, payload_bytes=nbytes,
+                                         agent=sys.intern(agent))
+                self._last_read[record.target, record.agent] = record
             self.ops.append(record)
 
     def apply_agent_write(self, target: str, triples: frozenset, agent: str,

@@ -42,6 +42,11 @@ decoded (RFC 9112 6.1). An HTTP/1.1 connection stays open unless a
 Continue` before its body is read. Every final HTTP/1.x reply carries
 `Content-Length`.
 
+A reply's head is formatted as one string, with the bytes `http.server`'s
+`send_response`, `send_header` and `end_headers` would send, and written with
+its body in one write (HTTP/0.9 gets the body alone). Every refused GET or
+write lands in the operation log with its status, but for `sim`'s replies.
+
 Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
 the client address, the request line, the status and the `X-Agent` header.
 """
@@ -217,22 +222,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "text/plain") -> None:
-        self.send_response(status)
-        if body:
-            self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if status == 405:  # RFC 9110 15.5.6
-            self.send_header("Allow", ALLOW)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        if self.request_version == "HTTP/0.9":  # no head: end_headers() sends nothing
+        if log.isEnabledFor(logging.DEBUG):
+            self.log_request(status)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
             self.wfile.write(body)
             return
+        typed = f"Content-Type: {content_type}; charset=utf-8\r\n" if body else ""
+        allow = f"Allow: {ALLOW}\r\n" if status == 405 else ""  # RFC 9110 15.5.6
+        close = "Connection: close\r\n" if self.close_connection else ""
         # Head and body leave in one write. A body written on its own waits
         # under Nagle's algorithm for the client's delayed ACK of the head,
         # about 40 ms per reply (RFC 896; RFC 1122 4.2.3.2).
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+        self.wfile.write(f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                         f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}"
+                         f"\r\n{typed}Content-Length: {len(body)}\r\n{allow}{close}\r\n"
+                         .encode("latin-1") + body)
+
+    def _refuse(self, status: int, message: bytes) -> None:
+        """Record the request as a failed operation and reply `status`."""
+        self.runtime.record_failure(self.command, self._target(), status, self._agent())
+        self._reply(status, message)
 
     def _read_body(self) -> bytes | None:
         """The whole request body, read before any reply so that a refused
@@ -245,33 +254,33 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             self.close_connection = True
-            self._reply(400, b"malformed Content-Length\n")
+            self._refuse(400, b"malformed Content-Length\n")
             return None
         return self.rfile.read(length) if length else b""
 
     def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
         content_type = (self.headers.get("Content-Type") or TURTLE).split(";")[0].strip()
         if content_type not in PARSE_FORMATS:
-            self._reply(415, f"unsupported media type {content_type}\n".encode())
+            self._refuse(415, f"unsupported media type {content_type}\n".encode())
             return None
         try:
             parsed = parse_document(body.decode("utf-8"), PARSE_FORMATS[content_type],
                                     base=target, default_graph=target)
         except (ParseError, UnicodeDecodeError) as exc:
-            self._reply(400, f"unparsable payload: {exc}\n".encode())
+            self._refuse(400, f"unparsable payload: {exc}\n".encode())
             return None
         triples = set()
         for s, p, o, _g in parsed.quads():
             if isinstance(s, BlankNode):
-                self._reply(400, b"blank node subjects not allowed in payloads\n")
+                self._refuse(400, b"blank node subjects not allowed in payloads\n")
                 return None
             if defrag(s.value) != defrag(target):
-                self._reply(
+                self._refuse(
                     400, f"payload subject {s.value} outside target resource\n".encode())
                 return None
             triples.add((s, p, o))
         if not triples:
-            self._reply(400, b"payload without triples: a PUT replaces a graph\n")
+            self._refuse(400, b"payload without triples: a PUT replaces a graph\n")
             return None
         if any(isinstance(o, BlankNode) for _, _, o in triples):
             ds = skolemize(Dataset({target: frozenset(triples)}), self.base,
@@ -286,8 +295,7 @@ class _Handler(BaseHTTPRequestHandler):
         snapshot = self.runtime.dataset
         triples = snapshot.graph(target)
         if not triples:
-            self.runtime.record_failure("GET", target, 404, self._agent())
-            self._reply(404, b"no such resource\n")
+            self._refuse(404, b"no such resource\n")
             return
         content_type = NTRIPLES if NTRIPLES in self.headers.get("Accept", "") else TURTLE
         body = self._body(target, triples, content_type)
@@ -312,8 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._sim_put(body)
             return
         if target not in self.writable:
-            self.runtime.record_failure("PUT", target, 403, self._agent())
-            self._reply(403, b"resource not writable\n")
+            self._refuse(403, b"resource not writable\n")
             return
         triples = self._parse_payload(target, body)
         if triples is None:
@@ -324,11 +331,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _refuse_write(self) -> None:
         """POST and DELETE: read the body, so that it is not parsed as the
         next request, then refuse with 405."""
-        target = self._target()
         if self._read_body() is None:
             return
-        self.runtime.record_failure(self.command, target, 405, self._agent())
-        self._reply(405, f"{self.command} not allowed: a PUT replaces a graph\n".encode())
+        self._refuse(405, f"{self.command} not allowed: a PUT replaces a graph\n".encode())
 
     do_POST = do_DELETE = _refuse_write
 

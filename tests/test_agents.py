@@ -1,6 +1,7 @@
 """Rule files, forward-chaining reasoning and rule matching of the agents."""
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -12,10 +13,12 @@ from ldsim import agents
 from ldsim.agents import HAS_PART, INFERRED_GRAPH, IS_PART_OF, KnowledgeBase, parse_rules, \
     reason
 from ldsim.building import GeneratorParams, build_dataset
-from ldsim.engine import RunParams, SimulationRuntime
+from ldsim.engine import RunParams, SimEnvironment, SimulationRuntime
+from ldsim.httpclient import LdClient
 from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS
 from ldsim.rdf import IRI, Dataset, Literal, Quad
 from ldsim.rdfio import ParseError
+from ldsim.server import LinkedDataServer, default_policy
 from ldsim.sparql import Group, TriplePattern, Var
 from ldsim.tasks import TASK_IDS, build_environment, load_task
 
@@ -224,3 +227,82 @@ class TestRuleMatching:
                             parse_rules(load_task(tid, base).rules_text, base=base))
                    for tid in ("TC4", "TC5", "TC6", "TC7")}
         assert all(matched.values()), matched
+
+
+SMALL_BUILDING = GeneratorParams(
+    rooms=4, floors=1, wings=1, lighting_systems=3,
+    systems_with_occupancy=2, systems_with_command=2,
+    systems_with_luminance=1, rooms_with_occupancy=2,
+    rooms_with_command=2, rooms_with_luminance=1,
+    command_points=2, luminance_points=1, hygiene_lights=0, seed=3)
+
+
+class FakeClient:
+    """Answers every GET with a one-triple graph naming the IRI; `broken`
+    IRIs raise `OSError`."""
+
+    def __init__(self, broken=()):
+        self.broken = set(broken)
+
+    def get_graph(self, iri):
+        if iri in self.broken:
+            raise OSError("connection refused")
+        return 200, frozenset({(IRI(iri), IRI(RDF_VALUE), Literal(iri))})
+
+
+class CountingPool:
+    """A thread pool that counts the tasks submitted to it."""
+
+    def __init__(self, workers):
+        self.pool = ThreadPoolExecutor(max_workers=workers)
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return self.pool.submit(fn, *args)
+
+
+def graph_of(iri):
+    return frozenset({(IRI(iri), IRI(RDF_VALUE), Literal(iri))})
+
+
+class TestFetchAll:
+    @pytest.mark.parametrize("count, fanout", [(7, 3), (0, 3), (2, 5), (5, 1)])
+    def test_results_in_input_order_with_one_task_per_thread(self, count, fanout):
+        iris = [f"{EX}g{i}" for i in range(count)]
+        pool = CountingPool(fanout)
+        try:
+            results = agents._fetch_all(pool, FakeClient(), iris, fanout)
+        finally:
+            pool.pool.shutdown()
+        assert results == [(iri, 200, graph_of(iri)) for iri in iris]
+        assert pool.submitted == fanout
+
+    def test_failed_get_yields_status_zero_in_its_place(self):
+        iris = [f"{EX}g{i}" for i in range(5)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = agents._fetch_all(pool, FakeClient(broken={iris[3]}), iris, 2)
+        assert [iri for iri, _, _ in results] == iris
+        assert results[3] == (iris[3], 0, frozenset())
+        assert all(status == 200 for i, (_, status, _) in enumerate(results) if i != 3)
+
+    @pytest.mark.usefixtures("close_clients")
+    def test_traversal_does_not_depend_on_fanout(self):
+        server = LinkedDataServer()
+        pd = build_dataset(params=SMALL_BUILDING, base=server.base)
+        env = SimEnvironment(dataset=pd.dataset, init_entries=[], update_entries=[],
+                             seed=7, base=server.base, dynamic=pd.dynamic)
+        server.attach(SimulationRuntime(env), default_policy(pd.dynamic))
+        server.start()
+        try:
+            walks = []
+            for fanout in (1, 4):
+                client = LdClient(server.base)
+                kb, reads, dynamic = agents.traverse(client, server.base + "building",
+                                                     fanout=fanout)
+                client.close_all()
+                walks.append((kb.dataset, reads, dynamic))
+        finally:
+            server.stop()
+        assert walks[0][1] > 1 and walks[0][2]
+        assert walks[0] == walks[1]

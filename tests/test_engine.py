@@ -1,3 +1,6 @@
+import sys
+import threading
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -18,10 +21,11 @@ from ldsim.engine import (
     outside_illuminance,
     room_illuminance,
 )
-from ldsim.metrics import FaultQuery
+from ldsim.metrics import FaultQuery, operation_counts, read_write_ratio
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_DECIMAL, XSD_INTEGER
 from ldsim.rdf import IRI, Literal
 from ldsim.sparql import parse_query, parse_update
+from ldsim.trace import read_ops_tsv, write_ops_tsv
 from rdf_helpers import symmetric_difference
 
 BASE = DEFAULT_BASE
@@ -331,6 +335,85 @@ class TestRuntime:
         slot5 = [op for op in ops if op.timeslot == 5]
         assert len(slot5) == 4
         assert sum(1 for op in slot5 if op.is_read) == 3
+
+    def test_equal_reads_in_one_slot_share_a_record(self, small_build):
+        runtime = SimulationRuntime(make_env(small_build))
+        runtime.initialize(run_params())
+        graph = next(iter(small_build.dynamic.values())).graph
+        runtime.record_read(graph, 200, 100, "a1")
+        runtime.record_read(graph, 200, 100, "a1")
+        first, second = runtime.snapshot_log()[1]
+        assert first is second
+
+    @pytest.mark.parametrize("change", ["status", "bytes", "agent", "slot"])
+    def test_a_different_read_gets_a_new_record(self, small_build, change):
+        runtime = SimulationRuntime(make_env(small_build))
+        runtime.initialize(run_params())
+        graph = next(iter(small_build.dynamic.values())).graph
+        read = {"target": graph, "status": 200, "nbytes": 100, "agent": "a1"}
+        runtime.record_read(**read)
+        if change == "slot":
+            runtime.tick()
+        else:
+            read.update({"status": {"status": 404}, "bytes": {"nbytes": 99},
+                         "agent": {"agent": "a2"}}[change])
+        runtime.record_read(**read)
+        runtime.record_read(**read)
+        first, second, third = runtime.snapshot_log()[1]
+        assert first is not second and first != second
+        assert second is third
+
+    def test_concurrent_reads_of_shared_keys_are_each_logged_as_made(self, small_build):
+        runtime = SimulationRuntime(make_env(small_build))
+        runtime.initialize(run_params())
+        graphs = sorted(r.graph for r in small_build.dynamic.values())[:2]
+        made = [[(graphs[i % 2], n * 10_000 + i // 4) for i in range(2_000)]
+                for n in range(4)]
+
+        def reader(reads):
+            for graph, nbytes in reads:
+                runtime.record_read(graph, 200, nbytes, "a1")
+
+        threads = [threading.Thread(target=reader, args=(reads,)) for reads in made]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ops = runtime.snapshot_log()[1]
+        for n, reads in enumerate(made):
+            assert [(op.target, op.payload_bytes) for op in ops
+                    if op.payload_bytes // 10_000 == n] == reads
+
+    def test_shared_records_count_and_persist_as_distinct_ones(self, small_build,
+                                                               tmp_path):
+        runtime = SimulationRuntime(make_env(small_build))
+        runtime.initialize(run_params())
+        command = next(r for r in small_build.dynamic.values()
+                       if r.category == "command")
+        on = frozenset({(IRI(command.node), IRI(RDF_VALUE), Literal("on"))})
+        for slot in range(3):
+            for agent in ("a1", "a1", "a2"):
+                runtime.record_read(command.graph, 200, 100, agent)
+            runtime.apply_agent_write(command.graph, on, "a1", 204)
+            runtime.tick()
+        ops = runtime.snapshot_log()[1]
+        assert len({id(op) for op in ops}) < len(ops)
+        distinct = [replace(op) for op in ops]
+        assert all(a == b and a is not b for a, b in zip(ops, distinct))
+        for agent in (None, "a1", "a2"):
+            assert operation_counts(ops, agent) == operation_counts(distinct, agent)
+        assert read_write_ratio(ops) == read_write_ratio(distinct) == 3.0
+        write_ops_tsv(ops, tmp_path / "shared.tsv")
+        write_ops_tsv(distinct, tmp_path / "distinct.tsv")
+        assert (tmp_path / "shared.tsv").read_text() == \
+            (tmp_path / "distinct.tsv").read_text()
+        assert read_ops_tsv(tmp_path / "shared.tsv") == distinct
 
     def test_fault_trace_recorded_per_slot(self, small_build):
         query = parse_query(

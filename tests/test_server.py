@@ -269,7 +269,22 @@ class TestPut:
         status, body = client.put_raw(client.path_of(res.graph), payload)
         assert status == 400 and b"without triples" in body
         assert runtime.dataset is before
-        assert runtime.snapshot_log()[1] == []
+        [record] = runtime.snapshot_log()[1]
+        assert (record.method, record.target, record.status, record.classification,
+                record.agent) == ("PUT", res.graph, 400, "replace", "tester")
+
+    def test_unsupported_media_type_refused_and_recorded(self, served):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        client = LdClient(server.base, agent="tester")
+        status, _ = client._request("PUT", client.path_of(res.graph), body=b"{}",
+                                    headers={"Content-Type": "application/json"})
+        assert status == 415
+        assert runtime.dataset is before
+        [record] = runtime.snapshot_log()[1]
+        assert (record.method, record.status, record.classification) == \
+            ("PUT", 415, "replace")
 
 
 class TestWriteContract:
@@ -303,7 +318,9 @@ class TestWriteContract:
             assert faults() == targets
             assert {client.get_graph(g)[0] for g in targets} == {200}
             _, ops = runtime.snapshot_log()
-            assert all(op.is_read for op in ops)
+            writes = [op for op in ops if not op.is_read]
+            assert sorted(op.target for op in writes) == targets
+            assert {(op.status, op.ok) for op in writes} == {(400, False)}
         finally:
             server.stop()
 
@@ -542,6 +559,48 @@ class TestReplyWrites:
                    if line.lower().startswith(b"content-length:")]
         assert lengths == [len(body)]
         assert bool(body) == (status != 204)
+
+    @pytest.mark.parametrize("version, status, body, content_type", [
+        ("HTTP/1.1", 200, b"<a> <b> <c> .\n", "text/turtle"),
+        ("HTTP/1.1", 200, b"<http://x/a> <http://x/b> \"c\" .\n",
+         "application/n-triples"),
+        ("HTTP/1.1", 204, b"", "text/plain"),
+        ("HTTP/1.1", 400, b"unparsable payload\n", "text/plain"),
+        ("HTTP/1.1", 403, b"resource not writable\n", "text/plain"),
+        ("HTTP/1.1", 404, b"no such resource\n", "text/plain"),
+        ("HTTP/1.1", 405, b"POST not allowed\n", "text/plain"),
+        ("HTTP/1.1", 409, b"run already in progress\n", "text/plain"),
+        ("HTTP/1.1", 415, b"unsupported media type x\n", "text/plain"),
+        ("HTTP/1.0", 200, b"<a> <b> <c> .\n", "text/turtle"),
+        ("HTTP/0.9", 200, b"<a> <b> <c> .\n", "text/turtle"),
+    ])
+    def test_reply_bytes_equal_the_stdlib_sequence(self, monkeypatch, version, status,
+                                                   body, content_type):
+        monkeypatch.setattr(_Handler, "date_time_string",
+                            lambda self, timestamp=None: "Sun, 18 Oct 2026 19:00:00 GMT")
+        handler = _Handler.__new__(_Handler)
+        handler.request_version = version
+        handler.close_connection = version != "HTTP/1.1"
+        handler.requestline, handler.command = "GET / " + version, "GET"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.wfile = io.BytesIO()
+        handler._reply(status, body, content_type)
+        sent = handler.wfile.getvalue()
+        # The head http.server's own calls build for the same reply.
+        handler.wfile = io.BytesIO()
+        handler.send_response(status)
+        if body:
+            handler.send_header("Content-Type", f"{content_type}; charset=utf-8")
+        handler.send_header("Content-Length", str(len(body)))
+        if status == 405:
+            handler.send_header("Allow", "GET, PUT")
+        if handler.close_connection:
+            handler.send_header("Connection", "close")
+        handler.end_headers()
+        handler.wfile.write(body)
+        assert sent == handler.wfile.getvalue()
+        assert sent.startswith(b"HTTP/1.1 ") == (version != "HTTP/0.9")
+        assert (b"\r\nConnection: close\r\n" in sent) == (version == "HTTP/1.0")
 
     def test_http09_gets_bare_body(self, served):
         server, _, dynamic = served
