@@ -45,7 +45,7 @@ Continue` before its body is read. Every final HTTP/1.x reply carries
 A reply's head is formatted as one string, with the bytes `http.server`'s
 `send_response`, `send_header` and `end_headers` would send, and written with
 its body in one write (HTTP/0.9 gets the body alone). Every refused GET or
-write lands in the operation log with its status, but for `sim`'s replies.
+write is logged with its status, except the 400 and 409 replies of `sim`.
 
 Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
 the client address, the request line, the status and the `X-Agent` header.

@@ -247,7 +247,7 @@ class FakeClient:
     def get_graph(self, iri):
         if iri in self.broken:
             raise OSError("connection refused")
-        return 200, frozenset({(IRI(iri), IRI(RDF_VALUE), Literal(iri))})
+        return 200, graph_of(iri)
 
 
 class CountingPool:
