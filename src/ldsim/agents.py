@@ -234,9 +234,11 @@ def _transitive(pairs: set) -> set:
 # -- traversal ---------------------------------------------------------------------
 
 
-def traverse(client: LdClient, seed_iri: str, follow_predicates=DEFAULT_FOLLOW,
-             kb: KnowledgeBase | None = None, fanout: int = 8) -> tuple[KnowledgeBase, int, set[str]]:
-    """BFS over dereferenceable IRIs in object position of the follow set.
+def traverse(client: LdClient, pool: ThreadPoolExecutor, fanout: int, seed_iri: str,
+             follow_predicates=DEFAULT_FOLLOW,
+             kb: KnowledgeBase | None = None) -> tuple[KnowledgeBase, int, set[str]]:
+    """BFS over dereferenceable IRIs in object position of the follow set,
+    fetched in `pool`, whose `fanout` threads each take a share of a level.
 
     Returns the knowledge base, the number of GET requests issued, and the
     set of graphs holding live values (polled again on later epochs).
@@ -248,25 +250,24 @@ def traverse(client: LdClient, seed_iri: str, follow_predicates=DEFAULT_FOLLOW,
     frontier = [defrag(seed_iri)]
     reads = 0
     dynamic: set[str] = set()
-    with ThreadPoolExecutor(max_workers=fanout) as pool:
-        while frontier:
-            next_frontier: list[str] = []
-            for iri, status, triples in _fetch_all(pool, client, frontier, fanout):
-                reads += 1
-                if status != 200:
-                    log.info("traversal: skipping %s (%s)", iri, status)
-                    continue
-                kb.ingest(iri, triples)
-                if any(p.value == RDF_VALUE for _, p, _ in triples):
-                    dynamic.add(iri)
-                for _s, p, o in triples:
-                    if p.value in follow and isinstance(o, IRI) \
-                            and o.value.startswith(base):
-                        candidate = defrag(o.value)
-                        if candidate not in seen:
-                            seen.add(candidate)
-                            next_frontier.append(candidate)
-            frontier = next_frontier
+    while frontier:
+        next_frontier: list[str] = []
+        for iri, status, triples in _fetch_all(pool, client, frontier, fanout):
+            reads += 1
+            if status != 200:
+                log.info("traversal: skipping %s (%s)", iri, status)
+                continue
+            kb.ingest(iri, triples)
+            if any(p.value == RDF_VALUE for _, p, _ in triples):
+                dynamic.add(iri)
+            for _s, p, o in triples:
+                if p.value in follow and isinstance(o, IRI) \
+                        and o.value.startswith(base):
+                    candidate = defrag(o.value)
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        next_frontier.append(candidate)
+        frontier = next_frontier
     return kb, reads, dynamic
 
 
@@ -340,14 +341,15 @@ class RuleAgent:
 
     def run(self, stop: threading.Event) -> AgentStats:
         try:
-            if self.config.mode == "traversal":
-                self.kb, reads, self.dynamic = traverse(
-                    self.client, self.config.seed_iri or self.client.base + "building",
-                    self.config.follow_predicates, self.kb, self.config.fanout)
-                self.stats.reads += reads
             # One pool for the whole run: connections are per thread, so fresh
-            # threads each epoch would each open a connection of their own.
+            # threads for the traversal or each epoch would each open their own.
             with ThreadPoolExecutor(max_workers=self.config.fanout) as pool:
+                if self.config.mode == "traversal":
+                    self.kb, reads, self.dynamic = traverse(
+                        self.client, pool, self.config.fanout,
+                        self.config.seed_iri or self.client.base + "building",
+                        self.config.follow_predicates, self.kb)
+                    self.stats.reads += reads
                 while not stop.is_set():
                     if not self._epoch(stop, pool):
                         break

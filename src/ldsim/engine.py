@@ -28,6 +28,7 @@ from .building import (
 )
 from .metrics import FaultQuery, match_faults
 from .ns import (
+    DEFAULT_BASE,
     DEFAULT_GRAPH,
     OWL_TIME,
     RDF_VALUE,
@@ -51,13 +52,16 @@ _RDF_VALUE = IRI(RDF_VALUE)
 
 
 class KeyedRandom:
-    """Counter-based random source: a pure function of seed and key parts."""
+    """Counter-based random source: a pure function of seed and key parts,
+    with `base` read as `DEFAULT_BASE`, so no draw depends on the address."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, base: str = DEFAULT_BASE):
         self.seed = seed
+        self.base = base
 
     def unit(self, *key) -> float:
         material = "\x1f".join(str(part) for part in (self.seed, *key))
+        material = material.replace(self.base, DEFAULT_BASE)
         digest = hashlib.sha256(material.encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
@@ -112,7 +116,7 @@ GONE = "gone"
 
 @dataclass(frozen=True)
 class OccupancyConfig:
-    """Thresholds are per simulated minute; the step scales them per slot."""
+    """Rates are per simulated minute; the step compounds them per slot."""
 
     arrive_from_hour: float = 8.0
     arrive_rate: float = 1 / 60
@@ -125,6 +129,11 @@ class OccupancyConfig:
     leave_from_hour: float = 16.0
     leave_rate: float = 1 / 30
     closing_hour: float = 21.0
+
+
+OCCUPANCY = OccupancyConfig()
+SETPOINT_RATE = 0.01  # per slot, the chance that a setpoint is redrawn
+SETPOINT_RANGE = (200, 800)
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,8 @@ def occupancy_step(occupants: tuple[Occupant, ...], iteration: int, hour: float,
     """
 
     def scaled(rate: float) -> float:
-        return min(1.0, rate * step_minutes)
+        # At least one per-minute event in the slot (Page et al., 2008).
+        return 1.0 - (1.0 - rate) ** step_minutes
 
     out = []
     for occ in occupants:
@@ -204,9 +214,6 @@ class SimEnvironment:
     seed: int
     base: str
     dynamic: dict[str, DynamicResource] = field(default_factory=dict)
-    occupancy_cfg: OccupancyConfig = field(default_factory=OccupancyConfig)
-    setpoint_rate: float = 0.01
-    setpoint_range: tuple[int, int] = (200, 800)
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,7 @@ class SimulationRuntime:
     def __init__(self, env: SimEnvironment, fault_checks: tuple = ()):
         self.env = env
         self.fault_checks = tuple(fault_checks)
-        self.rng = KeyedRandom(env.seed)
+        self.rng = KeyedRandom(env.seed, env.base)
         self.dataset = env.dataset
         self.params: RunParams | None = None
         self.iteration = 0
@@ -431,7 +438,7 @@ class SimulationRuntime:
     def _occupancy(self, ds: Dataset, iteration: int, sim_time: datetime) -> Dataset:
         self.occupants = occupancy_step(
             self.occupants, iteration, hours_of_day(sim_time), self.step_minutes,
-            self.rng, self.env.occupancy_cfg)
+            self.rng, OCCUPANCY)
         present = occupied_rooms(self.occupants)
         values = ds.pred_nav(RDF_VALUE)[0]
         staged: dict = {}
@@ -441,11 +448,11 @@ class SimulationRuntime:
         return ds.replace_graphs(staged) if staged else ds
 
     def _setpoints(self, ds: Dataset, iteration: int) -> Dataset:
-        low, high = self.env.setpoint_range
+        low, high = SETPOINT_RANGE
         values = ds.pred_nav(RDF_VALUE)[0]
         staged: dict = {}
         for res in self._by_category.get(CAT_SETPOINT, ()):
-            if self.rng.unit(iteration, "setpoints", res.node) < self.env.setpoint_rate:
+            if self.rng.unit(iteration, "setpoints", res.node) < SETPOINT_RATE:
                 draw = self.rng.unit(iteration, "setpoints-value", res.node)
                 value = Literal(str(low + int(draw * (high - low + 1))), XSD_INTEGER)
                 self._set_value(ds, values, staged, res, value)

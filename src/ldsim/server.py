@@ -21,31 +21,33 @@ DELETE get 405 with `Allow: GET, PUT`, after their body is read so that the
 connection stays usable. Only the request path is looked up, under the base
 IRI, so the internal default graph is never served.
 
-Requests (RFC 9112 message syntax) are parsed byte by byte in the handler,
-without `http.client.parse_headers`. The request line is read up to 65,536
-bytes (414 beyond). It is `METHOD TARGET VERSION`, or `GET TARGET` for
+The handler is a `socketserver` stream handler with its own keep-alive
+loop: read a request, dispatch it to `do_<METHOD>` (any other method gets
+501), repeat until the connection closes; a timeout ends it. Requests (RFC
+9112 message syntax) are parsed byte by byte. The request line is read up to
+65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`, or `GET TARGET` for
 HTTP/0.9, which has no header block and closes the connection. Another shape
-gets 400; a malformed version gets 400 and HTTP/2 or later 505, each with an
-HTTP/1.1 status line and `Connection: close`. A target starting with `//`
-is read as starting with one `/`. Header lines follow up to the blank line:
-at most 100, each at most 65,536 bytes (431 beyond either). Header names are
-looked up without regard to case, the first field of a name wins, and a
-value has its leading and trailing blanks stripped. A folded (obs-fold)
-line, a line without a colon or whose name is not printable ASCII up to the
-colon, and a second `Content-Length` get 400 with `Connection: close`: the
-end of the header block or of the body cannot be trusted after them (RFC
-9112 5.1, 5.2 and 6.3). A request with a `Transfer-Encoding` gets 501 with
-`Connection: close` before its body is read, as no transfer coding is
-decoded (RFC 9112 6.1). An HTTP/1.1 connection stays open unless a
-`Connection` token says `close`; an HTTP/1.0 one closes unless it says
-`keep-alive`. An HTTP/1.1 request with `Expect: 100-continue` gets `100
-Continue` before its body is read. Every final HTTP/1.x reply carries
-`Content-Length`.
+gets 400; a malformed version gets 400 and HTTP/2 or later 505. A target
+starting with `//` is read as starting with one `/`. Header lines follow up
+to the blank line: at most 100, each at most 65,536 bytes (431 beyond
+either). Header names are looked up lower-cased, the first field of a name
+wins, and a value has its leading and trailing blanks stripped. A folded
+(obs-fold) line, a line without a colon or whose name is not printable ASCII
+up to the colon, and a second `Content-Length` get 400: the end of the
+header block or of the body cannot be trusted after them (RFC 9112 5.1, 5.2
+and 6.3). A `Transfer-Encoding` gets 501 before the body is read, as no
+transfer coding is decoded (RFC 9112 6.1). Each such refusal has a
+`text/plain` body and `Connection: close`. An HTTP/1.1 connection stays open
+unless a `Connection` token says `close`; an HTTP/1.0 one closes unless it
+says `keep-alive`. An HTTP/1.1 request with `Expect: 100-continue` gets `100
+Continue` before its body is read.
 
-A reply's head is formatted as one string, with the bytes `http.server`'s
-`send_response`, `send_header` and `end_headers` would send, and written with
-its body in one write (HTTP/0.9 gets the body alone). Every refused GET or
-write is logged with its status, except the 400 and 409 replies of `sim`.
+Every final reply, refusals included, goes through `_reply`: an HTTP/1.1
+head with `Server`, `Date` and `Content-Length`, formatted as one string and
+written with the body in one write. HTTP/0.9 gets the body alone, and `HEAD`
+the head alone. Only the interim `100 Continue` is written elsewhere. Every
+refused GET or write is logged with its status, except the 400 and 409
+replies of `sim`.
 
 Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
 the client address, the request line, the status and the `X-Agent` header.
@@ -56,13 +58,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+import socketserver
+import sys
 import threading
 import time
 from datetime import datetime
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .engine import RunParams, SimulationRuntime
 from .ns import SIM_PATH, SIM_VOCAB, defrag
@@ -81,14 +84,8 @@ ALLOW = "GET, PUT"
 # A header name: printable ASCII but the colon, with no blank before the colon.
 _FIELD_NAME = re.compile(rb"[!-9;-~]+")
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
-
-
-class _Headers(dict):
-    """Request header values by lower-cased name; the first field of a name
-    wins, as with `email.message.Message.get`."""
-
-    def get(self, name: str, default=None):
-        return dict.get(self, name.lower(), default)
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = f"ldsim/0.1 Python/{sys.version.split()[0]}"
 
 
 @lru_cache(maxsize=2)
@@ -96,10 +93,7 @@ def _http_date(second: int) -> str:
     return formatdate(second, usegmt=True)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "ldsim/0.1"
-
+class _Handler(socketserver.StreamRequestHandler):
     # Set per server instance via the class factory below.
     runtime: SimulationRuntime = None  # type: ignore[assignment]
     writable: frozenset[str] = frozenset()
@@ -108,29 +102,32 @@ class _Handler(BaseHTTPRequestHandler):
     # its own; a handler class built without it shares this one, which is as
     # exact, since an entry is used only while its own frozenset is served.
     bodies: dict[tuple[str, str], tuple[frozenset, bytes]] = {}
-    # Replaced per request by parse_request; empty until the first one.
-    headers = _Headers()
 
-    def log_message(self, format: str, *args) -> None:
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("%s %s agent=%s", self.client_address[0], format % args,
-                      self._agent())
-
-    def date_time_string(self, timestamp: float | None = None) -> str:
-        return _http_date(int(time.time() if timestamp is None else timestamp))
+    def handle(self) -> None:
+        """Serve requests in order until one closes the connection."""
+        self.close_connection = False
+        while not self.close_connection:
+            try:
+                line = self.rfile.readline(MAX_LINE + 1)
+                if not line:
+                    return
+                if self._read_request(line):
+                    getattr(self, "do_" + self.command, self._not_implemented)()
+            except TimeoutError:  # a read or a write timed out
+                return
 
     # -- request parsing (the contract is in the module docstring) -------------
 
-    def parse_request(self) -> bool:
+    def _read_request(self, line: bytes) -> bool:
         """Fill `command`, `path`, `request_version`, `close_connection` and
-        `headers` from `raw_requestline` and the header block. False once an
-        error reply has been sent, or for an empty request line."""
-        self.command = None
-        # An error reply before the version is read still gets a status line.
-        self.request_version = "HTTP/1.1"
+        `headers`; False after a refusal or for a blank request line."""
+        self.command = self.request_version = None
         self.close_connection = True
-        self.headers = _Headers()
-        self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.headers = {}
+        if len(line) > MAX_LINE:
+            self.requestline = ""
+            return self._refuse_request(414, "request line too long\n")
+        self.requestline = line = str(line, "iso-8859-1").rstrip("\r\n")
         words = line.split()
         if not words:
             return False
@@ -139,24 +136,17 @@ class _Handler(BaseHTTPRequestHandler):
             if words[-1] != "HTTP/1.1":
                 match = _VERSION.fullmatch(words[-1])
                 if match is None:
-                    self.send_error(HTTPStatus.BAD_REQUEST,
-                                    f"Bad request version ({words[-1]!r})")
-                    return False
+                    return self._refuse_request(400, f"bad request version {words[-1]!r}\n")
                 version = int(match[1]), int(match[2])
                 if version >= (2, 0):
-                    self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                                    f"Invalid HTTP version ({words[-1][5:]})")
-                    return False
+                    return self._refuse_request(505, f"{words[-1]} not supported\n")
             self.close_connection = version < (1, 1)
             self.request_version = words[-1]
         if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({line!r})")
-            return False
+            return self._refuse_request(400, f"bad request syntax {line!r}\n")
         command, path = words[0], words[1]
         if len(words) == 2 and command != "GET":
-            self.send_error(HTTPStatus.BAD_REQUEST,
-                            f"Bad HTTP/0.9 request type ({command!r})")
-            return False
+            return self._refuse_request(400, f"bad HTTP/0.9 request type {command!r}\n")
         if path.startswith("//"):  # not a scheme-relative URL (gh-87389)
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
@@ -167,18 +157,14 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         if "transfer-encoding" in self.headers:
             # No transfer coding is decoded, so the body's end is unknown.
-            self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding not supported")
-            return False
-        connection = self.headers.get("Connection")
-        if connection:
-            tokens = {token.strip() for token in connection.lower().split(",")}
-            if "close" in tokens:
-                self.close_connection = True
-            elif "keep-alive" in tokens:
-                self.close_connection = False
-        if version >= (1, 1) and \
-                self.headers.get("Expect", "").lower() == "100-continue":
-            return self.handle_expect_100()
+            return self._refuse_request(501, "Transfer-Encoding not supported\n")
+        tokens = {token.strip() for token in self.headers.get("connection", "").lower().split(",")}
+        if "close" in tokens:
+            self.close_connection = True
+        elif "keep-alive" in tokens:
+            self.close_connection = False
+        if version >= (1, 1) and self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
     def _read_headers(self) -> bool:
@@ -188,29 +174,29 @@ class _Handler(BaseHTTPRequestHandler):
         for _ in range(MAX_HEADERS + 1):
             line = readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                                "Line too long", "header line")
-                return False
+                return self._refuse_request(431, "header line too long\n")
             if line in (b"\r\n", b"\n", b""):
                 return True
             if line[0] in b" \t":
-                return self._bad_header(f"folded header line {line!r}")
+                return self._refuse_request(400, f"folded header line {line!r}\n")
             name, colon, value = line.partition(b":")
             if not colon or _FIELD_NAME.fullmatch(name) is None:
-                return self._bad_header(f"malformed header line {line!r}")
+                return self._refuse_request(400, f"malformed header line {line!r}\n")
             name = name.decode("ascii").lower()
             if name not in headers:
                 headers[name] = value.strip(b" \t\r\n").decode("iso-8859-1")
             elif name == "content-length":
-                return self._bad_header("more than one Content-Length")
-        self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                        "Too many headers", f"got more than {MAX_HEADERS} headers")
+                return self._refuse_request(400, "more than one Content-Length\n")
+        return self._refuse_request(431, f"more than {MAX_HEADERS} headers\n")
+
+    def _refuse_request(self, status: int, message: str) -> bool:
+        """Reply `status` to a request that cannot be read on, and close."""
+        self.close_connection = True
+        self._reply(status, message.encode())
         return False
 
-    def _bad_header(self, explain: str) -> bool:
-        # send_error's `Connection: close` also sets close_connection.
-        self.send_error(HTTPStatus.BAD_REQUEST, "Bad request header", explain)
-        return False
+    def _not_implemented(self) -> None:
+        self._refuse_request(501, f"{self.command} not implemented\n")
 
     # -- helpers ------------------------------------------------------------
 
@@ -218,12 +204,13 @@ class _Handler(BaseHTTPRequestHandler):
         return self.base + self.path.lstrip("/")
 
     def _agent(self) -> str:
-        return self.headers.get("X-Agent", "")
+        return self.headers.get("x-agent", "")
 
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "text/plain") -> None:
         if log.isEnabledFor(logging.DEBUG):
-            self.log_request(status)
+            log.debug('%s "%s" %s - agent=%s', self.client_address[0], self.requestline,
+                      status, self._agent())
         if self.request_version == "HTTP/0.9":  # no status line, no headers
             self.wfile.write(body)
             return
@@ -233,10 +220,10 @@ class _Handler(BaseHTTPRequestHandler):
         # Head and body leave in one write. A body written on its own waits
         # under Nagle's algorithm for the client's delayed ACK of the head,
         # about 40 ms per reply (RFC 896; RFC 1122 4.2.3.2).
-        self.wfile.write(f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-                         f"Server: {self.version_string()}\r\nDate: {self.date_time_string()}"
-                         f"\r\n{typed}Content-Length: {len(body)}\r\n{allow}{close}\r\n"
-                         .encode("latin-1") + body)
+        head = (f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
+                f"Date: {_http_date(int(time.time()))}\r\n{typed}"
+                f"Content-Length: {len(body)}\r\n{allow}{close}\r\n").encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _refuse(self, status: int, message: bytes) -> None:
         """Record the request as a failed operation and reply `status`."""
@@ -249,7 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
         request. None after a 400 for a malformed Content-Length: the end of
         that body cannot be found, so the connection closes."""
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(self.headers.get("content-length", 0))
         except ValueError:
             length = -1
         if length < 0:
@@ -259,7 +246,7 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length) if length else b""
 
     def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
-        content_type = (self.headers.get("Content-Type") or TURTLE).split(";")[0].strip()
+        content_type = (self.headers.get("content-type") or TURTLE).split(";")[0].strip()
         if content_type not in PARSE_FORMATS:
             self._refuse(415, f"unsupported media type {content_type}\n".encode())
             return None
@@ -297,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not triples:
             self._refuse(404, b"no such resource\n")
             return
-        content_type = NTRIPLES if NTRIPLES in self.headers.get("Accept", "") else TURTLE
+        content_type = NTRIPLES if NTRIPLES in self.headers.get("accept", "") else TURTLE
         body = self._body(target, triples, content_type)
         self.runtime.record_read(target, 200, len(body), self._agent())
         self._reply(200, body, content_type)
@@ -344,7 +331,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(409, b"run already in progress\n")
             return
         target = self.base + SIM_PATH
-        content_type = (self.headers.get("Content-Type") or TURTLE).split(";")[0].strip()
+        content_type = (self.headers.get("content-type") or TURTLE).split(";")[0].strip()
         try:
             parsed = parse_document(body.decode("utf-8"),
                                     PARSE_FORMATS.get(content_type, "turtle"),
@@ -390,14 +377,18 @@ def _whole_number(value: object) -> int:
     return int(value)
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
 class LinkedDataServer:
     """Socket lifecycle wrapper; bind first so the base IRI is known before
     the dataset is rebased onto it."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundHandler", (_Handler,), {})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), handler)
         self._handler = handler
         self._thread: threading.Thread | None = None
         host_out, port_out = self._httpd.server_address[:2]

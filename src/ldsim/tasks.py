@@ -113,8 +113,7 @@ def load_task(task_id: str, base: str, root: Path | None = None) -> TaskSpec:
     )
 
 
-def build_environment(task: TaskSpec, pd: PartitionedDataset, seed: int,
-                      **env_kwargs) -> SimEnvironment:
+def build_environment(task: TaskSpec, pd: PartitionedDataset, seed: int) -> SimEnvironment:
     return SimEnvironment(
         dataset=pd.dataset,
         init_entries=task.init_entries,
@@ -122,7 +121,6 @@ def build_environment(task: TaskSpec, pd: PartitionedDataset, seed: int,
         seed=seed,
         base=pd.base,
         dynamic=pd.dynamic,
-        **env_kwargs,
     )
 
 

@@ -298,8 +298,9 @@ class TestFetchAll:
             walks = []
             for fanout in (1, 4):
                 client = LdClient(server.base)
-                kb, reads, dynamic = agents.traverse(client, server.base + "building",
-                                                     fanout=fanout)
+                with ThreadPoolExecutor(max_workers=fanout) as pool:
+                    kb, reads, dynamic = agents.traverse(client, pool, fanout,
+                                                         server.base + "building")
                 client.close_all()
                 walks.append((kb.dataset, reads, dynamic))
         finally:

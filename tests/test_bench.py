@@ -85,6 +85,14 @@ def test_rebase_partitioned_round_trip(tmp_path):
     assert rebase_partitioned(original, DEFAULT_BASE) is original
 
 
+def test_one_seed_gives_one_dry_run_on_any_port():
+    # Each run binds its own ephemeral port, so its IRIs differ from run to run.
+    runs = [run_benchmark("TC5", agent="noop", seed=42, iterations=SLOTS,
+                          timeslot_ms=SLOT_MS) for _ in range(2)]
+    counts = [result.dry.counts() for result in runs]
+    assert counts[0] == counts[1] and sum(counts[0]) > 0
+
+
 def test_oracle_plans_from_the_initialised_snapshot():
     # TC1's night fixes depend on the lights its init randomises, so an
     # oracle that planned before slot 0 was published would miss them.
@@ -126,11 +134,8 @@ def test_prefetch_run_reuses_unchanged_bodies_and_parses(monkeypatch):
     assert 0 < counts["parsed"] * 2 < gets
 
 
-def test_prefetch_run_keeps_its_connections_across_epochs(monkeypatch):
-    # Connections are per thread, so the fetch pool lives for the whole run:
-    # the server accepts the pool's, the agent's own (for writes) and the
-    # control client's connections, however many epochs the agent runs.
-    fanout = 2
+def accepted_connections(monkeypatch, agent: str, fanout: int) -> int:
+    """How many connections the server accepts in a short TS3 run of `agent`."""
     accepted = []
     setup = server._Handler.setup
 
@@ -140,11 +145,24 @@ def test_prefetch_run_keeps_its_connections_across_epochs(monkeypatch):
 
     monkeypatch.setattr(server._Handler, "setup", counting_setup)
     monkeypatch.setattr(bench, "AgentConfig", functools.partial(AgentConfig, fanout=fanout))
-    result = run_benchmark("TS3", agent="prefetch", seed=42, iterations=8,
-                           timeslot_ms=500)
+    result = run_benchmark("TS3", agent=agent, seed=42, iterations=8, timeslot_ms=500)
     assert result.report.valid, result.report.notes
     assert result.agent_stats.loops >= 3  # a pool per epoch would open 2 * 3 + 2
-    assert len(accepted) <= 2 * fanout + 1
+    return len(accepted)
+
+
+# Connections are per thread, so one fetch pool serves the whole run: the
+# server accepts the pool's, the agent's own (for writes) and the control
+# client's connections, however many epochs the agent runs.
+
+
+def test_prefetch_run_keeps_its_connections_across_epochs(monkeypatch):
+    assert accepted_connections(monkeypatch, "prefetch", fanout=2) <= 2 + 2
+
+
+def test_traversal_run_keeps_its_connections_across_epochs(monkeypatch):
+    # The traversal before the first epoch uses the run's pool too.
+    assert accepted_connections(monkeypatch, "traversal", fanout=2) <= 2 + 2
 
 
 def test_prefetch_run_closes_every_socket():

@@ -73,6 +73,12 @@ class TestKeyedRandom:
         draws = {rng.unit(i, "u", "k") for i in range(10_000)}
         assert len(draws) == 10_000
 
+    def test_base_is_rewritten_to_default_base(self):
+        other = "http://127.0.0.1:5/"
+        assert KeyedRandom(7, other).unit(3, "u", other + "room") == \
+            KeyedRandom(7).unit(3, "u", DEFAULT_BASE + "room")
+        assert KeyedRandom(7, other).unit(3, "u", "k") == KeyedRandom(7).unit(3, "u", "k")
+
     def test_uniform_mean(self):
         rng = KeyedRandom(123)
         n = 100_000
@@ -162,6 +168,14 @@ class TestOccupancy:
         assert occ[0].state == "at-lunch"
         occ = occupancy_step(occ, 150, 12.9, 1.0, rng, cfg)
         assert occ[0].state == "at-desk" and occ[0].lunched
+
+    @pytest.mark.parametrize("draw, state", [(0.64, "at-lunch"), (0.65, "at-desk")])
+    def test_rates_compound_per_slot(self, draw, state):
+        # At 20-minute slots the 1/20 per-minute lunch rate gives a slot
+        # probability of 1 - (19/20) ** 20 = 0.6415, not 20/20 = 1.
+        occ = (Occupant(iri="urn:o1", room="urn:r0", state="at-desk", since=0),)
+        occ = occupancy_step(occ, 36, 12.0, 20.0, ForcedRandom(draw), OccupancyConfig())
+        assert occ[0].state == state
 
 
     def test_unchanged_occupants_are_kept_and_each_draws_once(self):

@@ -1,5 +1,6 @@
 import email.utils
 import http.client
+import http.server
 import io
 import logging
 import os
@@ -532,6 +533,19 @@ def serve_raw(served, request: bytes) -> list[bytes]:
     return sock.sends
 
 
+def assert_one_write(sends: list[bytes], status: int) -> bytes:
+    """One send of a `status` reply whose Content-Length is its body's;
+    return the head."""
+    assert len(sends) == 1, sends
+    head, sep, body = sends[0].partition(b"\r\n\r\n")
+    assert sep and head.startswith(f"HTTP/1.1 {status} ".encode())
+    lengths = [int(line.split(b":", 1)[1]) for line in head.split(b"\r\n")
+               if line.lower().startswith(b"content-length:")]
+    assert lengths == [len(body)]
+    assert bool(body) == (status != 204)
+    return head
+
+
 class TestReplyWrites:
     """A reply reaches the socket in one write. A body written after the
     head waits for the client's delayed ACK under Nagle, about 40 ms."""
@@ -551,14 +565,21 @@ class TestReplyWrites:
         request = (f"{method} /{iri[len(server.base):]} HTTP/1.1\r\n"
                    f"Content-Type: text/turtle\r\n"
                    f"Content-Length: {len(payload)}\r\n\r\n").encode() + payload
-        sends = serve_raw(served, request)
-        assert len(sends) == 1, sends
-        head, sep, body = sends[0].partition(b"\r\n\r\n")
-        assert sep and head.startswith(f"HTTP/1.1 {status} ".encode())
-        lengths = [int(line.split(b":", 1)[1]) for line in head.split(b"\r\n")
-                   if line.lower().startswith(b"content-length:")]
-        assert lengths == [len(body)]
-        assert bool(body) == (status != 204)
+        assert_one_write(serve_raw(served, request), status)
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        pytest.param(b"GET /sim HTTP/1.1\r\nX-Agent: a\r\n b\r\n\r\n", 400, id="folded"),
+        pytest.param(b"GET /" + b"a" * (65537 - 5), 414, id="long-request-line"),
+        pytest.param(b"GET /sim HTTP/1.1\r\n" + b"".join(
+            b"X-Field-%d: %d\r\n" % (i, i) for i in range(101)) + b"\r\n", 431,
+            id="101-headers"),
+        pytest.param(b"GET /sim HTTP/2.0\r\n\r\n", 505, id="http-2"),
+        pytest.param(b"PATCH /sim HTTP/1.1\r\n\r\n", 501, id="patch"),
+    ])
+    def test_refusal_is_one_write(self, served, request_bytes, status):
+        head = assert_one_write(serve_raw(served, request_bytes), status)
+        assert b"\r\nContent-Type: text/plain; charset=utf-8\r\n" in head
+        assert head.endswith(b"\r\nConnection: close")
 
     @pytest.mark.parametrize("version, status, body, content_type", [
         ("HTTP/1.1", 200, b"<a> <b> <c> .\n", "text/turtle"),
@@ -571,36 +592,46 @@ class TestReplyWrites:
         ("HTTP/1.1", 405, b"POST not allowed\n", "text/plain"),
         ("HTTP/1.1", 409, b"run already in progress\n", "text/plain"),
         ("HTTP/1.1", 415, b"unsupported media type x\n", "text/plain"),
+        ("HTTP/1.1", 414, b"request line too long\n", "text/plain"),
+        ("HTTP/1.1", 431, b"more than 100 headers\n", "text/plain"),
+        ("HTTP/1.1", 501, b"PATCH not implemented\n", "text/plain"),
+        ("HTTP/1.1", 505, b"HTTP/2.0 not supported\n", "text/plain"),
         ("HTTP/1.0", 200, b"<a> <b> <c> .\n", "text/turtle"),
         ("HTTP/0.9", 200, b"<a> <b> <c> .\n", "text/turtle"),
     ])
     def test_reply_bytes_equal_the_stdlib_sequence(self, monkeypatch, version, status,
                                                    body, content_type):
-        monkeypatch.setattr(_Handler, "date_time_string",
-                            lambda self, timestamp=None: "Sun, 18 Oct 2026 19:00:00 GMT")
+        date = "Sun, 18 Oct 2026 19:00:00 GMT"
+        monkeypatch.setattr(server_module, "_http_date", lambda second: date)
+        close = version == "HTTP/1.0" or status in (414, 431, 501, 505)
         handler = _Handler.__new__(_Handler)
         handler.request_version = version
-        handler.close_connection = version != "HTTP/1.1"
+        handler.close_connection = close
         handler.requestline, handler.command = "GET / " + version, "GET"
         handler.client_address = ("127.0.0.1", 0)
         handler.wfile = io.BytesIO()
         handler._reply(status, body, content_type)
         sent = handler.wfile.getvalue()
-        # The head http.server's own calls build for the same reply.
-        handler.wfile = io.BytesIO()
-        handler.send_response(status)
+        # The bytes http.server's own calls send for the same reply.
+        stdlib = http.server.BaseHTTPRequestHandler.__new__(http.server.BaseHTTPRequestHandler)
+        stdlib.protocol_version, stdlib.server_version = "HTTP/1.1", "ldsim/0.1"
+        stdlib.request_version = version
+        stdlib.date_time_string = lambda timestamp=None: date
+        stdlib.log_request = lambda *args: None
+        stdlib.wfile = io.BytesIO()
+        stdlib.send_response(status)
         if body:
-            handler.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        handler.send_header("Content-Length", str(len(body)))
+            stdlib.send_header("Content-Type", f"{content_type}; charset=utf-8")
+        stdlib.send_header("Content-Length", str(len(body)))
         if status == 405:
-            handler.send_header("Allow", "GET, PUT")
-        if handler.close_connection:
-            handler.send_header("Connection", "close")
-        handler.end_headers()
-        handler.wfile.write(body)
-        assert sent == handler.wfile.getvalue()
+            stdlib.send_header("Allow", "GET, PUT")
+        if close:
+            stdlib.send_header("Connection", "close")
+        stdlib.end_headers()
+        stdlib.wfile.write(body)
+        assert sent == stdlib.wfile.getvalue()
         assert sent.startswith(b"HTTP/1.1 ") == (version != "HTTP/0.9")
-        assert (b"\r\nConnection: close\r\n" in sent) == (version == "HTTP/1.0")
+        assert (b"\r\nConnection: close\r\n" in sent) == (close and version != "HTTP/0.9")
 
     def test_http09_gets_bare_body(self, served):
         server, _, dynamic = served
@@ -714,8 +745,7 @@ def parse_head(block: bytes, request_line: bytes = b"GET / HTTP/1.1\r\n"):
     handler.rfile = io.BytesIO(block)
     handler.wfile = io.BytesIO()
     handler.client_address = ("127.0.0.1", 0)
-    handler.raw_requestline = request_line
-    return handler.parse_request(), handler
+    return handler._read_request(request_line), handler
 
 
 # The header names the server reads, and some it does not.
@@ -756,8 +786,7 @@ class TestRequestParsing:
             # The stdlib keeps trailing blanks, which are not part of a
             # field value (RFC 9112 5.1).
             expected = None if expected is None else expected.rstrip(" \t")
-            assert handler.headers.get(name) == expected, name
-            assert handler.headers.get(name.upper()) == expected, name
+            assert handler.headers.get(name.lower()) == expected, name
 
     @pytest.mark.parametrize("request_line, headers, expected", [
         ("HTTP/1.1", [], False),
@@ -846,6 +875,20 @@ class TestRequestRefusals:
             assert (reply.version, reply.status) == (11, status)
             assert reply.getheader("Connection") == "close"
             assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize("method", ["PATCH", "HEAD"])
+    def test_other_methods_get_501_and_close(self, served, method):
+        with connect(served[0]) as sock:
+            sock.sendall(f"{method} /sim HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            received = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert head.endswith(b"\r\nConnection: close")
+        length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
+        assert length > 0
+        assert len(body) == (0 if method == "HEAD" else length)
 
     def test_expect_100_continue(self, served):
         server, _, dynamic = served

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldsim.building import GeneratorParams, build_dataset
+from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned
 from ldsim.engine import SimulationRuntime, dry_run
+from ldsim.ns import DEFAULT_BASE
 from ldsim.metrics import average_fault_count, fault_rate, match_faults, total_faults
 from ldsim.rdf import IRI, Dataset
 from ldsim.sparql import EvalContext, PathPlus, TriplePattern, eval_query
@@ -103,6 +106,30 @@ class TestDryRunProfiles:
     def test_tc4_scope_is_sensed_lights(self, pd, tasks):
         trace = short_dry(tasks["TC4"], pd, iterations=48)
         assert 0 < max(trace.counts()) <= 64
+
+
+def rebased_slots(trace, base):
+    """The trace's solution keys with `base` rewritten to DEFAULT_BASE."""
+    return [{fq_id: frozenset(key.replace(base, DEFAULT_BASE) for key in keys)
+             for fq_id, keys in slot.items()} for slot in trace.slots]
+
+
+class TestSameSeedAnyBase:
+    """The occupancy, occlusion, setpoint and rand() draws are keyed with
+    the base rewritten, so a run's address does not change its environment."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(port=st.integers(1, 65535), tid=st.sampled_from(["TC5", "TC7"]),
+           iterations=st.sampled_from([32, 48, 96]))
+    def test_dry_trace_does_not_depend_on_the_port(self, pd, port, tid, iterations):
+        base = f"http://127.0.0.1:{port}/"
+        traces = []
+        for where in (pd, rebase_partitioned(pd, base)):
+            task = load_task(tid, where.base)
+            traces.append(rebased_slots(short_dry(task, where, iterations=iterations),
+                                        where.base))
+        assert traces[0] == traces[1]
+        assert any(keys for slot in traces[0] for keys in slot.values())
 
 
 class TestFullDayOracle:
