@@ -390,6 +390,10 @@ def exchange(sock: socket.socket, request: bytes) -> http.client.HTTPResponse:
     return reply
 
 
+def headers(count: int) -> bytes:
+    return b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(count))
+
+
 class TestRawConnection:
     """Requests on one keep-alive socket, as a client library sends them."""
 
@@ -570,9 +574,7 @@ class TestReplyWrites:
     @pytest.mark.parametrize("request_bytes, status", [
         pytest.param(b"GET /sim HTTP/1.1\r\nX-Agent: a\r\n b\r\n\r\n", 400, id="folded"),
         pytest.param(b"GET /" + b"a" * (65537 - 5), 414, id="long-request-line"),
-        pytest.param(b"GET /sim HTTP/1.1\r\n" + b"".join(
-            b"X-Field-%d: %d\r\n" % (i, i) for i in range(101)) + b"\r\n", 431,
-            id="101-headers"),
+        pytest.param(b"GET /sim HTTP/1.1\r\n" + headers(101) + b"\r\n", 431, id="101-headers"),
         pytest.param(b"GET /sim HTTP/2.0\r\n\r\n", 505, id="http-2"),
         pytest.param(b"PATCH /sim HTTP/1.1\r\n\r\n", 501, id="patch"),
     ])
@@ -826,10 +828,6 @@ class TestRequestParsing:
 def connect(server) -> socket.socket:
     host, port = server.base[len("http://"):-1].split(":")
     return socket.create_connection((host, int(port)), timeout=5)
-
-
-def headers(count: int) -> bytes:
-    return b"".join(b"X-Field-%d: %d\r\n" % (i, i) for i in range(count))
 
 
 class TestRequestRefusals:
