@@ -75,16 +75,8 @@ def parse_rules(text: str, base: str | None = None) -> list[Rule]:
     parser = Parser(text, base)
     parser.prologue()
     rules: list[Rule] = []
-    while True:
-        kw = parser.keyword()
-        if kw is None:
-            tok = parser.lex.peek()
-            if tok[0] == "eof":
-                return rules
-            raise parser.error(f"expected RULE, found {tok[1]!r}")
-        if kw != "rule":
-            raise parser.error(f"expected RULE, found {kw.upper()}")
-        parser.lex.next()
+    while parser.lex.peek()[0] != "eof":
+        parser.expect_keyword("rule")
         name = _rule_name(parser)
         once = False
         group = None
@@ -94,16 +86,10 @@ def parse_rules(text: str, base: str | None = None) -> list[Rule]:
                 once = True
             else:
                 group = _rule_name(parser)
-        if parser.keyword() != "when":
-            raise parser.error("expected WHEN")
-        parser.lex.next()
+        parser.expect_keyword("when")
         condition = parser.group()
-        if parser.keyword() != "then":
-            raise parser.error("expected THEN")
-        parser.lex.next()
-        if parser.keyword() != "put":
-            raise parser.error("expected PUT")
-        parser.lex.next()
+        parser.expect_keyword("then")
+        parser.expect_keyword("put")
         tok = parser.lex.next()
         target = Var(tok[1]) if tok[0] == "var" else parser.iri_from(tok)
         payload = tuple(parser.group().elements)
@@ -118,10 +104,11 @@ def parse_rules(text: str, base: str | None = None) -> list[Rule]:
         rules.append(Rule(name=name, condition=condition,
                           action=RuleAction(target, payload),
                           once=once, group=group))
+    return rules
 
 
 def _rule_name(parser: Parser) -> str:
-    # Names may hold hyphens and digits, which the query lexer splits into
+    # Names may hold hyphens and digits, which the shared lexer splits into
     # several tokens (a number token even carries its datatype), so the
     # name is matched on the source text from the next token on.
     lex = parser.lex

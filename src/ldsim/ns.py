@@ -57,13 +57,9 @@ PREFIXES = {
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 
 
-def is_absolute(iri: str) -> bool:
-    return bool(_SCHEME_RE.match(iri))
-
-
 def resolve(ref: str, base: str | None) -> str:
     """Resolve an IRI reference against a base; absolute refs pass through."""
-    if is_absolute(ref):
+    if _SCHEME_RE.match(ref):
         return ref
     if not base:
         raise ValueError(f"relative IRI {ref!r} without a base")

@@ -1,9 +1,34 @@
-"""Parsing and serialization for Turtle, TriG and N-Triples.
+"""Parsing and serialization for Turtle, TriG and N-Triples, and the one
+tokenizer that the SPARQL subset shares with them.
 
-One hand-written tokenizer and recursive-descent parser covers the three
-formats; N-Triples is handled as a restricted case of the block grammar.
-Pipeline: text -> tokens -> quad sink -> Dataset. Blank node labels are
-scoped to a single document.
+`Lexer` turns a document, query, update or agent rule file into
+(kind, value, offset) tokens. Its terminals are the productions Turtle
+(RDF 1.1 Turtle §6.5) and SPARQL 1.1 (§19.8) have in common:
+
+- `iri`: an IRIREF, whose characters exclude controls, the space and
+  ``<>"{}|^`\\``; its UCHAR escapes (`\\uXXXX`, `\\UXXXXXXXX`) are decoded
+  and may not spell an excluded character either. A `<` that opens no
+  IRIREF is the operator `<` or `<=`.
+- `pname` (prefix, local): a PN_PREFIX that starts with a letter (or none),
+  a colon and a PN_LOCAL that does not end in a dot, its `\\` escapes
+  removed.
+- `string`: quoted with `"` or `'`, or tripled for a long string, with the
+  ECHAR (`\\t \\b \\n \\r \\f \\" \\' \\\\`) and UCHAR escapes decoded. A
+  short string holds no raw line break; any other escape is an error.
+- `number` (lexical, datatype): a signed integer, decimal or double.
+- `blank` (`_:label`), `var` (`?x` or `$x`), `lang` (a LANGTAG, which
+  covers `@prefix` and `@base`) and `word` (keywords, `a`, booleans).
+- The operators `&& || != <= >= = < > ! + - * / ^ ^^` and the punctuation
+  `. ; , [ ] ( ) { }`, each a kind of its own.
+
+Whitespace and `#` comments are skipped. `Reader` reads what the grammars
+share above the tokens: PREFIX/BASE and @prefix/@base directives, IRIREF
+resolution against the base, prefixed-name expansion and literals, with
+every failure a `ParseError` at its token. Turtle and TriG take every kind
+but `var` and the operators, and N-Triples is read as Turtle without
+directives, `[` and `(`; a token a grammar has no use for is an error.
+Pipeline: text -> tokens -> quads -> Dataset. Blank node labels are scoped
+to a single document.
 """
 
 from __future__ import annotations
@@ -24,7 +49,6 @@ from .ns import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
-    is_absolute,
     resolve,
 )
 from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
@@ -33,59 +57,72 @@ FORMATS = ("turtle", "trig", "n-triples")
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+    """A syntax error at an offset of a text, reported by line and column."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{message} (line {self.line}, column {self.col})")
 
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                        r"|\d+(?:[eE][+-]?\d+)?)")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_PN_LOCAL_RE = re.compile(r"(?:[0-9A-Za-z_\-%-￿]|\.(?=[0-9A-Za-z_\-%-￿.])"
-                          r"|\\[_~.\-!$&'()*+,;=/?#@%])*")
-_PN_PREFIX_RE = re.compile(r"(?:[A-Za-z0-9_\--￿]|\.(?=[A-Za-z0-9_\--￿]))*")
+# -- tokens -------------------------------------------------------------------
+
+# PN_CHARS_BASE, PN_CHARS_U and PN_CHARS as character-class bodies.
+_BASE = ("A-Za-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff"
+         "\u200c\u200d\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd"
+         "\U00010000-\U000effff")
+_U = _BASE + "_"
+_CHARS = _U + "\\-0-9\u00b7\u0300-\u036f\u203f\u2040"
+_PLX = r"%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%]"
+_UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})"
+_ESC = r"\\[tbnrf\"'\\]|" + _UCHAR
+_EXCLUDED = r'<>"{}|^`\\\x00-\x20'  # what an IRIREF may not hold
+_SKIP = r"(?:[ \t\r\n]+|#[^\r\n]*)*"
+_TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("iri", f"<(?:[^{_EXCLUDED}]|{_UCHAR})*>"),
+    ("pname", f"(?:[{_BASE}](?:[{_CHARS}.]*[{_CHARS}])?)?:"
+              f"(?:(?:[{_U}:0-9]|{_PLX})(?:(?:[{_CHARS}.:]|{_PLX})*(?:[{_CHARS}:]|{_PLX}))?)?"),
+    ("blank", f"_:[{_U}0-9](?:[{_CHARS}.]*[{_CHARS}])?"),
+    ("var", f"[?$][{_U}0-9][{_U}0-9\u00b7\u0300-\u036f\u203f\u2040]*"),
+    ("number", r"[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.?[0-9]+[eE][+-]?[0-9]+"
+               r"|[0-9]*\.[0-9]+|[0-9]+)"),
+    ("long", (r'"""(?:(?:"|"")?(?:[^"\\]|ESC))*"""|'
+              r"'''(?:(?:'|'')?(?:[^'\\]|ESC))*'''").replace("ESC", _ESC)),
+    ("string", (r'"(?:[^"\\\n\r]|ESC)*"|'
+                r"'(?:[^'\\\n\r]|ESC)*'").replace("ESC", _ESC)),
+    ("lang", "@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
+    ("word", "[A-Za-z][A-Za-z0-9_]*"),
+    ("op", r"\^\^|&&|\|\||[!<>]=|[.;,\[\](){}=<>!+\-*/^]"),
+    ("eof", r"\Z"))) + ")")
+_LEAD = {"blank": 2, "var": 1, "lang": 1, "word": 0, "eof": 0}
+_MALFORMED = {'"': "string", "'": "string", "_": "blank node label", "@": "language tag",
+              "?": "variable", "$": "variable"}
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
+_EXCLUDED_RE = re.compile(f"[{_EXCLUDED}]")
+_ESCAPE_RE = re.compile(r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
 
 
-class _Tokenizer:
-    """Emits (kind, value, line, col) tuples with one-token lookahead."""
+def _unescape(raw: str) -> str:
+    """Decodes the ECHAR and UCHAR escapes the token pattern admitted."""
+    if "\\" not in raw:
+        return raw
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[0][1]) or chr(int(m[0][2:], 16)), raw)
+
+
+class Lexer:
+    """The tokens of one text as (kind, value, offset) tuples, with
+    one-token lookahead. `pos` is where the next scan starts; a grammar
+    may move it to read a token of its own after `next()`."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         self._peeked: tuple | None = None
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def _advance(self, n: int) -> None:
-        chunk = self.text[self.pos:self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.pos += n
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
-                return
 
     def peek(self) -> tuple:
         if self._peeked is None:
-            self._peeked = self._next()
+            self._peeked = self._scan()
         return self._peeked
 
     def next(self) -> tuple:
@@ -93,421 +130,274 @@ class _Tokenizer:
         self._peeked = None
         return tok
 
-    def _next(self) -> tuple:
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return ("eof", "", line, col)
-        text, pos = self.text, self.pos
-        ch = text[pos]
-
-        if ch == "<":
-            end = pos + 1
-            while end < len(text) and text[end] not in ">\n":
-                end += 1
-            if end >= len(text) or text[end] != ">":
-                raise self.error("unterminated IRI")
-            raw = text[pos + 1:end]
-            self._advance(end + 1 - pos)
-            return ("iri", _unescape_numeric(raw, self), line, col)
-
-        if ch in "\"'":
-            return self._string(line, col)
-
-        if ch == "_" and text.startswith("_:", pos):
-            m = _PN_LOCAL_RE.match(text, pos + 2)
-            label = m.group(0)
-            if not label:
-                raise self.error("empty blank node label")
-            self._advance(2 + len(label))
-            return ("blank", label, line, col)
-
-        if ch == "@":
-            m = re.match(r"@([A-Za-z][A-Za-z0-9-]*)", text[pos:])
-            if not m:
-                raise self.error("bad @ token")
-            word = m.group(1)
-            self._advance(len(m.group(0)))
-            if word.lower() in ("prefix", "base"):
-                return ("atkw", word.lower(), line, col)
-            return ("lang", word, line, col)
-
-        if ch == "^" and text.startswith("^^", pos):
-            self._advance(2)
-            return ("dt", "^^", line, col)
-
-        if ch in ".;,[](){}":
-            # A dot may start a decimal number.
-            if ch == "." and pos + 1 < len(text) and text[pos + 1].isdigit():
-                pass
-            else:
-                self._advance(1)
-                return (ch, ch, line, col)
-
-        m = _NUMBER_RE.match(text, pos)
-        if m and (ch.isdigit() or ch in "+-." ):
-            lex = m.group(0)
-            self._advance(len(lex))
-            if "e" in lex or "E" in lex:
-                return ("number", (lex, XSD_DOUBLE), line, col)
-            if "." in lex:
-                return ("number", (lex, XSD_DECIMAL), line, col)
-            return ("number", (lex, XSD_INTEGER), line, col)
-
-        # Prefixed name or bare word. The prefix part may be empty (":x").
-        m = _PN_PREFIX_RE.match(text, pos)
-        head = m.group(0) if m else ""
-        after = pos + len(head)
-        if after < len(text) and text[after] == ":":
-            m2 = _PN_LOCAL_RE.match(text, after + 1)
-            local = m2.group(0) if m2 else ""
-            self._advance(after + 1 + len(local) - pos)
-            return ("pname", (head, _unescape_local(local)), line, col)
-        if head:
-            self._advance(len(head))
-            return ("word", head, line, col)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def _string(self, line: int, col: int) -> tuple:
-        text, pos = self.text, self.pos
-        quote = text[pos]
-        if text.startswith(quote * 3, pos):
-            end = text.find(quote * 3, pos + 3)
-            while end != -1 and _escaped(text, end):
-                end = text.find(quote * 3, end + 1)
-            if end == -1:
-                raise self.error("unterminated long string")
-            raw = text[pos + 3:end]
-            self._advance(end + 3 - pos)
-            return ("string", _unescape(raw, self), line, col)
-        end = pos + 1
-        while end < len(text):
-            if text[end] == "\\":
-                end += 2
-                continue
-            if text[end] == quote:
-                break
-            if text[end] == "\n":
-                raise self.error("newline in string")
-            end += 1
-        if end >= len(text):
-            raise self.error("unterminated string")
-        raw = text[pos + 1:end]
-        self._advance(end + 1 - pos)
-        return ("string", _unescape(raw, self), line, col)
+    def _scan(self) -> tuple:
+        text = self.text
+        m = _TOKEN_RE.match(text, self.pos)
+        if m is None:
+            start = re.compile(_SKIP).match(text, self.pos).end()
+            ch = text[start]
+            what = f"malformed {_MALFORMED[ch]}" if ch in _MALFORMED else \
+                f"unexpected character {ch!r}"
+            raise ParseError(what, text, start)
+        kind = m.lastgroup
+        start = m.start(kind)
+        self.pos = end = m.end()
+        if kind == "op":
+            return (m[kind], m[kind], start)
+        if kind == "pname":
+            prefix, _, local = m[kind].partition(":")
+            if "\\" in local:
+                local = re.sub(r"\\(.)", r"\1", local)
+            return ("pname", (prefix, local), start)
+        if kind == "iri":
+            iri = text[start + 1:end - 1]
+            if "\\" in iri:
+                # Escaped, an excluded character would be served unreadably.
+                iri = _unescape(iri)
+                if _EXCLUDED_RE.search(iri):
+                    raise ParseError("IRI escape of an excluded character", text, start)
+            return ("iri", iri, start)
+        if kind == "string":
+            return ("string", _unescape(text[start + 1:end - 1]), start)
+        if kind == "long":
+            return ("string", _unescape(text[start + 3:end - 3]), start)
+        if kind == "number":
+            lexical = m[kind]
+            return ("number", (lexical, XSD_DOUBLE if "e" in lexical or "E" in lexical
+                               else XSD_DECIMAL if "." in lexical else XSD_INTEGER), start)
+        return (kind, text[start + _LEAD[kind]:end], start)
 
 
-def _escaped(text: str, at: int) -> bool:
-    backslashes = 0
-    i = at - 1
-    while i >= 0 and text[i] == "\\":
-        backslashes += 1
-        i -= 1
-    return backslashes % 2 == 1
+class Reader:
+    """Token reading for Turtle, TriG, N-Triples and the SPARQL subset:
+    errors placed at a token, the directives and IRIs both grammars share,
+    and literals."""
 
+    def __init__(self, text: str, base: str | None = None):
+        self.lex = Lexer(text)
+        self.base = base
+        self.prefixes: dict[str, str] = {}
 
-def _unescape_numeric(raw: str, tok: _Tokenizer) -> str:
-    if "\\" not in raw:
-        return raw
-    return _unescape(raw, tok, numeric_only=True)
+    def error(self, message: str, tok: tuple | None = None) -> ParseError:
+        """A ParseError at `tok`, or where the lexer stands."""
+        return ParseError(message, self.lex.text, self.lex.pos if tok is None else tok[2])
 
+    def unexpected(self, wanted: str, tok: tuple) -> ParseError:
+        """'expected <wanted>, found <the token's source text>' at `tok`."""
+        found = _TOKEN_RE.match(self.lex.text, tok[2])[0] or "end of input"
+        return self.error(f"expected {wanted}, found {found!r}", tok)
 
-def _unescape(raw: str, tok: _Tokenizer, numeric_only: bool = False) -> str:
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise tok.error("dangling escape")
-        e = raw[i + 1]
-        if e == "u":
-            out.append(chr(int(raw[i + 2:i + 6], 16)))
-            i += 6
-        elif e == "U":
-            out.append(chr(int(raw[i + 2:i + 10], 16)))
-            i += 10
-        elif not numeric_only and e in _ESCAPES:
-            out.append(_ESCAPES[e])
-            i += 2
+    def expect(self, kind: str) -> tuple:
+        tok = self.lex.next()
+        if tok[0] != kind:
+            raise self.unexpected(repr(kind), tok)
+        return tok
+
+    def directive(self) -> None:
+        """A PREFIX or BASE directive, or @prefix or @base and its dot,
+        whose keyword is the next token."""
+        tok = self.lex.next()
+        if tok[1].lower() == "prefix":
+            name = self.expect("pname")
+            if name[1][1]:
+                raise self.error("prefix declaration with local part", name)
+            self.prefixes[name[1][0]] = self.iri_from(self.expect("iri")).value
         else:
-            raise tok.error(f"bad escape \\{e}")
-    return "".join(out)
+            self.base = self.iri_from(self.expect("iri")).value
+        if tok[0] == "lang":
+            self.expect(".")
+
+    def iri_from(self, tok: tuple) -> IRI:
+        """An `iri` token resolved against the base, or a `pname` expanded."""
+        if tok[0] == "iri":
+            try:
+                return IRI(resolve(tok[1], self.base))
+            except ValueError as exc:
+                raise self.error(str(exc), tok) from None
+        if tok[0] == "pname":
+            prefix, local = tok[1]
+            if prefix not in self.prefixes:
+                raise self.error(f"undeclared prefix {prefix!r}", tok)
+            return IRI(self.prefixes[prefix] + local)
+        raise self.unexpected("IRI", tok)
+
+    def constant(self, tok: tuple) -> IRI | Literal | None:
+        """The IRI or literal `tok` opens, reading a literal's language tag
+        or datatype too; None for a token that opens neither."""
+        kind, value = tok[0], tok[1]
+        if kind == "iri" or kind == "pname":
+            return self.iri_from(tok)
+        if kind == "string":
+            nxt = self.lex.peek()
+            if nxt[0] == "lang":
+                self.lex.next()
+                return Literal(value, RDF_LANG_STRING, nxt[1].lower())
+            if nxt[0] == "^^":
+                self.lex.next()
+                return Literal(value, self.iri_from(self.lex.next()).value)
+            return Literal(value)
+        if kind == "number":
+            return Literal(*value)
+        if kind == "word" and value in ("true", "false"):
+            return Literal(value, XSD_BOOLEAN)
+        return None
 
 
-def _unescape_local(local: str) -> str:
-    if "\\" not in local:
-        return local
-    return re.sub(r"\\(.)", r"\1", local)
+# -- Turtle, TriG and N-Triples -----------------------------------------------
 
 
-class _Parser:
+class _Parser(Reader):
     def __init__(self, text: str, fmt: str, base: str | None, default_graph: str):
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
-        self.tok = _Tokenizer(text)
-        self.base = base
+        super().__init__(text, base)
         self.default_graph = IRI(default_graph)
-        self.prefixes: dict[str, str] = {}
         self.quads: list[Quad] = []
         self.blank_count = 0
         self.line_based = fmt == "n-triples"
         self.allow_graphs = fmt == "trig"
 
-    # -- helpers -----------------------------------------------------------
-
-    def error(self, message: str, tok: tuple | None = None) -> ParseError:
-        if tok:
-            return ParseError(message, tok[2], tok[3])
-        return self.tok.error(message)
-
-    def expect(self, kind: str) -> tuple:
-        tok = self.tok.next()
-        if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
-        return tok
-
     def fresh_blank(self) -> BlankNode:
         self.blank_count += 1
         return BlankNode(f"g{self.blank_count}")
 
-    def resolve_iri(self, ref: str, tok: tuple) -> IRI:
-        try:
-            return IRI(resolve(ref, self.base))
-        except ValueError as exc:
-            raise self.error(str(exc), tok) from None
-
-    def expand_pname(self, prefix: str, local: str, tok: tuple) -> IRI:
-        if prefix not in self.prefixes:
-            raise self.error(f"undeclared prefix {prefix!r}:", tok)
-        return IRI(self.prefixes[prefix] + local)
-
-    # -- document ----------------------------------------------------------
-
     def parse(self) -> Dataset:
-        if self.line_based:
-            self._statements(self.default_graph)
-        else:
-            while True:
-                tok = self.tok.peek()
-                if tok[0] == "eof":
-                    break
-                if tok[0] == "atkw" or (tok[0] == "word" and tok[1].lower() in ("prefix", "base")):
-                    self._directive()
-                elif self.allow_graphs and self._graph_block():
-                    continue
-                else:
-                    self._triples(self.default_graph)
-                    self._statement_dot()
+        graph = self.default_graph
+        while (tok := self.lex.peek())[0] != "eof":
+            if self.line_based:
+                s, p = self._term(graph, "subject"), self._verb()
+                self.quads.append(Quad(s, p, self._term(graph, "object"), graph))
+            elif tok[0] in ("word", "lang") and tok[1].lower() in ("prefix", "base"):
+                self.directive()
+                continue
+            elif self.allow_graphs and self._graph_block():
+                continue
+            else:
+                self._triples(graph)
+            self.expect(".")
         return Dataset.from_quads(self.quads)
-
-    def _statement_dot(self) -> None:
-        tok = self.tok.next()
-        if tok[0] != ".":
-            raise self.error("expected '.'", tok)
-
-    def _directive(self) -> None:
-        tok = self.tok.next()
-        sparql_style = tok[0] == "word"
-        kind = tok[1].lower()
-        if kind == "prefix":
-            name = self.expect("pname")
-            prefix, local = name[1]
-            if local:
-                raise self.error("prefix declaration with local part", name)
-            iri = self.expect("iri")
-            self.prefixes[prefix] = resolve(iri[1], self.base) if not is_absolute(iri[1]) else iri[1]
-        elif kind == "base":
-            iri = self.expect("iri")
-            self.base = resolve(iri[1], self.base) if not is_absolute(iri[1]) else iri[1]
-        else:
-            raise self.error(f"unknown directive {kind!r}", tok)
-        if not sparql_style:
-            self._statement_dot()
 
     # -- TriG graph blocks ---------------------------------------------------
 
     def _graph_block(self) -> bool:
-        tok = self.tok.peek()
+        tok = self.lex.peek()
         if tok[0] == "{":
-            self.tok.next()
+            self.lex.next()
             self._block_body(self.default_graph)
             return True
         if tok[0] == "word" and tok[1].lower() == "graph":
-            self.tok.next()
-            name = self._graph_name()
+            self.lex.next()
+            name = self.iri_from(self.lex.next())
             self.expect("{")
             self._block_body(name)
             return True
         if tok[0] in ("iri", "pname"):
             # Could be `name { ... }` or the subject of plain triples.
-            save = self.tok.next()
-            nxt = self.tok.peek()
-            if nxt[0] == "{":
-                self.tok.next()
-                self._block_body(self._to_graph_name(save))
+            save = self.lex.next()
+            if self.lex.peek()[0] == "{":
+                self.lex.next()
+                self._block_body(self.iri_from(save))
                 return True
             self._triples(self.default_graph, presubject=save)
-            self._statement_dot()
+            self.expect(".")
             return True
         return False
 
-    def _graph_name(self) -> IRI:
-        tok = self.tok.next()
-        return self._to_graph_name(tok)
-
-    def _to_graph_name(self, tok: tuple) -> IRI:
-        if tok[0] == "iri":
-            return self.resolve_iri(tok[1], tok)
-        if tok[0] == "pname":
-            return self.expand_pname(tok[1][0], tok[1][1], tok)
-        raise self.error("graph name must be an IRI", tok)
-
     def _block_body(self, graph: IRI) -> None:
         while True:
-            tok = self.tok.peek()
+            tok = self.lex.peek()
             if tok[0] == "}":
-                self.tok.next()
+                self.lex.next()
                 return
             if tok[0] == "eof":
                 raise self.error("unterminated graph block", tok)
             self._triples(graph)
-            nxt = self.tok.peek()
+            nxt = self.lex.peek()
             if nxt[0] == ".":
-                self.tok.next()
+                self.lex.next()
             elif nxt[0] != "}":
-                raise self.error("expected '.' or '}'", nxt)
+                raise self.unexpected("'.' or '}'", nxt)
 
     # -- triples -------------------------------------------------------------
 
-    def _statements(self, graph: IRI) -> None:
-        while True:
-            tok = self.tok.peek()
-            if tok[0] == "eof":
-                return
-            s = self._term(position="subject")
-            p = self._verb()
-            o = self._term(position="object")
-            self.quads.append(Quad(s, p, o, graph))
-            self._statement_dot()
-
     def _triples(self, graph: IRI, presubject: tuple | None = None) -> None:
         if presubject is not None:
-            subject = self._term_from(presubject, graph, position="subject")
-            self._predicate_object_list(subject, graph)
-            return
-        if self.tok.peek()[0] == "[":
-            self.tok.next()
+            subject = self._term_from(presubject, graph, "subject")
+        elif self.lex.peek()[0] == "[":
+            self.lex.next()
             subject = self._blank_property_list(graph)
-            if self.tok.peek()[0] in (".", "}"):
+            if self.lex.peek()[0] in (".", "}"):
                 return
-            self._predicate_object_list(subject, graph)
-            return
-        subject = self._term(graph=graph, position="subject")
+        else:
+            subject = self._term(graph, "subject")
         self._predicate_object_list(subject, graph)
 
     def _predicate_object_list(self, subject: Term, graph: IRI) -> None:
+        lex = self.lex
         while True:
             p = self._verb()
             while True:
-                o = self._term(graph=graph, position="object")
-                self.quads.append(Quad(subject, p, o, graph))
-                if self.tok.peek()[0] == ",":
-                    self.tok.next()
-                    continue
-                break
-            if self.tok.peek()[0] == ";":
-                self.tok.next()
-                # Allow trailing semicolons before '.' or '}'.
-                if self.tok.peek()[0] in (".", "}", ";"):
-                    while self.tok.peek()[0] == ";":
-                        self.tok.next()
-                    return
-                continue
-            return
+                self.quads.append(Quad(subject, p, self._term(graph, "object"), graph))
+                if lex.peek()[0] != ",":
+                    break
+                lex.next()
+            if lex.peek()[0] != ";":
+                return
+            lex.next()
+            # Allow trailing semicolons before '.' or '}'.
+            if lex.peek()[0] in (".", "}", ";"):
+                while lex.peek()[0] == ";":
+                    lex.next()
+                return
 
     def _verb(self) -> IRI:
-        tok = self.tok.next()
+        tok = self.lex.next()
         if tok[0] == "word" and tok[1] == "a":
             return IRI(RDF_TYPE)
-        if tok[0] == "iri":
-            return self.resolve_iri(tok[1], tok)
-        if tok[0] == "pname":
-            return self.expand_pname(tok[1][0], tok[1][1], tok)
-        raise self.error("expected predicate", tok)
+        return self.iri_from(tok)
 
-    def _term(self, graph: IRI | None = None, position: str = "object") -> Term:
-        return self._term_from(self.tok.next(), graph, position)
+    def _term(self, graph: IRI, position: str) -> Term:
+        return self._term_from(self.lex.next(), graph, position)
 
-    def _term_from(self, tok: tuple, graph: IRI | None, position: str) -> Term:
-        kind, value = tok[0], tok[1]
-        if kind == "iri":
-            return self.resolve_iri(value, tok)
-        if kind == "pname":
-            return self.expand_pname(value[0], value[1], tok)
+    def _term_from(self, tok: tuple, graph: IRI, position: str) -> Term:
+        kind = tok[0]
         if kind == "blank":
-            return BlankNode(value)
-        if kind == "[":
-            if self.line_based:
-                raise self.error("blank node property lists not allowed here", tok)
+            return BlankNode(tok[1])
+        if kind == "[" and not self.line_based:
             return self._blank_property_list(graph)
-        if kind == "(":
-            if self.line_based:
-                raise self.error("collections not allowed here", tok)
+        if kind == "(" and not self.line_based:
             return self._collection(graph)
-        if position == "subject":
-            raise self.error("expected subject", tok)
-        if kind == "string":
-            nxt = self.tok.peek()
-            if nxt[0] == "lang":
-                self.tok.next()
-                return Literal(value, RDF_LANG_STRING, nxt[1].lower())
-            if nxt[0] == "dt":
-                self.tok.next()
-                dt = self.tok.next()
-                if dt[0] == "iri":
-                    return Literal(value, self.resolve_iri(dt[1], dt).value)
-                if dt[0] == "pname":
-                    return Literal(value, self.expand_pname(dt[1][0], dt[1][1], dt).value)
-                raise self.error("expected datatype IRI", dt)
-            return Literal(value)
-        if kind == "number":
-            lex, datatype = value
-            return Literal(lex, datatype)
-        if kind == "word" and value in ("true", "false"):
-            return Literal(value, XSD_BOOLEAN)
-        raise self.error("expected RDF term", tok)
+        term = self.constant(tok)
+        if term is None or (position == "subject" and isinstance(term, Literal)):
+            raise self.unexpected(position, tok)
+        return term
 
-    def _blank_property_list(self, graph: IRI | None) -> BlankNode:
+    def _blank_property_list(self, graph: IRI) -> BlankNode:
         node = self.fresh_blank()
-        if self.tok.peek()[0] == "]":
-            self.tok.next()
+        if self.lex.peek()[0] == "]":
+            self.lex.next()
             return node
-        self._predicate_object_list(node, graph or self.default_graph)
+        self._predicate_object_list(node, graph)
         self.expect("]")
         return node
 
-    def _collection(self, graph: IRI | None) -> Term:
-        g = graph or self.default_graph
+    def _collection(self, graph: IRI) -> Term:
         items = []
-        while self.tok.peek()[0] != ")":
-            items.append(self._term(graph=graph, position="object"))
-        self.tok.next()
+        while self.lex.peek()[0] != ")":
+            items.append(self._term(graph, "object"))
+        self.lex.next()
         if not items:
             return IRI(RDF_NIL)
         head = self.fresh_blank()
         node = head
         for i, item in enumerate(items):
-            self.quads.append(Quad(node, IRI(RDF_FIRST), item, g))
+            self.quads.append(Quad(node, IRI(RDF_FIRST), item, graph))
             if i + 1 < len(items):
                 nxt = self.fresh_blank()
-                self.quads.append(Quad(node, IRI(RDF_REST), nxt, g))
+                self.quads.append(Quad(node, IRI(RDF_REST), nxt, graph))
                 node = nxt
             else:
-                self.quads.append(Quad(node, IRI(RDF_REST), IRI(RDF_NIL), g))
+                self.quads.append(Quad(node, IRI(RDF_REST), IRI(RDF_NIL), graph))
         return head
 
 
@@ -519,6 +409,8 @@ def parse_document(text: str, fmt: str = "turtle", base: str | None = None,
     formats place unlabeled statements there as well.
     """
     return _Parser(text, fmt, base, default_graph).parse()
+
+
 
 
 # -- serialization ------------------------------------------------------------

@@ -8,13 +8,21 @@ updates. Everything else is rejected with an error naming the construct.
 Patterns outside GRAPH blocks match the union of all graphs; FROM clauses
 replace that union with the union of the listed graphs. Filter evaluation
 errors make the enclosing FILTER false.
+
+Queries, updates and agent rule files are read with the tokenizer and
+`Reader` of `rdfio`, which Turtle uses too; its docstring gives the
+terminals and their escape and IRIREF rules. The subset takes IRIs,
+prefixed names, variables, strings with a language tag or datatype,
+signed numbers, keywords and the operators. It refuses blank nodes, `[`
+and the @prefix/@base forms. A signed number after an operand adds or
+subtracts it (SPARQL 1.1 rule [116]): `?a-1` and `?a -1` are
+subtractions, and `?v > -1` compares with -1.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterator
@@ -31,11 +39,9 @@ from .ns import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_TIME,
-    is_absolute,
-    resolve,
 )
 from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
-from .rdfio import ParseError, term_nt
+from .rdfio import Reader, term_nt
 
 log = logging.getLogger(__name__)
 
@@ -190,143 +196,18 @@ class ECall:
 Expr = EVar | EConst | EBin | ENot | ENeg | ECall
 
 
-# -- tokenizer ----------------------------------------------------------------
-
-_IRIREF_RE = re.compile(r'<([^<>"{}|^`\\\x00-\x20]*)>')
-_VAR_RE = re.compile(r"[?$]([A-Za-z_][A-Za-z0-9_]*)")
-_NUMBER_RE = re.compile(r"(?:\d+\.\d+|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z0-9_][A-Za-z0-9_\-.]*)?")
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._peeked = None
-
-    def _lineno(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        line, col = self._lineno(self.pos if pos is None else pos)
-        return ParseError(message, line, col)
-
-    def peek(self):
-        if self._peeked is None:
-            self._peeked = self._next()
-        return self._peeked
-
-    def next(self):
-        tok = self.peek()
-        self._peeked = None
-        return tok
-
-    def _next(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                end = text.find("\n", self.pos)
-                self.pos = end if end != -1 else len(text)
-            else:
-                break
-        if self.pos >= len(text):
-            return ("eof", "", self.pos)
-        start = self.pos
-        ch = text[start]
-
-        m = _IRIREF_RE.match(text, start)
-        if m:
-            self.pos = m.end()
-            return ("iri", m.group(1), start)
-        if ch in "?$":
-            m = _VAR_RE.match(text, start)
-            if not m:
-                raise self.error("bad variable")
-            self.pos = m.end()
-            return ("var", m.group(1), start)
-        if ch in "\"'":
-            return self._string(start)
-        if ch.isdigit() or (ch == "." and start + 1 < len(text) and text[start + 1].isdigit()):
-            m = _NUMBER_RE.match(text, start)
-            self.pos = m.end()
-            lex = m.group(0)
-            if "e" in lex or "E" in lex:
-                return ("number", (lex, XSD_DOUBLE), start)
-            if "." in lex:
-                return ("number", (lex, XSD_DECIMAL), start)
-            return ("number", (lex, XSD_INTEGER), start)
-        for punct in ("^^", "&&", "||", "!=", "<=", ">="):
-            if text.startswith(punct, start):
-                self.pos = start + 2
-                return (punct, punct, start)
-        m = _PNAME_RE.match(text, start)
-        if m and ":" in m.group(0):
-            self.pos = m.end()
-            return ("pname", (m.group(1) or "", m.group(2) or ""), start)
-        m = _WORD_RE.match(text, start)
-        if m:
-            self.pos = m.end()
-            return ("word", m.group(0), start)
-        if ch in "{}()[].;,=<>!+-*/^":
-            self.pos = start + 1
-            return (ch, ch, start)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def _string(self, start: int):
-        text = self.text
-        quote = text[start]
-        if text.startswith(quote * 3, start):
-            end = text.find(quote * 3, start + 3)
-            if end == -1:
-                raise self.error("unterminated string", start)
-            self.pos = end + 3
-            return ("string", text[start + 3:end], start)
-        end = start + 1
-        while end < len(text) and text[end] != quote:
-            if text[end] == "\\":
-                end += 1
-            end += 1
-        if end >= len(text):
-            raise self.error("unterminated string", start)
-        raw = text[start + 1:end]
-        self.pos = end + 1
-        return ("string", re.sub(r'\\(["\'\\nt])',
-                                 lambda m: {"n": "\n", "t": "\t"}.get(m.group(1), m.group(1)),
-                                 raw), start)
-
-
 # -- parser -------------------------------------------------------------------
 
 
-class Parser:
+class Parser(Reader):
     """Recursive-descent parser of the subset's queries and updates.
 
     Also the entry point for grammars that embed its group patterns, such
-    as agent rule files: `prologue`, `keyword`, `group`, `iri_from` and
-    `error` are public; `lex.peek()`/`lex.next()` give (kind, value,
-    offset) tokens, and `lex.text`/`lex.pos` let such a grammar read a
-    token of its own.
+    as agent rule files: `prologue`, `keyword`, `expect_keyword`, `group`,
+    `iri_from`, `error` and `unexpected` are public; `lex.peek()`/`lex.next()`
+    give (kind, value, offset) tokens, and `lex.text`/`lex.pos` let such a
+    grammar read a token of its own.
     """
-
-    def __init__(self, text: str, base: str | None = None):
-        self.lex = _Lexer(text)
-        self.base = base
-        self.prefixes: dict[str, str] = {}
-
-    def error(self, message: str) -> ParseError:
-        return self.lex.error(message)
-
-    def expect(self, kind: str):
-        tok = self.lex.next()
-        if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}")
-        return tok
 
     def keyword(self) -> str | None:
         tok = self.lex.peek()
@@ -334,42 +215,18 @@ class Parser:
             return tok[1].lower()
         return None
 
+    def expect_keyword(self, word: str) -> None:
+        tok = self.lex.next()
+        if tok[0] != "word" or tok[1].lower() != word:
+            raise self.unexpected(word.upper(), tok)
+
     def check_subset(self, word: str) -> None:
         if word in OUT_OF_SUBSET:
             raise SubsetError(word.upper())
 
     def prologue(self) -> None:
-        while True:
-            kw = self.keyword()
-            if kw == "prefix":
-                self.lex.next()
-                name = self.expect("pname")
-                iri = self.expect("iri")
-                self.prefixes[name[1][0]] = self._abs(iri[1])
-            elif kw == "base":
-                self.lex.next()
-                iri = self.expect("iri")
-                self.base = self._abs(iri[1])
-            else:
-                return
-
-    def _abs(self, ref: str) -> str:
-        if is_absolute(ref):
-            return ref
-        try:
-            return resolve(ref, self.base)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
-
-    def iri_from(self, tok) -> IRI:
-        if tok[0] == "iri":
-            return IRI(self._abs(tok[1]))
-        if tok[0] == "pname":
-            prefix, local = tok[1]
-            if prefix not in self.prefixes:
-                raise self.error(f"undeclared prefix {prefix!r}")
-            return IRI(self.prefixes[prefix] + local)
-        raise self.error(f"expected IRI, found {tok[1]!r}")
+        while self.keyword() in ("prefix", "base"):
+            self.directive()
 
     # -- entry points -----------------------------------------------------
 
@@ -437,9 +294,7 @@ class Parser:
             inserts = self.quad_templates()
         else:
             raise self.error(f"expected DELETE or INSERT, found {kw.upper()}")
-        if self.keyword() != "where":
-            raise self.error("expected WHERE")
-        self.lex.next()
+        self.expect_keyword("where")
         where = self.group()
         self._expect_eof()
         bound = where.variables()
@@ -454,7 +309,7 @@ class Parser:
         if tok[0] != "eof":
             if tok[0] == "word":
                 self.check_subset(tok[1].lower())
-            raise self.error(f"trailing content {tok[1]!r}")
+            raise self.unexpected("end of input", tok)
 
     def from_clauses(self) -> tuple[str, ...]:
         graphs = []
@@ -527,23 +382,12 @@ class Parser:
         tok = self.lex.next()
         if tok[0] == "var":
             return Var(tok[1])
-        if tok[0] in ("iri", "pname"):
-            return self.iri_from(tok)
-        if tok[0] == "word" and tok[1] in ("true", "false"):
-            return Literal(tok[1], XSD_BOOLEAN)
-        if position == "subject":
-            if tok[0] == "[":
-                raise SubsetError("blank node property list")
-            raise self.error(f"expected subject, found {tok[1]!r}")
-        if tok[0] == "string":
-            nxt = self.lex.peek()
-            if nxt[0] == "^^":
-                self.lex.next()
-                return Literal(tok[1], self.iri_from(self.lex.next()).value)
-            return Literal(tok[1])
-        if tok[0] == "number":
-            return Literal(tok[1][0], tok[1][1])
-        raise self.error(f"expected term, found {tok[1]!r}")
+        if tok[0] == "[":
+            raise SubsetError("blank node property list")
+        term = self.constant(tok)
+        if term is None or (position == "subject" and isinstance(term, Literal)):
+            raise self.unexpected(position, tok)
+        return term
 
     def verb_or_path(self):
         tok = self.lex.peek()
@@ -583,7 +427,7 @@ class Parser:
         elif tok[0] == "word" and tok[1] == "a":
             inner = PathLink(RDF_TYPE)
         else:
-            raise self.error(f"expected path element, found {tok[1]!r}")
+            raise self.unexpected("path element", tok)
         nxt = self.lex.peek()
         if nxt[0] == "+":
             self.lex.next()
@@ -664,14 +508,24 @@ class Parser:
         return left
 
     def _additive(self) -> Expr:
+        # A signed number after an operand adds or subtracts it, so that
+        # `?a-1` is a subtraction (SPARQL 1.1 rule [116]).
         left = self._multiplicative()
-        while self.lex.peek()[0] in ("+", "-"):
-            op = self.lex.next()[0]
-            left = EBin(op, left, self._multiplicative())
-        return left
+        while True:
+            tok = self.lex.peek()
+            if tok[0] in ("+", "-"):
+                self.lex.next()
+                left = EBin(tok[0], left, self._multiplicative())
+            elif tok[0] == "number" and tok[1][0][0] in "+-":
+                self.lex.next()
+                lexical, datatype = tok[1]
+                unsigned = EConst(literal_value(Literal(lexical[1:], datatype)))
+                left = EBin(lexical[0], left, self._multiplicative(unsigned))
+            else:
+                return left
 
-    def _multiplicative(self) -> Expr:
-        left = self._unary()
+    def _multiplicative(self, left: Expr | None = None) -> Expr:
+        left = self._unary() if left is None else left
         while self.lex.peek()[0] in ("*", "/"):
             op = self.lex.next()[0]
             left = EBin(op, left, self._unary())
@@ -698,15 +552,6 @@ class Parser:
             return expr
         if tok[0] == "var":
             return EVar(tok[1])
-        if tok[0] == "number":
-            lex, dt = tok[1]
-            return EConst(int(lex) if dt == XSD_INTEGER else float(lex))
-        if tok[0] == "string":
-            if self.lex.peek()[0] == "^^":
-                self.lex.next()
-                dt = self.iri_from(self.lex.next()).value
-                return EConst(literal_value(Literal(tok[1], dt)))
-            return EConst(tok[1])
         if tok[0] == "word":
             word = tok[1].lower()
             if word == "true":
@@ -731,7 +576,10 @@ class Parser:
                 self.expect(")")
                 return ECall(iri.value, tuple(args))
             return EConst(iri)
-        raise self.error(f"expected expression, found {tok[1]!r}")
+        literal = self.constant(tok)
+        if literal is None:
+            raise self.unexpected("expression", tok)
+        return EConst(literal_value(literal))
 
 
 def parse_query(text: str, base: str | None = None) -> Query:

@@ -13,7 +13,7 @@ from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned, \
     write_manifest
 from ldsim.engine import SimulationRuntime
 from ldsim.ns import DEFAULT_BASE
-from ldsim.tasks import load_task, oracle_schedule
+from ldsim.tasks import TASK_IDS, load_task, oracle_schedule
 
 # 24 slots of 100 ms keep a run short; the prefetch agent is left out
 # because it misses tick deadlines at much shorter slots.
@@ -91,6 +91,15 @@ def test_one_seed_gives_one_dry_run_on_any_port():
                           timeslot_ms=SLOT_MS) for _ in range(2)]
     counts = [result.dry.counts() for result in runs]
     assert counts[0] == counts[1] and sum(counts[0]) > 0
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_oracle_beats_noop_on_every_task(task_id):
+    # A noop run repeats its dry run, so its NFC is 1.0 by construction.
+    report = run_benchmark(task_id, agent="oracle", seed=42, iterations=16,
+                           timeslot_ms=100).report
+    assert report.valid, report.notes
+    assert report.normalized_fault_count < 1.0
 
 
 def test_oracle_plans_from_the_initialised_snapshot():

@@ -81,6 +81,39 @@ def test_medians_within_the_base_iqr_are_not_beyond_it():
     assert latency["beyond_base_iqr"] is False
 
 
+@pytest.mark.parametrize("heads, within", [
+    ([1.20, 1.25, 1.10], True),    # median 1.20: 20% worse, bound 25%
+    ([1.30, 1.26, 1.40], False),   # median 1.30: 30% worse
+    ([0.50, 0.60, 0.70], True),    # better
+])
+def test_within_bound_for_a_lower_is_better_metric(heads, within):
+    pairs = [pair(output(b), output(h)) for b, h in zip([0.99, 1.0, 1.01], heads)]
+    latency = bench_pairs.summarise(pairs, END_TO_END)["latency_p50_ms"]
+    assert latency["within_bound"] is within
+    assert latency["unresolved"] is False
+
+
+@pytest.mark.parametrize("heads, within", [
+    ([0.95, 0.92, 0.99], True),    # median 0.95: 5% worse, bound 10%
+    ([0.85, 0.88, 0.80], False),   # median 0.85: 15% worse
+])
+def test_within_bound_for_a_higher_is_better_metric(heads, within):
+    pairs = [pair(output(0.2, met=1.0), output(0.2, met=h)) for h in heads]
+    ratio = bench_pairs.summarise(pairs, END_TO_END)["deadline_met_ratio"]
+    assert ratio["within_bound"] is within
+
+
+def test_a_base_spread_past_the_bound_is_unresolved():
+    # Base IQR 0.15 (q1 0.175, q3 0.325) against a median of 0.25.
+    bases = [0.10, 0.20, 0.30, 0.40]
+    near = [pair(output(b), output(h)) for b, h in zip(bases, [0.26, 0.24, 0.25, 0.27])]
+    assert bench_pairs.summarise(near, END_TO_END)["latency_p50_ms"]["unresolved"] is True
+    # Every head run beats every base run: the spread does not hide that.
+    apart = [pair(output(b), output(h)) for b, h in zip(bases, [0.05, 0.06, 0.07, 0.08])]
+    latency = bench_pairs.summarise(apart, END_TO_END)["latency_p50_ms"]
+    assert latency["unresolved"] is False and latency["within_bound"] is True
+
+
 @pytest.mark.parametrize("text, expected", [
     ("5", {"dry-tc2": 5, "agent-ts3": 5}),
     ("5,agent-ts3=10", {"dry-tc2": 5, "agent-ts3": 10}),

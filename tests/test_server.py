@@ -244,6 +244,15 @@ class TestPut:
         assert status == 400
         assert runtime.dataset is before
 
+    def test_iri_with_an_excluded_character_refused(self, served):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        status, body = LdClient(server.base).put_raw(
+            res.graph[len(server.base):], f'<{res.node}> <{RDF_VALUE}> <{res.graph}#a b> .')
+        assert status == 400 and b"unparsable payload" in body
+        assert runtime.dataset is before
+
     def test_foreign_subject_rejected(self, served):
         server, _, dynamic = served
         res = command_resource(dynamic)
@@ -419,6 +428,30 @@ class TestRawConnection:
             path = res.graph[len(server.base):]
             after = exchange(sock, f"GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
             assert after.status == 200
+
+    @pytest.mark.parametrize("directive", ["@prefix ex: <//[> .", "@base <//[> ."])
+    @pytest.mark.parametrize("target", ["graph", "sim"])
+    def test_unresolvable_directive_iri_gets_400(self, served, directive, target):
+        # urljoin raises ValueError on "//[", which once ended the handler
+        # thread without a reply.
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        graph_path = res.graph[len(server.base):]
+        path = graph_path if target == "graph" else "sim"
+        body = f"{directive}\n<{res.node}> <{RDF_VALUE}> \"on\" .\n".encode()
+        with connect(server) as sock:
+            refused = exchange(sock, (
+                f"PUT /{path} HTTP/1.1\r\nHost: x\r\nX-Agent: tester\r\n"
+                f"Content-Type: text/turtle\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+            assert refused.status == 400
+            after = exchange(sock, f"GET /{graph_path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            assert after.status == 200
+        assert runtime.dataset is before and not runtime.started
+        writes = [(op.method, op.target, op.status, op.agent)
+                  for op in runtime.snapshot_log()[1] if not op.is_read]
+        assert writes == ([("PUT", res.graph, 400, "tester")] if target == "graph" else [])
 
     @pytest.mark.parametrize("method", ["POST", "DELETE"])
     def test_post_and_delete_refused_with_allow(self, served, method):

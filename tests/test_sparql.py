@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 from ldsim import sparql
 from ldsim.engine import KeyedRandom
-from ldsim.ns import DEFAULT_GRAPH, RDF_VALUE, XSD_INTEGER
+from ldsim.ns import DEFAULT_GRAPH, RDF_LANG_STRING, RDF_VALUE, XSD_DECIMAL, XSD_DOUBLE, \
+    XSD_INTEGER
 from ldsim.rdf import IRI, Dataset, Literal, Quad
-from ldsim.rdfio import ParseError
+from ldsim.rdfio import ParseError, parse_document
 from ldsim.sparql import (
+    EBin,
+    EConst,
     EvalContext,
+    EVar,
     Filter,
     PathLink,
     PathPlus,
@@ -123,6 +127,117 @@ class TestParser:
         ast = parse_query("ASK { ?a (^<http://x/p>)+ ?b }")
         tp = ast.pattern.elements[0]
         assert tp.p == PathPlus(PathLink.__call__("http://x/p")) or tp.p is not None
+
+
+# A term as it is written, beside the term it denotes.
+ECHARS = {"\t": r"\t", "\b": r"\b", "\n": r"\n", "\r": r"\r", "\f": r"\f",
+          '"': r'\"', "'": r"\'", "\\": r"\\"}
+_unicode = st.characters(blacklist_categories=("Cs",))
+
+
+def _uchar(ch: str) -> str:
+    return f"\\u{ord(ch):04X}" if ord(ch) < 0x10000 else f"\\U{ord(ch):08X}"
+
+
+def _written(raw_chars, open_quote: str, close_quote: str):
+    pieces = st.one_of(raw_chars.map(lambda ch: (ch, ch)), st.sampled_from(sorted(ECHARS.items())),
+                       _unicode.map(lambda ch: (ch, _uchar(ch))))
+    return st.lists(pieces, max_size=12).map(lambda ps: (
+        "".join(value for value, _ in ps), open_quote + "".join(w for _, w in ps) + close_quote))
+
+
+SHORT_STRINGS = _written(st.characters(blacklist_characters='"\\\n\r',
+                                       blacklist_categories=("Cs",)), '"', '"')
+# Raw quotes, line breaks and control characters; a quote is escaped so
+# that none ends the string early.
+LONG_STRINGS = _written(st.characters(blacklist_characters='"\\', blacklist_categories=("Cs",)),
+                        '"""', '"""')
+LANG_TAGS = st.from_regex(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8}){0,2}", fullmatch=True)
+PN_LOCALS = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.\-]{0,8}[A-Za-z0-9_\-])?", fullmatch=True)
+IRI_LOCALS = st.text(st.characters(min_codepoint=0x21, blacklist_characters='<>"{}|^`\\',
+                                   blacklist_categories=("Cs",)), max_size=10)
+
+
+@st.composite
+def numbers(draw):
+    datatype = draw(st.sampled_from([XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE]))
+    lexical = draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 99999)))
+    if datatype != XSD_INTEGER:
+        lexical += "." + str(draw(st.integers(0, 999)))
+    if datatype == XSD_DOUBLE:
+        lexical += draw(st.sampled_from(["e", "E", "e-", "E+"])) + str(draw(st.integers(0, 99)))
+    return Literal(lexical, datatype), lexical
+
+
+TERMS = st.one_of(
+    SHORT_STRINGS.map(lambda sw: (Literal(sw[0]), sw[1])),
+    LONG_STRINGS.map(lambda sw: (Literal(sw[0]), sw[1])),
+    st.tuples(SHORT_STRINGS, LANG_TAGS).map(lambda c: (
+        Literal(c[0][0], RDF_LANG_STRING, c[1].lower()), f"{c[0][1]}@{c[1]}")),
+    numbers(),
+    IRI_LOCALS.map(lambda local: (IRI(EX + local), f"<{EX}{local}>")),
+    PN_LOCALS.map(lambda local: (IRI(EX + local), f"ex:{local}")),
+)
+
+
+def filter_expr(text: str):
+    return parse_query(f"ASK {{ ?a ?p ?b FILTER({text}) }}").pattern.elements[1].expr
+
+
+class TestSharedTerminals:
+    """Turtle and the SPARQL subset read their common terminals with one
+    tokenizer, so a term reads the same in a document and in a pattern."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(TERMS)
+    def test_a_term_reads_the_same_in_turtle_and_sparql(self, case):
+        expected, text = case
+        # The statement's dot follows the term directly.
+        [quad] = parse_document(f"@prefix ex: <{EX}> .\nex:s ex:p {text}.\n").quads()
+        query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ex:s ex:p {text}. }}")
+        [pattern] = query.pattern.elements
+        assert quad.o == pattern.o == expected
+
+    @pytest.mark.parametrize("text, value", [
+        (r'"a\rb"', "a\rb"), (r'"a\bb"', "a\bb"), ('"""x\\ny"""', "x\ny"),
+        ('"""two\nlines"""', "two\nlines"), (r"'é\U0001F600'", "é\U0001F600"),
+    ])
+    def test_query_strings_decode_every_escape(self, text, value):
+        [pattern] = parse_query(f"ASK {{ ?s ?p {text} }}").pattern.elements
+        assert pattern.o == Literal(value)
+
+    @pytest.mark.parametrize("text", ['"a\\qb"', '"a\nb"', f"<{EX}a b>", f"<{EX}a{{b}}>",
+                                      f"<{EX}a\\u0020b>", '"a\\u00"'])
+    def test_malformed_terminals_are_refused_in_both_grammars(self, text):
+        with pytest.raises(ParseError):
+            parse_document(f"<{EX}s> <{EX}p> {text} .")
+        with pytest.raises(ParseError):
+            parse_query(f"ASK {{ ?s ?p {text} }}")
+
+    @pytest.mark.parametrize("text, right", [
+        ("?a-1", EConst(1)), ("?a - 1", EConst(1)), ("?a -1", EConst(1)),
+        ("?a -1.5", EConst(1.5)), ("?a -1 * 2", EBin("*", EConst(1), EConst(2))),
+    ])
+    def test_a_signed_number_after_an_operand_subtracts(self, text, right):
+        assert filter_expr(f"{text} = 0").left == EBin("-", EVar("a"), right)
+
+    def test_a_signed_number_after_an_operand_adds(self):
+        assert filter_expr("?a+2 = 0").left == EBin("+", EVar("a"), EConst(2))
+
+    def test_comparison_with_a_negative_number(self):
+        assert filter_expr("?v > -1") == EBin(">", EVar("v"), EConst(-1))
+
+    @pytest.mark.parametrize("op", ["<", "<="])
+    def test_less_than_without_spaces_is_a_comparison(self, op):
+        assert filter_expr(f"?a{op}?b") == EBin(op, EVar("a"), EVar("b"))
+
+    def test_a_dot_after_a_prefixed_name_ends_the_pattern(self):
+        query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ?s ex:p ex:o. ?s ex:q ex:r }}")
+        assert [tp.o for tp in query.pattern.elements] == [IRI(EX + "o"), IRI(EX + "r")]
+
+    def test_at_directives_are_turtle_only(self):
+        with pytest.raises(ParseError):
+            parse_query(f"@prefix ex: <{EX}> .\nASK {{ ?s ex:p ?o }}")
 
 
 class TestQueryEval:

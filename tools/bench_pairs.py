@@ -15,8 +15,11 @@ whose per-layer metrics are stored as they are.
 
 The output holds every run's metrics and notes, and per workload and
 end-to-end metric each side's median and quartiles, how many pairs the head
-won (ties count for neither side), and whether the medians differ by more
-than the base's interquartile range. Uses the standard library only.
+won (ties count for neither side), whether the medians differ by more than
+the base's interquartile range, and the no-regression check: whether the
+head's median is within the metric's bound of the base's (`within_bound`),
+and whether the base spread too widely to tell (`unresolved`). Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -65,7 +68,12 @@ def quartiles(values: list[float]) -> dict[str, float]:
 def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     """Per end-to-end metric: each side's median and quartiles over its
     correct runs, the head's wins over the pairs where both sides are
-    correct, and whether the medians differ by more than the base's IQR."""
+    correct, and whether the medians differ by more than the base's IQR.
+
+    `within_bound`: the head's median is worse than the base's, in the
+    metric's `better` direction, by at most `bound` times the base's.
+    `unresolved`: the base's IQR is wider than `bound` times its median,
+    unless every head run beats every base run."""
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -76,13 +84,20 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
             a, b = p["base"]["metrics"][name], p["head"]["metrics"][name]
             if a != b:
                 row["head_wins" if (b < a) == lower else "base_wins"] += 1
+        values = {side: [p[side]["metrics"][name] for p in pairs if p[side]["correct"]]
+                  for side in SIDES}
         for side in SIDES:
-            values = [p[side]["metrics"][name] for p in pairs if p[side]["correct"]]
-            row[side] = quartiles(values) if values else None
+            row[side] = quartiles(values[side]) if values[side] else None
         if row["base"] and row["head"]:
             base, head = row["base"]["median"], row["head"]["median"]
+            iqr = row["base"]["q3"] - row["base"]["q1"]
             row["change"] = (head - base) / base if base else None
-            row["beyond_base_iqr"] = abs(head - base) > row["base"]["q3"] - row["base"]["q1"]
+            row["beyond_base_iqr"] = abs(head - base) > iqr
+            row["within_bound"] = (head - base if lower else base - head) \
+                <= spec["bound"] * abs(base)
+            separated = (max(values["head"]) < min(values["base"]) if lower
+                         else min(values["head"]) > max(values["base"]))
+            row["unresolved"] = iqr > spec["bound"] * abs(base) and not separated
         out[name] = row
     return out
 
