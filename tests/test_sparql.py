@@ -18,6 +18,7 @@ from ldsim.sparql import (
     EvalContext,
     EVar,
     Filter,
+    PathInv,
     PathLink,
     PathPlus,
     SubsetError,
@@ -126,7 +127,7 @@ class TestParser:
     def test_path_parse(self):
         ast = parse_query("ASK { ?a (^<http://x/p>)+ ?b }")
         tp = ast.pattern.elements[0]
-        assert tp.p == PathPlus(PathLink.__call__("http://x/p")) or tp.p is not None
+        assert tp.p == PathPlus(PathInv(PathLink("http://x/p")))
 
 
 # A term as it is written, beside the term it denotes.
