@@ -77,8 +77,11 @@ _PLX = r"%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%]"
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})"
 _ESC = r"\\[tbnrf\"'\\]|" + _UCHAR
 _EXCLUDED = r'<>"{}|^`\\\x00-\x20'  # what an IRIREF may not hold
-_SKIP = r"(?:[ \t\r\n]+|#[^\r\n]*)*"
-_TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+# Whitespace and comments are skipped by a match of their own, which cannot
+# fail; run as a prefix of _TOKEN_RE it would be backtracked into when no
+# token follows, exponentially in the length of a run of blanks.
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]|#[^\r\n]*)*")
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("iri", f"<(?:[^{_EXCLUDED}]|{_UCHAR})*>"),
     ("pname", f"(?:[{_BASE}](?:[{_CHARS}.]*[{_CHARS}])?)?:"
               f"(?:(?:[{_U}:0-9]|{_PLX})(?:(?:[{_CHARS}.:]|{_PLX})*(?:[{_CHARS}:]|{_PLX}))?)?"),
@@ -93,7 +96,7 @@ _TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{kind}>{pattern})" for kin
     ("lang", "@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
     ("word", "[A-Za-z][A-Za-z0-9_]*"),
     ("op", r"\^\^|&&|\|\||[!<>]=|[.;,\[\](){}=<>!+\-*/^]"),
-    ("eof", r"\Z"))) + ")")
+    ("eof", r"\Z"))))
 _LEAD = {"blank": 2, "var": 1, "lang": 1, "word": 0, "eof": 0}
 _MALFORMED = {'"': "string", "'": "string", "_": "blank node label", "@": "language tag",
               "?": "variable", "$": "variable"}
@@ -132,15 +135,14 @@ class Lexer:
 
     def _scan(self) -> tuple:
         text = self.text
-        m = _TOKEN_RE.match(text, self.pos)
+        start = _SKIP_RE.match(text, self.pos).end()
+        m = _TOKEN_RE.match(text, start)
         if m is None:
-            start = re.compile(_SKIP).match(text, self.pos).end()
             ch = text[start]
             what = f"malformed {_MALFORMED[ch]}" if ch in _MALFORMED else \
                 f"unexpected character {ch!r}"
             raise ParseError(what, text, start)
         kind = m.lastgroup
-        start = m.start(kind)
         self.pos = end = m.end()
         if kind == "op":
             return (m[kind], m[kind], start)
@@ -409,8 +411,6 @@ def parse_document(text: str, fmt: str = "turtle", base: str | None = None,
     formats place unlabeled statements there as well.
     """
     return _Parser(text, fmt, base, default_graph).parse()
-
-
 
 
 # -- serialization ------------------------------------------------------------

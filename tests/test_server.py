@@ -253,6 +253,21 @@ class TestPut:
         assert status == 400 and b"unparsable payload" in body
         assert runtime.dataset is before
 
+    def test_malformed_string_after_a_run_of_blanks_refused_at_once(self, served):
+        # Blanks skipped as a prefix of every token pattern were backtracked
+        # into exponentially when no token followed, inside one regex call
+        # that held the interpreter lock and so stopped the whole server.
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        before = runtime.dataset
+        payload = f'<{res.node}> <{RDF_VALUE}>{" " * 40}"on\n .'
+        started = time.monotonic()
+        status, body = LdClient(server.base).put_raw(res.graph[len(server.base):], payload)
+        assert time.monotonic() - started < 5
+        column = payload.index('"on') + 1
+        assert status == 400 and f"malformed string (line 1, column {column})".encode() in body
+        assert runtime.dataset is before
+
     def test_foreign_subject_rejected(self, served):
         server, _, dynamic = served
         res = command_resource(dynamic)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from unittest import mock
 
@@ -214,6 +218,35 @@ class TestSharedTerminals:
             parse_document(f"<{EX}s> <{EX}p> {text} .")
         with pytest.raises(ParseError):
             parse_query(f"ASK {{ ?s ?p {text} }}")
+
+    def test_a_lexical_error_after_a_run_of_blanks_is_found_at_once(self):
+        # Blanks skipped as a prefix of every token pattern were backtracked
+        # into exponentially when no token followed. The regex call cannot be
+        # interrupted, so a subprocess bounds the wait.
+        script = textwrap.dedent("""
+            from ldsim.rdfio import ParseError, parse_document
+            from ldsim.sparql import parse_query
+            for blanks in (" " * 40, "\\t \\n" * 20):
+                text = "<http://x/s> <http://x/p>" + blanks + '"abc\\n'
+                for parse in (parse_document, lambda t: parse_query("ASK { " + t + " }")):
+                    try:
+                        parse(text)
+                    except ParseError as exc:
+                        print(exc.line, exc.col)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["1 66", "1 72", "21 1", "21 1", ""]
+
+    @pytest.mark.parametrize("text", [f"<{EX}s> # <{EX}p> .\n~", '# """\n~'])
+    def test_a_lexical_error_after_a_comment_is_placed_at_its_character(self, text):
+        # Nothing inside a comment is read as a token.
+        for parse in (parse_document, lambda t: parse_query(f"ASK {{ {t} }}")):
+            with pytest.raises(ParseError,
+                               match=r"unexpected character '~' \(line 2, column 1\)"):
+                parse(text)
 
     @pytest.mark.parametrize("text, right", [
         ("?a-1", EConst(1)), ("?a - 1", EConst(1)), ("?a -1", EConst(1)),
