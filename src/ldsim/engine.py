@@ -150,17 +150,21 @@ def occupancy_step(occupants: tuple[Occupant, ...], iteration: int, hour: float,
                    cfg: OccupancyConfig) -> tuple[Occupant, ...]:
     """One slot of the per-occupant state machine.
 
-    Each occupant consumes exactly one keyed draw per slot, keyed by its IRI,
-    so transitions are stable across seed-matched runs.
+    Each occupant consumes at most one keyed draw per slot, keyed by its
+    IRI, and only in a branch that compares against it. A draw is a pure
+    function of its key, so skipping an unread one changes no other draw,
+    and transitions are stable across seed-matched runs.
     """
 
     def scaled(rate: float) -> float:
         # At least one per-minute event in the slot (Page et al., 2008).
         return 1.0 - (1.0 - rate) ** step_minutes
 
+    def draw(occ: Occupant) -> float:
+        return rng.unit(iteration, "occupancy", occ.iri)
+
     out = []
     for occ in occupants:
-        draw = rng.unit(iteration, "occupancy", occ.iri)
         state, since, lunched = occ.state, occ.since, occ.lunched
         if hour >= cfg.closing_hour and state not in (HOME, GONE):
             state = GONE
@@ -168,20 +172,23 @@ def occupancy_step(occupants: tuple[Occupant, ...], iteration: int, hour: float,
             state, lunched = HOME, False
         elif state == HOME:
             if cfg.arrive_from_hour <= hour < cfg.closing_hour \
-                    and draw < scaled(cfg.arrive_rate):
+                    and draw(occ) < scaled(cfg.arrive_rate):
                 state, since = ARRIVING, iteration
         elif state == ARRIVING:
             if (iteration - since) * step_minutes >= cfg.commute_minutes:
                 state, since = AT_DESK, iteration
         elif state == AT_DESK:
-            if (not lunched and cfg.lunch_from_hour <= hour < cfg.lunch_until_hour
-                    and draw < scaled(cfg.lunch_rate)):
-                state, since = AT_LUNCH, iteration
-            elif hour >= cfg.leave_from_hour and draw < scaled(cfg.leave_rate):
-                state = GONE
+            lunch_open = not lunched and cfg.lunch_from_hour <= hour < cfg.lunch_until_hour
+            leaving = hour >= cfg.leave_from_hour
+            if lunch_open or leaving:
+                unit = draw(occ)
+                if lunch_open and unit < scaled(cfg.lunch_rate):
+                    state, since = AT_LUNCH, iteration
+                elif leaving and unit < scaled(cfg.leave_rate):
+                    state = GONE
         elif state == AT_LUNCH:
             if ((iteration - since) * step_minutes >= cfg.lunch_min_minutes
-                    and draw < scaled(cfg.lunch_return_rate)):
+                    and draw(occ) < scaled(cfg.lunch_return_rate)):
                 state, since, lunched = AT_DESK, iteration, True
         if (state, since, lunched) == (occ.state, occ.since, occ.lunched):
             out.append(occ)

@@ -1,5 +1,11 @@
 """RDF terms, quads and immutable datasets.
 
+Terms are tuple subclasses (`typing.NamedTuple`), so hashing and equality
+run in C: a term is looked up in the index, joined in SPARQL and compared
+in `replace_graphs` millions of times a simulated day. Each kind has its
+own arity (an IRI one field, a blank node two, a literal three), so terms
+of different kinds never compare equal.
+
 A dataset is stored as a mapping from graph name to a frozenset of triples,
 which makes graph replacement and graph-confined deltas cheap: unchanged
 graphs are shared between dataset versions and compared by identity first.
@@ -17,30 +23,27 @@ A predicate the change touched gets a new entry object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .ns import XSD_STRING
 
 
-@dataclass(frozen=True, slots=True)
-class IRI:
+class IRI(NamedTuple):
     value: str
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(NamedTuple):
     label: str
+    kind: str = "_"  # a second field, so that BlankNode(x) != IRI(x)
 
     def __repr__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """A literal compared by lexical form plus datatype, not by value."""
 
     lexical: str

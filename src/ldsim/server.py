@@ -46,8 +46,8 @@ Every final reply, refusals included, goes through `_reply`: an HTTP/1.1
 head with `Server`, `Date` and `Content-Length`, formatted as one string and
 written with the body in one write. HTTP/0.9 gets the body alone, and `HEAD`
 the head alone. Only the interim `100 Continue` is written elsewhere. Every
-refused GET or write is logged with its status, except the 400 and 409
-replies of `sim`.
+refused GET or write is logged with its status, the 400 and 409 replies of
+`sim` included.
 
 Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
 the client address, the request line, the status and the `X-Agent` header.
@@ -328,7 +328,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _sim_put(self, body: bytes) -> None:
         if self.runtime.started:
-            self._reply(409, b"run already in progress\n")
+            self._refuse(409, b"run already in progress\n")
             return
         target = self.base + SIM_PATH
         content_type = (self.headers.get("content-type") or TURTLE).split(";")[0].strip()
@@ -337,7 +337,7 @@ class _Handler(socketserver.StreamRequestHandler):
                                     PARSE_FORMATS.get(content_type, "turtle"),
                                     base=self.base, default_graph=target)
         except (ParseError, UnicodeDecodeError) as exc:
-            self._reply(400, f"unparsable payload: {exc}\n".encode())
+            self._refuse(400, f"unparsable payload: {exc}\n".encode())
             return
         vocab = self.base + SIM_VOCAB
         values: dict[str, object] = {}
@@ -357,15 +357,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 step_seconds=_whole_number(values.get("simulatedStep", 60)),
             )
         except KeyError as exc:
-            self._reply(400, f"missing parameter sim:{exc.args[0]}\n".encode())
+            self._refuse(400, f"missing parameter sim:{exc.args[0]}\n".encode())
             return
         except (ValueError, TypeError) as exc:
-            self._reply(400, f"bad run parameter: {exc}\n".encode())
+            self._refuse(400, f"bad run parameter: {exc}\n".encode())
             return
         try:
             self.runtime.start(params)
         except RuntimeError:
-            self._reply(409, b"run already in progress\n")
+            self._refuse(409, b"run already in progress\n")
             return
         self._reply(200, b"run started\n")
 

@@ -69,6 +69,8 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Var:
+    """Not a tuple like the RDF terms: a 1-tuple Var("x") would equal IRI("x")."""
+
     name: str
 
     def __repr__(self) -> str:

@@ -4,9 +4,16 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim.engine import (
+    AT_DESK,
+    AT_LUNCH,
+    ARRIVING,
+    GONE,
+    HOME,
     EnvEntry,
     KeyedRandom,
     Occupant,
@@ -126,6 +133,19 @@ class ForcedRandom(KeyedRandom):
         return self.value
 
 
+class Recording(KeyedRandom):
+    """Records the key of every draw and returns the draw of `inner`."""
+
+    def __init__(self, inner: KeyedRandom):
+        super().__init__(inner.seed)
+        self.inner = inner
+        self.keys = []
+
+    def unit(self, *key):
+        self.keys.append(key)
+        return self.inner.unit(*key)
+
+
 class TestOccupancy:
     def occupants(self):
         return tuple(Occupant(iri=f"urn:o{i}", room=f"urn:r{i % 2}") for i in range(4))
@@ -178,23 +198,76 @@ class TestOccupancy:
         assert occ[0].state == state
 
 
-    def test_unchanged_occupants_are_kept_and_each_draws_once(self):
-        class Counting(ForcedRandom):
-            def __init__(self):
-                super().__init__(0.99)
-                self.keys = []
-
-            def unit(self, *key):
-                self.keys.append(key)
-                return self.value
-
+    def test_unchanged_occupants_are_kept_and_each_draws_at_most_once(self):
         before = self.occupants() + (
-            Occupant(iri="urn:o9", room="urn:r0", state="arriving", since=0),)
-        rng = Counting()
+            Occupant(iri="urn:o8", room="urn:r1", state="at-desk", since=0),
+            Occupant(iri="urn:o9", room="urn:r0", state="arriving", since=0))
+        rng = Recording(ForcedRandom(0.99))
         after = occupancy_step(before, 20, 9.0, 1.0, rng, OccupancyConfig())
-        assert all(a is b for a, b in zip(after[:4], before[:4]))
-        assert after[4] == Occupant(iri="urn:o9", room="urn:r0", state="at-desk", since=20)
-        assert sorted(rng.keys) == sorted((20, "occupancy", o.iri) for o in before)
+        assert all(a is b for a, b in zip(after[:5], before[:5]))
+        assert after[5] == Occupant(iri="urn:o9", room="urn:r0", state="at-desk", since=20)
+        # Only the four at home compare a draw at 9:00: the one at a desk is
+        # outside the lunch and leaving windows, the arriving one reads none.
+        assert sorted(rng.keys) == sorted((20, "occupancy", o.iri) for o in before[:4])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        states=st.lists(st.tuples(st.sampled_from([HOME, ARRIVING, AT_DESK, AT_LUNCH, GONE]),
+                                  st.integers(0, 200), st.booleans()), max_size=8),
+        iteration=st.integers(0, 300),
+        hour=st.one_of(st.floats(0.0, 24.0, exclude_max=True),
+                       st.sampled_from([7.99, 8.0, 12.0, 14.0, 16.0, 21.0])),
+        step_minutes=st.one_of(st.sampled_from([0.5, 1.0, 20.0, 45.0]),
+                               st.floats(0.1, 120.0)),
+        seed=st.integers(0, 2 ** 32),
+        cfg=st.sampled_from([OccupancyConfig(),
+                             OccupancyConfig(lunch_until_hour=17.0, leave_from_hour=13.0)]))
+    def test_lazy_draws_match_one_draw_per_occupant(self, states, iteration, hour,
+                                                    step_minutes, seed, cfg):
+        before = tuple(Occupant(iri=f"urn:o{i}", room="urn:r0", state=state, since=since,
+                                lunched=lunched)
+                       for i, (state, since, lunched) in enumerate(states))
+        rng = Recording(KeyedRandom(seed))
+        lazy = occupancy_step(before, iteration, hour, step_minutes, rng, cfg)
+        assert lazy == _eager_occupancy_step(before, iteration, hour, step_minutes,
+                                             KeyedRandom(seed), cfg)
+        assert len(rng.keys) == len(set(rng.keys))
+        assert set(rng.keys) <= {(iteration, "occupancy", o.iri) for o in before}
+
+
+def _eager_occupancy_step(occupants, iteration, hour, step_minutes, rng, cfg):
+    """The reference: every occupant draws once, whether a branch reads it."""
+
+    def scaled(rate):
+        return 1.0 - (1.0 - rate) ** step_minutes
+
+    out = []
+    for occ in occupants:
+        draw = rng.unit(iteration, "occupancy", occ.iri)
+        state, since, lunched = occ.state, occ.since, occ.lunched
+        if hour >= cfg.closing_hour and state not in (HOME, GONE):
+            state = GONE
+        elif state == GONE and hour < cfg.arrive_from_hour:
+            state, lunched = HOME, False
+        elif state == HOME:
+            if cfg.arrive_from_hour <= hour < cfg.closing_hour \
+                    and draw < scaled(cfg.arrive_rate):
+                state, since = ARRIVING, iteration
+        elif state == ARRIVING:
+            if (iteration - since) * step_minutes >= cfg.commute_minutes:
+                state, since = AT_DESK, iteration
+        elif state == AT_DESK:
+            if (not lunched and cfg.lunch_from_hour <= hour < cfg.lunch_until_hour
+                    and draw < scaled(cfg.lunch_rate)):
+                state, since = AT_LUNCH, iteration
+            elif hour >= cfg.leave_from_hour and draw < scaled(cfg.leave_rate):
+                state = GONE
+        elif state == AT_LUNCH:
+            if ((iteration - since) * step_minutes >= cfg.lunch_min_minutes
+                    and draw < scaled(cfg.lunch_return_rate)):
+                state, since, lunched = AT_DESK, iteration, True
+        out.append(replace(occ, state=state, since=since, lunched=lunched))
+    return tuple(out)
 
 
 class TestRuntime:

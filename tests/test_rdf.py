@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldsim.ns import DEFAULT_GRAPH, XSD_INTEGER, XSD_STRING
+from ldsim.ns import DEFAULT_GRAPH, RDF_LANG_STRING, XSD_INTEGER, XSD_STRING
 from ldsim.rdf import (
     IRI,
     BlankNode,
@@ -76,8 +76,17 @@ class TestDataset:
 _NODES = [IRI(EX + n) for n in ("a", "b", "c")] + [Literal("1"), Literal("2")]
 _PREDICATES = [IRI(EX + n) for n in ("p", "q", "r")]
 _GRAPHS = [IRI(EX + n) for n in ("g1", "g2", "g3")]
-_triples = st.tuples(st.sampled_from(_NODES[:3]), st.sampled_from(_PREDICATES),
-                     st.sampled_from(_NODES))
+# Short arbitrary strings, so that terms of different kinds often share one.
+_short = st.text(max_size=2)
+_subjects = st.one_of(st.sampled_from(_NODES[:3]), _short.map(IRI),
+                      _short.map(BlankNode))
+_objects = st.one_of(st.sampled_from(_NODES), _subjects, st.builds(
+    Literal, _short, st.sampled_from([XSD_STRING, XSD_INTEGER]), st.just("")))
+_triples = st.tuples(_subjects, st.sampled_from(_PREDICATES), _objects)
+# Absolute IRIs with any character an IRIREF may hold, and blank node labels.
+_iris = st.builds(lambda tail: EX + tail, st.text(st.characters(
+    min_codepoint=0x21, exclude_characters='<>"{}|^`\\'), max_size=8))
+_labels = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?", fullmatch=True)
 _quads = st.builds(lambda t, g: Quad(*t, g), _triples, st.sampled_from(_GRAPHS))
 _steps = st.lists(st.one_of(
     st.tuples(st.just("replace"),
@@ -123,6 +132,51 @@ class TestPredicateIndex:
         d2 = d.apply(remove=[quad(A, P, B, G1)], add=[])
         assert list(d2.pred_nav(P.value)[0][A]) == [B]
         assert set(d2.pred_entries(P.value)) == {(A, B, G2.value)}
+
+
+def _copy(text: str) -> str:
+    """An equal string, not necessarily the same object."""
+    return text.encode().decode()
+
+
+class TestTerms:
+    """Terms are tuples: each kind has its own arity, so kinds never compare
+    equal, and equality and hashing are the tuple's."""
+
+    @given(st.text())
+    def test_kinds_are_pairwise_unequal(self, text):
+        terms = [IRI(text), BlankNode(text), Literal(text)]
+        assert all(a != b for i, a in enumerate(terms) for b in terms[i + 1:])
+        assert len(set(terms)) == 3
+
+    @given(st.text(), st.text(), st.text())
+    def test_equal_terms_hash_equal(self, text, datatype, lang):
+        pairs = [(IRI(text), IRI(_copy(text))),
+                 (BlankNode(text), BlankNode(_copy(text))),
+                 (Literal(text, datatype, lang),
+                  Literal(_copy(text), _copy(datatype), _copy(lang)))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+
+    @given(st.text(), st.text(), st.text())
+    def test_literals_differ_by_datatype(self, text, dt, dt2):
+        assert (Literal(text, dt) == Literal(text, dt2)) == (dt == dt2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(_iris.map(IRI), _labels.map(BlankNode)),
+        _iris.map(IRI),
+        st.one_of(_iris.map(IRI), _labels.map(BlankNode),
+                  st.text().map(Literal),
+                  st.builds(Literal, st.text(), _iris, st.just("")),
+                  st.builds(lambda text, tag: Literal(text, RDF_LANG_STRING, tag),
+                            st.text(), st.from_regex(r"[a-z]{1,8}(-[a-z0-9]{1,8})?",
+                                                     fullmatch=True)))),
+        max_size=8))
+    def test_n_triples_round_trip(self, triples):
+        text = serialize_triples(triples, "n-triples")
+        back = parse_document(text, "n-triples", default_graph=EX + "g")
+        assert back.graph(EX + "g") == frozenset(triples)
 
 
 class TestSymmetricDifference:

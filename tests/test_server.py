@@ -373,7 +373,10 @@ class TestSimPut:
         client = LdClient(server.base)
         assert client.put_raw("sim", self.PAYLOAD)[0] == 200
         assert client.put_raw("sim", self.PAYLOAD)[0] == 409
-        runtime.finished.wait(5)
+        assert runtime.finished.wait(5)
+        refused = [(op.method, op.target, op.status)
+                   for op in runtime.snapshot_log()[1] if not op.ok]
+        assert refused == [("PUT", server.base + "sim", 409)]
 
     def test_missing_parameter_rejected(self, served):
         server, runtime, _ = served
@@ -466,7 +469,8 @@ class TestRawConnection:
         assert runtime.dataset is before and not runtime.started
         writes = [(op.method, op.target, op.status, op.agent)
                   for op in runtime.snapshot_log()[1] if not op.is_read]
-        assert writes == ([("PUT", res.graph, 400, "tester")] if target == "graph" else [])
+        assert writes == [("PUT", res.graph if target == "graph" else server.base + "sim",
+                           400, "tester")]
 
     @pytest.mark.parametrize("method", ["POST", "DELETE"])
     def test_post_and_delete_refused_with_allow(self, served, method):
