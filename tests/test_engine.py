@@ -220,8 +220,11 @@ class TestOccupancy:
         step_minutes=st.one_of(st.sampled_from([0.5, 1.0, 20.0, 45.0]),
                                st.floats(0.1, 120.0)),
         seed=st.integers(0, 2 ** 32),
+        # The second lunch window overlaps the leaving hours, where a draw
+        # too high for lunch can still be low enough to leave.
         cfg=st.sampled_from([OccupancyConfig(),
-                             OccupancyConfig(lunch_until_hour=17.0, leave_from_hour=13.0)]))
+                             OccupancyConfig(lunch_until_hour=17.0, leave_from_hour=13.0,
+                                             leave_rate=1 / 5)]))
     def test_lazy_draws_match_one_draw_per_occupant(self, states, iteration, hour,
                                                     step_minutes, seed, cfg):
         before = tuple(Occupant(iri=f"urn:o{i}", room="urn:r0", state=state, since=since,
