@@ -83,10 +83,6 @@ _subjects = st.one_of(st.sampled_from(_NODES[:3]), _short.map(IRI),
 _objects = st.one_of(st.sampled_from(_NODES), _subjects, st.builds(
     Literal, _short, st.sampled_from([XSD_STRING, XSD_INTEGER]), st.just("")))
 _triples = st.tuples(_subjects, st.sampled_from(_PREDICATES), _objects)
-# Absolute IRIs with any character an IRIREF may hold, and blank node labels.
-_iris = st.builds(lambda tail: EX + tail, st.text(st.characters(
-    min_codepoint=0x21, exclude_characters='<>"{}|^`\\'), max_size=8))
-_labels = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?", fullmatch=True)
 _quads = st.builds(lambda t, g: Quad(*t, g), _triples, st.sampled_from(_GRAPHS))
 _steps = st.lists(st.one_of(
     st.tuples(st.just("replace"),
@@ -134,8 +130,14 @@ class TestPredicateIndex:
         assert set(d2.pred_entries(P.value)) == {(A, B, G2.value)}
 
 
+# Absolute IRIs with any character an IRIREF may hold, and blank node labels.
+_iris = st.builds(lambda tail: EX + tail, st.text(st.characters(
+    min_codepoint=0x21, exclude_characters='<>"{}|^`\\'), max_size=8))
+_labels = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.-]*[A-Za-z0-9_-])?", fullmatch=True)
+
+
 def _copy(text: str) -> str:
-    """An equal string, not necessarily the same object."""
+    """An equal string built again from its bytes, as a parser builds one."""
     return text.encode().decode()
 
 
