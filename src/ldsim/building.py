@@ -378,10 +378,7 @@ def generate_synthetic(params: GeneratorParams,
     cmd_spread = _spread(cmd_only_points, n_cmd_only)
     hygiene_rooms = _hygiene_rooms(cmd_rooms, params.hygiene_lights, cmd_spread)
     room_cycle = [r for r in cmd_rooms if r not in {r for r, _ in hygiene_rooms}]
-    taken = 0
-    hygiene_plan: list[tuple[IRI, int]] = []
-    for room, count in hygiene_rooms:
-        hygiene_plan.append((room, count))
+    hygiene_plan = list(hygiene_rooms)
     cursor = 0
     for idx in range(n_cmd_only):
         points = cmd_spread[idx]
@@ -404,7 +401,6 @@ def generate_synthetic(params: GeneratorParams,
         sys_iri = new_system(room)
         for _ in range(points):
             new_point(sys_iri, room, "cmd", LUMINANCE_COMMAND)
-        taken += points
 
     # Spare systems without relevant points feed the wings.
     n_bare = (params.lighting_systems - n_full - n_occ_only - n_cmd_only)

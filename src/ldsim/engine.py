@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import sys
 import threading
 import time as _time
@@ -574,11 +575,12 @@ def dry_run(env: SimEnvironment, params: RunParams,
 
 
 def tick_percentile(samples: list[float], pct: float) -> float:
+    """Nearest-rank percentile of the samples; 0.0 for none."""
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(pct / 100.0 * len(ordered) + 0.5)) - 1)
-    return ordered[max(0, index)]
+    # pct * n first: ceil(0.07 * 100) is 8, but 7% of 100 samples is rank 7.
+    return ordered[max(1, math.ceil(pct * len(ordered) / 100.0)) - 1]
 
 
 def _lux(value: float) -> Literal:

@@ -245,13 +245,20 @@ class _Handler(socketserver.StreamRequestHandler):
             return None
         return self.rfile.read(length) if length else b""
 
-    def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
+    def _payload_format(self) -> str | None:
+        """The body's parse format (Turtle if untyped); None after a 415."""
         content_type = (self.headers.get("content-type") or TURTLE).split(";")[0].strip()
-        if content_type not in PARSE_FORMATS:
+        fmt = PARSE_FORMATS.get(content_type)
+        if fmt is None:
             self._refuse(415, f"unsupported media type {content_type}\n".encode())
+        return fmt
+
+    def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
+        fmt = self._payload_format()
+        if fmt is None:
             return None
         try:
-            parsed = parse_document(body.decode("utf-8"), PARSE_FORMATS[content_type],
+            parsed = parse_document(body.decode("utf-8"), fmt,
                                     base=target, default_graph=target)
         except (ParseError, UnicodeDecodeError) as exc:
             self._refuse(400, f"unparsable payload: {exc}\n".encode())
@@ -330,12 +337,12 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.runtime.started:
             self._refuse(409, b"run already in progress\n")
             return
-        target = self.base + SIM_PATH
-        content_type = (self.headers.get("content-type") or TURTLE).split(";")[0].strip()
+        fmt = self._payload_format()
+        if fmt is None:
+            return
         try:
-            parsed = parse_document(body.decode("utf-8"),
-                                    PARSE_FORMATS.get(content_type, "turtle"),
-                                    base=self.base, default_graph=target)
+            parsed = parse_document(body.decode("utf-8"), fmt, base=self.base,
+                                    default_graph=self.base + SIM_PATH)
         except (ParseError, UnicodeDecodeError) as exc:
             self._refuse(400, f"unparsable payload: {exc}\n".encode())
             return

@@ -1,13 +1,14 @@
 """Parser and evaluator for the query/update subset driving the simulation.
 
 Supported: ASK and SELECT (distinct solutions) over basic graph patterns,
-GRAPH blocks, FILTER expressions, FROM clauses, property paths built from
-^ (inverse), / (sequence) and + (one or more), and DELETE/INSERT/WHERE
-updates. Everything else is rejected with an error naming the construct.
+GRAPH blocks, FILTER expressions, one property path form, `iri+` (one or
+more steps over one predicate), and DELETE/INSERT/WHERE updates. Everything
+else, FROM clauses and the rest of the path algebra (^, /, ( ), *, ?, |
+and !) included, is refused with an error naming the construct.
 
-Patterns outside GRAPH blocks match the union of all graphs; FROM clauses
-replace that union with the union of the listed graphs. Filter evaluation
-errors make the enclosing FILTER false.
+Patterns outside GRAPH blocks match the union of all graphs, and patterns
+inside one match that graph alone. Filter evaluation errors make the
+enclosing FILTER false.
 
 Queries, updates and agent rule files are read with the tokenizer and
 `Reader` of `rdfio`, which Turtle uses too; its docstring gives the
@@ -41,7 +42,7 @@ from .ns import (
     XSD_TIME,
 )
 from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
-from .rdfio import Reader, term_nt
+from .rdfio import ParseError, Reader, term_nt
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +50,11 @@ OUT_OF_SUBSET = {
     "optional", "union", "minus", "bind", "values", "service", "exists",
     "construct", "describe", "order", "group", "having", "limit", "offset",
     "reduced", "named", "with", "using", "load", "clear", "drop", "create",
+    "from",
 }
+_PATH_SYNTAX = {"^": "inverse path (^)", "/": "sequence path (/)", "(": "grouped path ( )",
+                "*": "zero-or-more path (*)", "?": "zero-or-one path (?)",
+                "|": "alternative path (|)", "!": "negated property set (!)"}
 
 
 class SubsetError(ValueError):
@@ -78,32 +83,14 @@ class Var:
 
 
 @dataclass(frozen=True)
-class PathLink:
-    iri: str
-
-
-@dataclass(frozen=True)
-class PathInv:
-    inner: "Path"
-
-
-@dataclass(frozen=True)
-class PathSeq:
-    parts: tuple
-
-
-@dataclass(frozen=True)
 class PathPlus:
-    inner: "Path"
-
-
-Path = PathLink | PathInv | PathSeq | PathPlus
+    iri: str  # `iri+`: one or more steps over one predicate
 
 
 @dataclass(frozen=True)
 class TriplePattern:
     s: Term | Var
-    p: IRI | Var | Path
+    p: IRI | Var | PathPlus
     o: Term | Var
 
 
@@ -147,7 +134,6 @@ class QuadPattern:
 @dataclass(frozen=True)
 class Query:
     form: str  # "ask" | "select"
-    from_graphs: tuple[str, ...]
     pattern: Group
     projection: tuple[str, ...] | None  # None means all in-scope variables
 
@@ -240,12 +226,9 @@ class Parser(Reader):
         self.check_subset(kw)
         if kw == "ask":
             self.lex.next()
-            froms = self.from_clauses()
-            if self.keyword() == "where":
-                self.lex.next()
-            group = self.group()
+            group = self._where()
             self._expect_eof()
-            return Query("ask", froms, group, None)
+            return Query("ask", group, None)
         if kw == "select":
             self.lex.next()
             projection: list[str] | None = []
@@ -260,16 +243,13 @@ class Parser(Reader):
                     projection.append(self.lex.next()[1])
                 if not projection:
                     raise self.error("empty SELECT projection")
-            froms = self.from_clauses()
-            if self.keyword() == "where":
-                self.lex.next()
-            group = self.group()
+            group = self._where()
             if projection is not None:
                 missing = set(projection) - group.variables()
                 if missing:
                     raise self.error(f"projected variable ?{sorted(missing)[0]} not in pattern")
             self._expect_eof()
-            return Query("select", froms, group,
+            return Query("select", group,
                          tuple(projection) if projection is not None else None)
         raise self.error(f"expected ASK or SELECT, found {kw.upper()}")
 
@@ -313,14 +293,15 @@ class Parser(Reader):
                 self.check_subset(tok[1].lower())
             raise self.unexpected("end of input", tok)
 
-    def from_clauses(self) -> tuple[str, ...]:
-        graphs = []
-        while self.keyword() == "from":
+    def _where(self) -> Group:
+        """The pattern after an optional WHERE; a FROM clause is refused."""
+        kw = self.keyword()
+        if kw == "from":
             self.lex.next()
-            if self.keyword() == "named":
-                raise SubsetError("FROM NAMED")
-            graphs.append(self.iri_from(self.lex.next()).value)
-        return tuple(graphs)
+            raise SubsetError("FROM NAMED" if self.keyword() == "named" else "FROM")
+        if kw == "where":
+            self.lex.next()
+        return self.group()
 
     # -- patterns -----------------------------------------------------------
 
@@ -392,51 +373,26 @@ class Parser(Reader):
         return term
 
     def verb_or_path(self):
-        tok = self.lex.peek()
-        if tok[0] == "var":
-            self.lex.next()
-            return Var(tok[1])
-        if tok[0] == "word" and tok[1] == "a":
-            self.lex.next()
-            return IRI(RDF_TYPE)
-        path = self.path_sequence()
-        if isinstance(path, PathLink):
-            return IRI(path.iri)
-        return path
-
-    def path_sequence(self) -> Path:
-        parts = [self.path_elt_or_inverse()]
-        while self.lex.peek()[0] == "/":
-            self.lex.next()
-            parts.append(self.path_elt_or_inverse())
-        if len(parts) == 1:
-            return parts[0]
-        return PathSeq(tuple(parts))
-
-    def path_elt_or_inverse(self) -> Path:
-        if self.lex.peek()[0] == "^":
-            self.lex.next()
-            return PathInv(self.path_elt())
-        return self.path_elt()
-
-    def path_elt(self) -> Path:
+        """A variable, or `a`, an IRI or a prefixed name with an optional `+`."""
         tok = self.lex.next()
-        if tok[0] == "(":
-            inner = self.path_sequence()
-            self.expect(")")
-        elif tok[0] in ("iri", "pname"):
-            inner = PathLink(self.iri_from(tok).value)
-        elif tok[0] == "word" and tok[1] == "a":
-            inner = PathLink(RDF_TYPE)
-        else:
-            raise self.unexpected("path element", tok)
-        nxt = self.lex.peek()
-        if nxt[0] == "+":
+        if tok[0] == "var":
+            return Var(tok[1])
+        if tok[0] in _PATH_SYNTAX:
+            raise SubsetError(_PATH_SYNTAX[tok[0]])
+        iri = RDF_TYPE if tok[:2] == ("word", "a") else self.iri_from(tok).value
+        try:
+            nxt = self.lex.peek()[0]
+        except ParseError:
+            # A lone "?" or "|" is no token of the lexer's.
+            nxt = self.lex.text[self.lex.pos:].lstrip()[:1]
+            if nxt not in _PATH_SYNTAX:
+                raise
+        if nxt in _PATH_SYNTAX:
+            raise SubsetError(_PATH_SYNTAX[nxt])
+        if nxt == "+":
             self.lex.next()
-            return PathPlus(inner)
-        if nxt[0] == "*":
-            raise SubsetError("zero-or-more path (*)")
-        return inner
+            return PathPlus(iri)
+        return IRI(iri)
 
     # -- update templates -----------------------------------------------------
 
@@ -478,7 +434,7 @@ class Parser(Reader):
                     return out
                 continue
             for tp in self.triple_patterns():
-                if not isinstance(tp.p, (IRI, Var)):
+                if isinstance(tp.p, PathPlus):
                     raise self.error("property paths not allowed in templates")
                 out.append(QuadPattern(tp.s, tp.p, tp.o, graph))
 
@@ -623,8 +579,7 @@ def binding_key(binding: dict) -> str:
 def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None):
     """ASK -> bool; SELECT -> distinct list of bindings."""
     ctx = ctx or EvalContext()
-    graphs = list(q.from_graphs) if q.from_graphs else None
-    solutions = _eval_group(d, graphs, q.pattern, [{}], ctx)
+    solutions = _eval_group(d, None, q.pattern, [{}], ctx)
     if q.form == "ask":
         return bool(solutions)
     names = q.projection if q.projection is not None else tuple(sorted(q.pattern.variables()))
@@ -684,8 +639,9 @@ def _instantiate(templates: tuple[QuadPattern, ...], sol: dict) -> Iterator[Quad
         yield Quad(s, p, o, g_term)
 
 
-def _eval_group(d: Dataset, graphs: list[str] | None, group: Group,
+def _eval_group(d: Dataset, graph: str | None, group: Group,
                 bindings: list[dict], ctx: EvalContext) -> list[dict]:
+    """The group's solutions over one named graph, or all graphs if None."""
     if not bindings:
         return []
     # Every solution of a group binds the same variables, so the first
@@ -695,7 +651,7 @@ def _eval_group(d: Dataset, graphs: list[str] | None, group: Group,
         if isinstance(el, Filter):
             solutions = [sol for sol in solutions if _filter_true(el.expr, sol, ctx)]
         elif isinstance(el, TriplePattern):
-            solutions = _join_pattern(d, graphs, el, solutions)
+            solutions = _join_pattern(d, graph, el, solutions)
         else:
             solutions = _join_graph_block(d, el, solutions, ctx)
         if not solutions:
@@ -745,15 +701,15 @@ def _cost(d: Dataset, el, bound: set[str]) -> float:
     """Estimated matches of one element per solution, from index counts:
     exact for a constant subject or object, the average fan-out for a
     bound variable, every entry when neither end is bound. A path counts
-    the entries of all its predicates, a variable predicate everything,
-    and a GRAPH block its cheapest inner pattern."""
+    every entry of its predicate, a variable predicate everything, and a
+    GRAPH block its cheapest inner pattern."""
     if isinstance(el, GraphBlock):
         return min((_cost(d, inner, bound) for inner in el.group.elements
                     if not isinstance(inner, Filter)), default=math.inf)
     if isinstance(el.p, Var):
         return math.inf
-    if not isinstance(el.p, IRI):
-        return sum(len(d.pred_entries(p)) for p in _path_iris(el.p))
+    if isinstance(el.p, PathPlus):
+        return len(d.pred_entries(el.p.iri))
     entry = d.pred_entries(el.p.value)
     estimates = [len(entry)]
     for term, side in ((el.s, entry.fwd), (el.o, entry.bwd)):
@@ -796,7 +752,7 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
                       ctx: EvalContext) -> list[dict]:
     out: list[dict] = []
     if isinstance(block.graph, IRI):
-        return _eval_group(d, [block.graph.value], block.group, bindings, ctx)
+        return _eval_group(d, block.graph.value, block.group, bindings, ctx)
     var = block.graph.name
     single = _single_pattern(block.group)
     for sol in bindings:
@@ -806,7 +762,7 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
             bound = sol[var]
             if isinstance(bound, IRI) and bound.value != DEFAULT_GRAPH \
                     and d.has_graph(bound.value):
-                out.extend(_eval_group(d, [bound.value], block.group, [sol], ctx))
+                out.extend(_eval_group(d, bound.value, block.group, [sol], ctx))
             continue
         if single is not None:
             # One plain pattern inside: bind the graph from the index instead
@@ -824,7 +780,7 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
                 continue
             extended = dict(sol)
             extended[var] = IRI(name)
-            out.extend(_eval_group(d, [name], block.group, [extended], ctx))
+            out.extend(_eval_group(d, name, block.group, [extended], ctx))
     return out
 
 
@@ -852,7 +808,7 @@ def read_predicates(q: Query) -> frozenset[str] | None:
             if isinstance(el, TriplePattern):
                 if isinstance(el.p, Var):
                     return False
-                read.update(_path_iris(el.p))
+                read.add(el.p.iri if isinstance(el.p, PathPlus) else el.p.value)
             elif isinstance(el, GraphBlock):
                 if isinstance(el.graph, Var) and _single_pattern(el.group) is None:
                     return False
@@ -865,16 +821,6 @@ def read_predicates(q: Query) -> frozenset[str] | None:
     return frozenset(read) if collect(q.pattern) else None
 
 
-def _path_iris(path) -> set[str]:
-    if isinstance(path, IRI):
-        return {path.value}
-    if isinstance(path, PathLink):
-        return {path.iri}
-    if isinstance(path, (PathInv, PathPlus)):
-        return _path_iris(path.inner)
-    return set().union(*(_path_iris(part) for part in path.parts))
-
-
 def _has_call(expr: Expr) -> bool:
     if isinstance(expr, ECall):
         return True
@@ -885,18 +831,18 @@ def _has_call(expr: Expr) -> bool:
     return False
 
 
-def _in_view(targets: dict, graphs: list[str] | None):
+def _in_view(targets: dict, graph: str | None):
     """The keys of a term -> graphs map of the index whose triple lies in
-    one of the view's graphs (all keys when the view is every graph)."""
-    if graphs is None:
+    the view's graph (all keys when the view is every graph)."""
+    if graph is None:
         return targets
-    return [t for t, held in targets.items() if any(g in graphs for g in held)]
+    return [t for t, held in targets.items() if graph in held]
 
 
-def _join_pattern(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
+def _join_pattern(d: Dataset, graph: str | None, tp: TriplePattern,
                   bindings: list[dict]) -> list[dict]:
-    if isinstance(tp.p, (PathInv, PathSeq, PathPlus)):
-        return _join_path(d, graphs, tp, bindings)
+    if isinstance(tp.p, PathPlus):
+        return _join_path(d, graph, tp, bindings)
     out: list[dict] = []
     # The same triple can sit in several graphs (resource partitioning);
     # solutions do not bind the graph here, so match distinct rows once.
@@ -914,25 +860,25 @@ def _join_pattern(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
             s_val = _resolved(tp.s, sol)
             o_val = _resolved(tp.o, sol)
             if s_val is not None:
-                for eo in _in_view(fwd.get(s_val, {}), graphs):
+                for eo in _in_view(fwd.get(s_val, {}), graph):
                     ext = _try_bind(sol, ((tp.o, eo),))
                     if ext is not None:
                         out.append(ext)
             elif o_val is not None:
-                for es in _in_view(bwd.get(o_val, {}), graphs):
+                for es in _in_view(bwd.get(o_val, {}), graph):
                     ext = _try_bind(sol, ((tp.s, es),))
                     if ext is not None:
                         out.append(ext)
             else:
                 for es, objects in fwd.items():
-                    for eo in _in_view(objects, graphs):
+                    for eo in _in_view(objects, graph):
                         ext = _try_bind(sol, ((tp.s, es), (tp.o, eo)))
                         if ext is not None:
                             out.append(ext)
         else:
             if scan is None:
                 scan = frozenset((es, ep, eo) for name, triples in d.graphs()
-                                 if graphs is None or name in graphs
+                                 if graph is None or name == graph
                                  for es, ep, eo in triples)
             for es, ep, eo in scan:
                 ext = _try_bind(sol, ((tp.s, es), (tp.p, ep), (tp.o, eo)))
@@ -966,86 +912,43 @@ def _try_bind(sol: dict, pairs) -> dict | None:
 # -- property paths -------------------------------------------------------------
 
 
-def _path_step(d: Dataset, graphs: list[str] | None, path: Path,
-               node: Term, forward: bool) -> set:
-    """Nodes one application of `path` away from `node`."""
-    if isinstance(path, PathLink):
-        fwd, bwd = d.pred_nav(path.iri)
-        return set(_in_view((fwd if forward else bwd).get(node, {}), graphs))
-    if isinstance(path, PathInv):
-        return _path_step(d, graphs, path.inner, node, not forward)
-    if isinstance(path, PathSeq):
-        parts = path.parts if forward else tuple(reversed(path.parts))
-        frontier = {node}
-        for part in parts:
-            nxt: set = set()
-            for n in frontier:
-                nxt |= _path_step(d, graphs, part, n, forward)
-            frontier = nxt
-            if not frontier:
-                break
-        return frontier
-    if isinstance(path, PathPlus):
-        reached: set = set()
-        frontier = _path_step(d, graphs, path.inner, node, forward)
-        while frontier:
-            fresh = frontier - reached
-            reached |= fresh
-            frontier = set()
-            for n in fresh:
-                frontier |= _path_step(d, graphs, path.inner, n, forward)
-        return reached
-    raise TypeError(f"not a path: {path!r}")
+def _closure(side: dict, graph: str | None, node: Term) -> set:
+    """Nodes one or more steps from `node` over one direction of a
+    predicate's index (`fwd` or `bwd` of `Dataset.pred_nav`), in the view."""
+    reached: set = set()
+    todo = [node]
+    while todo:
+        for nxt in _in_view(side.get(todo.pop(), {}), graph):
+            if nxt not in reached:
+                reached.add(nxt)
+                todo.append(nxt)
+    return reached
 
 
-def _path_starts(d: Dataset, graphs: list[str] | None, path: Path,
-                 forward: bool) -> set:
-    """Candidate nodes that may have an outgoing path instance."""
-    if isinstance(path, PathLink):
-        fwd, bwd = d.pred_nav(path.iri)
-        return {n for n, targets in (fwd if forward else bwd).items()
-                if _in_view(targets, graphs)}
-    if isinstance(path, PathInv):
-        return _path_starts(d, graphs, path.inner, not forward)
-    if isinstance(path, PathSeq):
-        part = path.parts[0] if forward else path.parts[-1]
-        return _path_starts(d, graphs, part, forward)
-    if isinstance(path, PathPlus):
-        return _path_starts(d, graphs, path.inner, forward)
-    raise TypeError(f"not a path: {path!r}")
-
-
-def _join_path(d: Dataset, graphs: list[str] | None, tp: TriplePattern,
+def _join_path(d: Dataset, graph: str | None, tp: TriplePattern,
                bindings: list[dict]) -> list[dict]:
+    """`s iri+ o`, walked from whichever end is bound, else from every subject."""
+    fwd, bwd = d.pred_nav(tp.p.iri)
     out: list[dict] = []
     for sol in bindings:
         s = _resolved(tp.s, sol)
         o = _resolved(tp.o, sol)
         if s is not None:
-            reached = _path_step(d, graphs, tp.p, s, forward=True)
-            targets = reached if o is None else (reached & {o})
-            for t in targets:
-                ext = _try_bind(sol, ((tp.o, t),))
-                if ext is not None:
-                    out.append(ext)
+            ends = [(s, t) for t in _closure(fwd, graph, s)]
         elif o is not None:
-            reached = _path_step(d, graphs, tp.p, o, forward=False)
-            for t in reached:
-                ext = _try_bind(sol, ((tp.s, t),))
-                if ext is not None:
-                    out.append(ext)
+            ends = [(t, o) for t in _closure(bwd, graph, o)]
         else:
-            for start in _path_starts(d, graphs, tp.p, forward=True):
-                for t in _path_step(d, graphs, tp.p, start, forward=True):
-                    ext = _try_bind(sol, ((tp.s, start), (tp.o, t)))
-                    if ext is not None:
-                        out.append(ext)
+            ends = [(start, t) for start in fwd for t in _closure(fwd, graph, start)]
+        for es, eo in ends:
+            ext = _try_bind(sol, ((tp.s, es), (tp.o, eo)))
+            if ext is not None:
+                out.append(ext)
     return out
 
 
-def eval_path(d: Dataset, path: Path, start: Term) -> set:
+def eval_path(d: Dataset, path: PathPlus, start: Term) -> set:
     """All terms reachable from `start` over the union of all graphs."""
-    return _path_step(d, None, path, start, forward=True)
+    return _closure(d.pred_nav(path.iri)[0], None, start)
 
 
 # -- expression evaluation -------------------------------------------------------

@@ -18,8 +18,7 @@ from .engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime, \
 from .metrics import FaultQuery
 from .ns import RDF_VALUE, defrag
 from .rdf import IRI, Literal
-from .sparql import EvalContext, PathLink, PathPlus, eval_path, eval_query, parse_query, \
-    parse_update
+from .sparql import EvalContext, PathPlus, eval_path, eval_query, parse_query, parse_update
 
 TASK_IDS = ("TS1", "TS2", "TS3", "TC1", "TC2", "TC3", "TC4", "TC5", "TC6", "TC7")
 
@@ -36,7 +35,6 @@ class TaskSpec:
     ideal_reads: int
     ideal_writes: int
     rules_text: str = ""
-    base: str = ""
 
 
 def read_properties(path: Path) -> dict[str, str]:
@@ -109,7 +107,6 @@ def load_task(task_id: str, base: str, root: Path | None = None) -> TaskSpec:
         ideal_reads=int(props.get("ideal.reads", 0)),
         ideal_writes=int(props.get("ideal.writes", 0)),
         rules_text=rules_path.read_text() if rules_path.exists() else "",
-        base=base,
     )
 
 
@@ -336,7 +333,7 @@ def _tc2_schedule(task: TaskSpec, runtime: SimulationRuntime,
         open_h, _ = floors.get(s.value, (8, 0))
         floors[s.value] = (open_h, int(o.lexical))
 
-    has_part = PathPlus(PathLink("http://buildsys.org/ontologies/BrickFrame#hasPart"))
+    has_part = PathPlus("http://buildsys.org/ontologies/BrickFrame#hasPart")
     per_floor: dict[str, list[str]] = {}
     room_of = {r.graph: r.room for r in runtime.env.dynamic.values()}
     for floor in floors:

@@ -120,11 +120,11 @@ class TestSynthetic:
         assert outliers / len(sizes) <= 0.01
 
     def test_part_hierarchy_reaches_floor_from_room(self, table1_build):
-        from ldsim.sparql import PathPlus, PathLink, eval_path
+        from ldsim.sparql import PathPlus, eval_path
 
         d = table1_build.dataset
         room = IRI(BASE + "Room_001")
-        up = eval_path(d, PathPlus(PathLink("http://buildsys.org/ontologies/BrickFrame#hasPart")),
+        up = eval_path(d, PathPlus("http://buildsys.org/ontologies/BrickFrame#hasPart"),
                        IRI(BASE + "Floor_0"))
         assert any(t.value.startswith(BASE + "Wing_") for t in up if isinstance(t, IRI))
         assert any(t.value.startswith(BASE + "Room_") for t in up if isinstance(t, IRI))

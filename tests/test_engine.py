@@ -27,6 +27,7 @@ from ldsim.engine import (
     occupied_rooms,
     outside_illuminance,
     room_illuminance,
+    tick_percentile,
 )
 from ldsim.metrics import FaultQuery, operation_counts, read_write_ratio
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_DECIMAL, XSD_INTEGER
@@ -560,6 +561,26 @@ class TestRunLoop:
         assert 0 < meta["tick_p50_ms"] <= meta["tick_p95_ms"]
         assert 0 < meta["fault_check_p95_ms"] <= max(runtime.tick_seconds) * 1000
         assert meta["fault_check_p95_ms"] == max(runtime.fault_check_seconds) * 1000
+
+    @pytest.mark.parametrize("samples,pct,expected", [
+        ([1.0, 2.0], 50.0, 1.0),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 50.0, 3.0),
+        ([float(i) for i in range(1, 101)], 7.0, 7.0),
+        ([3.0], 95.0, 3.0),
+        ([], 50.0, 0.0),
+    ])
+    def test_tick_percentile_examples(self, samples, pct, expected):
+        assert tick_percentile(samples, pct) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=60), st.integers(1, 100))
+    def test_tick_percentile_is_the_nearest_rank(self, values, pct):
+        # Nearest rank: the smallest sample with at least pct% of all
+        # samples at or below it.
+        samples = [float(v) for v in values]
+        expected = min(x for x in samples
+                       if 100 * sum(y <= x for y in samples) >= pct * len(samples))
+        assert tick_percentile(samples, float(pct)) == expected
 
     def test_start_twice_rejected(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))

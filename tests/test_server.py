@@ -378,6 +378,19 @@ class TestSimPut:
                    for op in runtime.snapshot_log()[1] if not op.ok]
         assert refused == [("PUT", server.base + "sim", 409)]
 
+    def test_unsupported_media_type_refused_and_recorded(self, served):
+        # The same media-type check as a graph PUT: a JSON body is not
+        # read as Turtle.
+        server, runtime, _ = served
+        client = LdClient(server.base, agent="tester")
+        status, body = client._request("PUT", "sim", body=b"{}",
+                                       headers={"Content-Type": "application/json"})
+        assert status == 415, body
+        assert not runtime.started
+        refused = [(op.method, op.target, op.status, op.agent)
+                   for op in runtime.snapshot_log()[1] if not op.ok]
+        assert refused == [("PUT", server.base + "sim", 415, "tester")]
+
     def test_missing_parameter_rejected(self, served):
         server, runtime, _ = served
         payload = '@prefix sim: <vocab/sim#> . <sim> sim:iterations 5 .'

@@ -208,17 +208,15 @@ class TestTransitivePathGuard:
 def _strip_plus(query):
     from dataclasses import replace
 
-    from ldsim.sparql import Group, PathLink, Query
+    from ldsim.sparql import Group, Query
 
     elements = []
     for el in query.pattern.elements:
-        if isinstance(el, TriplePattern) and isinstance(el.p, PathPlus) \
-                and isinstance(el.p.inner, PathLink):
-            elements.append(TriplePattern(el.s, IRI(el.p.inner.iri), el.o))
+        if isinstance(el, TriplePattern) and isinstance(el.p, PathPlus):
+            elements.append(TriplePattern(el.s, IRI(el.p.iri), el.o))
         else:
             elements.append(el)
-    return Query(query.form, query.from_graphs, Group(tuple(elements)),
-                 query.projection)
+    return Query(query.form, Group(tuple(elements)), query.projection)
 
 
 class TestOracleSchedules:
