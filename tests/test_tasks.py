@@ -206,8 +206,6 @@ class TestTransitivePathGuard:
 
 
 def _strip_plus(query):
-    from dataclasses import replace
-
     from ldsim.sparql import Group, Query
 
     elements = []
