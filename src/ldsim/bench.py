@@ -35,9 +35,7 @@ from .metrics import (
     read_metrics_tsv,
     write_metrics_tsv,
 )
-from .ns import DEFAULT_BASE, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH, \
-    SIM_VOCAB
-from .rdf import IRI, Literal
+from .ns import DEFAULT_BASE, DEFAULT_GRAPH, RDF_TYPE, RDFS_SUBCLASS, SIM_PATH, SIM_VOCAB
 from .server import LinkedDataServer, default_policy
 from .tasks import (
     TASK_IDS,
@@ -46,6 +44,7 @@ from .tasks import (
     default_run_params,
     load_task,
     oracle_schedule,
+    value_payload,
 )
 from .trace import FaultTrace, read_faults_tsv, read_ops_tsv, write_faults_tsv, write_ops_tsv
 
@@ -94,9 +93,7 @@ class OracleRunner:
             stop.wait(0.01)
         if stop.is_set():
             return
-        script = oracle_schedule(self.task, self.runtime)
-        pending = sorted(script.actions, key=lambda a: a.at)
-        for action in pending:
+        for action in oracle_schedule(self.task, self.runtime):
             while self.runtime.iteration < action.at and not stop.is_set() \
                     and not self.runtime.finished.is_set():
                 stop.wait(0.005)
@@ -107,9 +104,7 @@ class OracleRunner:
                 if status == 200:
                     self.reads += 1
             for graph, value in action.writes:
-                node = IRI(graph + "#it")
-                status = self.client.put_graph(
-                    graph, {(node, IRI(RDF_VALUE), Literal(value))})
+                status = self.client.put_graph(graph, value_payload(graph, value))
                 if 200 <= status < 300:
                     self.writes += 1
 

@@ -490,11 +490,12 @@ class SimulationRuntime:
         return out
 
     def fault_trace(self) -> FaultTrace:
+        """Slots 0..k; those a run stopped before reaching are empty, as
+        `read_faults_tsv` reads them."""
         assert self.params is not None
-        return FaultTrace(
-            k=self.params.iterations,
-            slots=list(self.fault_slots),
-            lengths={fc.id: fc.length for fc in self.fault_checks})
+        k = self.params.iterations
+        slots = list(self.fault_slots)
+        return FaultTrace(k=k, slots=slots + [{}] * (k + 1 - len(slots)))
 
     # -- agent operations ----------------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Fault matching and the four run metrics.
 
 Conventions, with k the final timeslot index and l the fault sequence
-length (1 for all shipped tasks):
+length. A fault instance is matched at the single slot where its query
+solves, so l is 1 for every task; it is the module constant `L`, not a
+parameter:
 
 - fault rate      FR  = |{t in [l, k) : faults matched at t}| / (k - l)
 - avg fault count AFC = sum over t in [l, k] of |matched(t)|, divided by the
@@ -25,6 +27,8 @@ from .rdf import Dataset
 from .sparql import EvalContext, Query, binding_key, eval_query
 from .trace import FaultTrace, OperationRecord
 
+L = 1  # the fault sequence length, and so the first scored slot
+
 
 @dataclass(frozen=True)
 class FaultQuery:
@@ -32,7 +36,6 @@ class FaultQuery:
 
     id: str
     query: Query
-    length: int = 1
 
 
 def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None) -> frozenset[str]:
@@ -44,16 +47,14 @@ def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None) -> 
 
 
 def fault_rate(trace: FaultTrace) -> float:
-    l = trace.sequence_length
-    if trace.k <= l:
-        raise ValueError(f"run too short for sequence length {l}")
-    faulty = sum(1 for t in range(l, trace.k) if trace.matched(t))
-    return faulty / (trace.k - l)
+    if trace.k <= L:
+        raise ValueError(f"run too short for sequence length {L}")
+    faulty = sum(1 for t in range(L, trace.k) if trace.matched(t))
+    return faulty / (trace.k - L)
 
 
 def average_fault_count(trace: FaultTrace) -> float:
-    l = trace.sequence_length
-    counts = [len(trace.matched(t)) for t in range(l, trace.k + 1)]
+    counts = [len(trace.matched(t)) for t in range(L, trace.k + 1)]
     faulty = sum(1 for c in counts if c)
     if faulty == 0:
         return 0.0
@@ -61,8 +62,7 @@ def average_fault_count(trace: FaultTrace) -> float:
 
 
 def total_faults(trace: FaultTrace) -> int:
-    l = trace.sequence_length
-    return sum(len(trace.matched(t)) for t in range(l, trace.k + 1))
+    return sum(len(trace.matched(t)) for t in range(L, trace.k + 1))
 
 
 def normalized_fault_count(trace: FaultTrace, dry: FaultTrace) -> float | None:

@@ -6,7 +6,7 @@ as the acceptance baseline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -25,11 +25,9 @@ TASK_IDS = ("TS1", "TS2", "TS3", "TC1", "TC2", "TC3", "TC4", "TC5", "TC6", "TC7"
 @dataclass
 class TaskSpec:
     id: str
-    title: str
     init_entries: list[EnvEntry]
     update_entries: list[EnvEntry]
     fault_queries: tuple[FaultQuery, ...]
-    fixes: dict[str, str]  # fault id -> on | off | toggle
     duration: int
     requires_reasoning: bool
     ideal_reads: int
@@ -51,33 +49,27 @@ def read_properties(path: Path) -> dict[str, str]:
     return out
 
 
-def _ordered(props: dict[str, str], prefix: str) -> list[tuple[str, str]]:
+def _ordered(props: dict[str, str], prefix: str) -> list[str]:
+    """The values of `prefix.1`, `prefix.2`, ... in numeric order."""
     pattern = re.compile(rf"^{re.escape(prefix)}\.(\d+)$")
     found = []
     for key, value in props.items():
         m = pattern.match(key)
         if m:
-            found.append((int(m.group(1)), key, value))
-    return [(key, value) for _, key, value in sorted(found)]
+            found.append((int(m.group(1)), value))
+    return [value for _, value in sorted(found)]
 
 
-def taskdef_root() -> Path:
-    return Path(resources.files("ldsim") / "taskdefs")
-
-
-def load_task(task_id: str, base: str, root: Path | None = None) -> TaskSpec:
+def load_task(task_id: str, base: str) -> TaskSpec:
     """Resolve one task directory into parsed updates and queries."""
     if task_id not in TASK_IDS:
         raise ValueError(f"unknown task {task_id!r}")
-    task_dir = (root or taskdef_root()) / task_id
-    props_path = task_dir / "task.properties"
-    if not props_path.exists():
-        raise FileNotFoundError(props_path)
-    props = read_properties(props_path)
+    task_dir = Path(resources.files("ldsim") / "taskdefs" / task_id)
+    props = read_properties(task_dir / "task.properties")
 
     def entries(prefix: str) -> list[EnvEntry]:
         out = []
-        for _key, value in _ordered(props, prefix):
+        for value in _ordered(props, prefix):
             if value.startswith("builtin:"):
                 out.append(EnvEntry(id=value.split(":", 1)[1], kind="builtin"))
             else:
@@ -86,22 +78,17 @@ def load_task(task_id: str, base: str, root: Path | None = None) -> TaskSpec:
                                     update=parse_update(text, base=base)))
         return out
 
-    fault_queries = []
-    fixes = {}
-    for key, value in _ordered(props, "fault"):
-        text = (task_dir / value).read_text()
-        fq_id = Path(value).stem
-        fault_queries.append(FaultQuery(id=fq_id, query=parse_query(text, base=base)))
-        fixes[fq_id] = props.get(f"{key}.fix", "off")
+    fault_queries = tuple(
+        FaultQuery(id=Path(value).stem,
+                   query=parse_query((task_dir / value).read_text(), base=base))
+        for value in _ordered(props, "fault"))
 
     rules_path = task_dir / "agent.rules"
     return TaskSpec(
         id=task_id,
-        title=props.get("title", task_id),
         init_entries=entries("init"),
         update_entries=entries("update"),
-        fault_queries=tuple(fault_queries),
-        fixes=fixes,
+        fault_queries=fault_queries,
         duration=int(props.get("duration", 1440)),
         requires_reasoning=props.get("reasoning", "false") == "true",
         ideal_reads=int(props.get("ideal.reads", 0)),
@@ -133,7 +120,7 @@ def default_run_params(task: TaskSpec, iterations: int | None = None,
     )
 
 
-# -- fault fixing (shared by the single-loop check and the oracle) -------------
+# -- ground truth for the oracle ----------------------------------------------
 
 
 def fault_targets(runtime: SimulationRuntime, fq: FaultQuery) -> list[str]:
@@ -149,13 +136,6 @@ def fault_targets(runtime: SimulationRuntime, fq: FaultQuery) -> list[str]:
     return sorted(set(out))
 
 
-def _value_write(runtime: SimulationRuntime, graph: str, value: str,
-                 agent: str) -> None:
-    node = IRI(graph + "#it")
-    triples = frozenset({(node, IRI(RDF_VALUE), Literal(value))})
-    runtime.apply_agent_write(graph, triples, agent, 204)
-
-
 def current_value(runtime: SimulationRuntime, graph: str) -> str | None:
     node = IRI(graph + "#it")
     for s, p, o in runtime.dataset.graph(graph):
@@ -164,38 +144,9 @@ def current_value(runtime: SimulationRuntime, graph: str) -> str | None:
     return None
 
 
-def apply_fault_fixes(runtime: SimulationRuntime, task: TaskSpec,
-                      agent: str = "fixer") -> int:
-    """Fix exactly the currently matching faults; returns the write count."""
-    writes = 0
-    for fq in task.fault_queries:
-        fix = task.fixes.get(fq.id, "off")
-        for graph in fault_targets(runtime, fq):
-            if fix == "toggle":
-                value = "off" if current_value(runtime, graph) == "on" else "on"
-            else:
-                value = fix
-            _value_write(runtime, graph, value, agent)
-            writes += 1
-    return writes
-
-
-def single_loop_check(task: TaskSpec, pd: PartitionedDataset, seed: int = 0,
-                      iterations: int = 48, fix_at: int = 0) -> bool:
-    """Fix the faults present at one slot, then let the environment run.
-
-    True when no fault reappears afterwards, the defining property of the
-    single-loop tasks; continuous tasks reintroduce faults on their own.
-    """
-    env = build_environment(task, pd, seed)
-    runtime = SimulationRuntime(env, task.fault_queries)
-    runtime.initialize(default_run_params(task, iterations))
-    for _ in range(iterations):
-        if runtime.iteration == fix_at:
-            apply_fault_fixes(runtime, task)
-        runtime.tick()
-    post = runtime.fault_slots[fix_at + 1:]
-    return all(not any(keys for keys in slot.values()) for slot in post)
+def value_payload(graph: str, value: str) -> frozenset:
+    """The one triple a value write puts in a property graph."""
+    return frozenset({(IRI(graph + "#it"), IRI(RDF_VALUE), Literal(value))})
 
 
 # -- oracle agent ---------------------------------------------------------------
@@ -208,23 +159,6 @@ class OracleAction:
     at: int
     reads: tuple[str, ...] = ()
     writes: tuple[tuple[str, str], ...] = ()  # (property graph, value)
-
-
-@dataclass
-class OracleScript:
-    actions: list[OracleAction] = field(default_factory=list)
-
-    @property
-    def read_count(self) -> int:
-        return sum(len(a.reads) for a in self.actions)
-
-    @property
-    def write_count(self) -> int:
-        return sum(len(a.writes) for a in self.actions)
-
-    @property
-    def loops(self) -> int:
-        return len(self.actions)
 
 
 def _resources(runtime: SimulationRuntime, category: str) -> list:
@@ -248,8 +182,8 @@ def _slot_of_hour(runtime: SimulationRuntime, hour: int) -> int:
     return k
 
 
-def oracle_schedule(task: TaskSpec, runtime: SimulationRuntime) -> OracleScript:
-    """Minimal operation schedule reaching zero residual faults.
+def oracle_schedule(task: TaskSpec, runtime: SimulationRuntime) -> list[OracleAction]:
+    """Minimal operation schedule reaching zero residual faults, in slot order.
 
     The oracle reads ground truth from the runtime (bypassing discovery) but
     still acts over HTTP; reads listed here are issued as real requests.
@@ -267,62 +201,58 @@ def oracle_schedule(task: TaskSpec, runtime: SimulationRuntime) -> OracleScript:
         return {g: current_value(runtime, g) or "off" for g in graphs}
 
     if task.id == "TS1":
-        return OracleScript([OracleAction(
-            at=0, writes=tuple((g, "off") for g in commands))])
+        return [OracleAction(at=0, writes=tuple((g, "off") for g in commands))]
     if task.id == "TS2":
         toggled = tuple((g, "off" if v == "on" else "on")
                         for g, v in values(commands).items())
-        return OracleScript([OracleAction(at=0, reads=tuple(commands),
-                                          writes=toggled)])
+        return [OracleAction(at=0, reads=tuple(commands), writes=toggled)]
     if task.id == "TS3":
         hygiene = fault_targets(runtime, task.fault_queries[0])
-        return OracleScript([OracleAction(
-            at=0, writes=tuple((g, "off") for g in hygiene))])
+        return [OracleAction(at=0, writes=tuple((g, "off") for g in hygiene))]
     if task.id == "TC1":
         initial = values(commands)
         fix_night = tuple((g, "off") for g, v in initial.items() if v == "on")
         sunrise = _slot_of_hour(runtime, 6)
         sunset = _slot_of_hour(runtime, 21)
-        return OracleScript([
+        return [
             OracleAction(at=0, reads=tuple(commands), writes=fix_night),
             OracleAction(at=sunrise, writes=tuple((g, "on") for g in commands)),
             OracleAction(at=sunset, writes=tuple((g, "off") for g in commands)),
-        ])
+        ]
     if task.id == "TC2":
         return _tc2_schedule(task, runtime, commands, values)
     if task.id == "TC3":
-        return OracleScript([OracleAction(
-            at=0, reads=tuple(outside + commands),
-            writes=tuple((g, "on") for g in commands))])
+        return [OracleAction(at=0, reads=tuple(outside + commands),
+                             writes=tuple((g, "on") for g in commands))]
     if task.id == "TC4":
-        return OracleScript([
+        return [
             OracleAction(at=0, reads=tuple(luminance),
                          writes=tuple((g, "on") for g in sensed_cmds)),
             OracleAction(at=mid, reads=tuple(luminance)),
-        ])
+        ]
     if task.id == "TC5":
-        return OracleScript([
+        return [
             OracleAction(at=0, reads=tuple(occupancy),
                          writes=tuple((g, "on") for g in sensed_cmds)),
             OracleAction(at=mid, reads=tuple(occupancy)),
-        ])
+        ]
     if task.id == "TC6":
-        return OracleScript([
+        return [
             OracleAction(at=0, reads=tuple(occupancy + luminance),
                          writes=tuple((g, "on") for g in sensed_cmds)),
             OracleAction(at=mid, reads=tuple(occupancy)),
-        ])
+        ]
     if task.id == "TC7":
-        return OracleScript([
+        return [
             OracleAction(at=0, reads=tuple(occupancy + luminance + setpoints),
                          writes=tuple((g, "on") for g in sensed_cmds)),
             OracleAction(at=mid, reads=tuple(occupancy)),
-        ])
+        ]
     raise ValueError(f"no oracle for task {task.id!r}")
 
 
 def _tc2_schedule(task: TaskSpec, runtime: SimulationRuntime,
-                  commands: list[str], values) -> OracleScript:
+                  commands: list[str], values) -> list[OracleAction]:
     base = runtime.env.base
     ds = runtime.dataset
     bldg = base + "vocab/building#"
@@ -355,4 +285,4 @@ def _tc2_schedule(task: TaskSpec, runtime: SimulationRuntime,
             (g, "off") for g in per_floor[floor])
     for at in sorted(events):
         actions.append(OracleAction(at=at, writes=tuple(events[at])))
-    return OracleScript(actions)
+    return actions

@@ -34,32 +34,18 @@ class OperationRecord:
 class FaultTrace:
     """Per-timeslot fault query solutions for one run.
 
-    `slots[t]` maps fault query id to the raw distinct solution keys at
-    timeslot t; `lengths` maps query id to its sequence length. A fault
-    instance (id, key) is matched at t when the key was present in all of
-    the `length` consecutive slots ending at t.
+    `slots[t]` maps fault query id to the distinct solution keys at timeslot
+    t, for t in 0..k. A fault instance (id, key) is matched at t when the
+    key is among that query's solutions at t.
     """
 
     k: int
     slots: list[dict[str, frozenset[str]]] = field(default_factory=list)
-    lengths: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def sequence_length(self) -> int:
-        return max(self.lengths.values(), default=1)
 
     def matched(self, t: int) -> frozenset[tuple[str, str]]:
-        """Fault instances matched at timeslot t (sliding window per query)."""
-        out = set()
-        for fq_id, keys in self.slots[t].items():
-            length = self.lengths.get(fq_id, 1)
-            if t + 1 < length:
-                continue
-            for key in keys:
-                if all(key in self.slots[t - i].get(fq_id, ())
-                       for i in range(1, length)):
-                    out.add((fq_id, key))
-        return frozenset(out)
+        """Fault instances matched at timeslot t."""
+        return frozenset((fq_id, key) for fq_id, keys in self.slots[t].items()
+                         for key in keys)
 
     def counts(self) -> list[int]:
         return [len(self.matched(t)) for t in range(len(self.slots))]
@@ -71,14 +57,16 @@ FAULTS_HEADER = ("timeslot", "fault_id", "binding_key")
 
 
 def write_ops_tsv(ops: list[OperationRecord], path: str | Path) -> None:
-    lines = ["\t".join(OPS_HEADER)]
-    for op in ops:
-        lines.append("\t".join([
-            str(op.timeslot), op.method, op.target, op.classification,
-            str(op.status), str(op.payload_bytes), op.agent,
-            ",".join(op.delta_graphs),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One line per record, written as it is formatted: a full-day log runs
+    to hundreds of MiB, so its text is never held whole."""
+    with open(path, "w") as out:
+        out.write("\t".join(OPS_HEADER) + "\n")
+        for op in ops:
+            out.write("\t".join([
+                str(op.timeslot), op.method, op.target, op.classification,
+                str(op.status), str(op.payload_bytes), op.agent,
+                ",".join(op.delta_graphs),
+            ]) + "\n")
 
 
 def read_ops_tsv(path: str | Path) -> list[OperationRecord]:
@@ -96,9 +84,7 @@ def read_ops_tsv(path: str | Path) -> list[OperationRecord]:
 
 
 def write_faults_tsv(trace: FaultTrace, path: str | Path) -> None:
-    lines = ["\t".join(FAULTS_HEADER)]
-    lines.append(f"#k={trace.k}\tlengths=" +
-                 ",".join(f"{q}:{l}" for q, l in sorted(trace.lengths.items())))
+    lines = ["\t".join(FAULTS_HEADER), f"#k={trace.k}"]
     for t, per_query in enumerate(trace.slots):
         for fq_id in sorted(per_query):
             for key in sorted(per_query[fq_id]):
@@ -110,12 +96,6 @@ def read_faults_tsv(path: str | Path) -> FaultTrace:
     lines = Path(path).read_text().splitlines()
     meta = lines[1]
     k = int(meta.split("#k=", 1)[1].split("\t")[0])
-    lengths: dict[str, int] = {}
-    lengths_part = meta.split("lengths=", 1)[1]
-    if lengths_part:
-        for pair in lengths_part.split(","):
-            q, l = pair.rsplit(":", 1)
-            lengths[q] = int(l)
     slots: list[dict[str, set[str]]] = [dict() for _ in range(k + 1)]
     for line in lines[2:]:
         if not line.strip():
@@ -123,4 +103,4 @@ def read_faults_tsv(path: str | Path) -> FaultTrace:
         t, fq_id, key = line.split("\t", 2)
         slots[int(t)].setdefault(fq_id, set()).add(key)
     frozen = [{q: frozenset(keys) for q, keys in slot.items()} for slot in slots]
-    return FaultTrace(k=k, slots=frozen, lengths=lengths)
+    return FaultTrace(k=k, slots=frozen)

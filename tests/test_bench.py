@@ -3,6 +3,7 @@
 import functools
 import gc
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from ldsim.bench import main, run_benchmark
 from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned, \
     write_manifest
 from ldsim.engine import SimulationRuntime
+from ldsim.metrics import write_metrics_tsv
 from ldsim.ns import DEFAULT_BASE
 from ldsim.tasks import TASK_IDS, load_task, oracle_schedule
 
@@ -65,6 +67,29 @@ def test_cli_recomputes_and_audits_stored_run(runs, capsys):
     assert "audit: ok" in capsys.readouterr().out
 
 
+def test_cli_reports_a_doctored_run(runs, tmp_path, capsys):
+    result = runs[1]["oracle"]
+    paths = result.paths
+    doctored = tmp_path / "doctored.metrics.tsv"
+    write_metrics_tsv(replace(result.report, fault_rate=result.report.fault_rate + 0.5),
+                      doctored)
+    assert main(["metrics", "--faults", str(paths["faults"]),
+                 "--dry-faults", str(paths["dry_faults"]), "--ops", str(paths["ops"]),
+                 "--agent", "oracle", "--compare", str(doctored)]) == 1
+    assert "MISMATCH fault_rate" in capsys.readouterr().out
+    lines = paths["ops"].read_text().splitlines()
+    put = next(i for i, line in enumerate(lines) if "\tPUT\t" in line)
+    fields = lines[put].split("\t")
+    fields[-1] += "," + fields[2] + "-other"
+    lines[put] = "\t".join(fields)
+    two_graphs = tmp_path / "two-graphs.ops.tsv"
+    two_graphs.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--ops", str(two_graphs)]) == 1
+    out = capsys.readouterr().out
+    assert f"op {put - 1}: delta names 2 graphs" in out
+    assert "audit: FAIL" in out
+
+
 def test_rebase_partitioned_round_trip(tmp_path):
     params = GeneratorParams(
         rooms=4, floors=1, wings=1, lighting_systems=3,
@@ -114,7 +139,7 @@ def test_oracle_plans_from_the_initialised_snapshot():
     initialised = SimulationRuntime(runner.runtime.env, runner.task.fault_queries)
     initialised.initialize(runner.runtime.params)
     planned = sum(len(action.writes)
-                  for action in oracle_schedule(runner.task, initialised).actions)
+                  for action in oracle_schedule(runner.task, initialised))
     assert planned > 2 * 146  # night fixes beside the sunrise and sunset writes
     assert runner.writes >= planned
 

@@ -29,11 +29,11 @@ from ldsim.engine import (
     room_illuminance,
     tick_percentile,
 )
-from ldsim.metrics import FaultQuery, operation_counts, read_write_ratio
+from ldsim.metrics import FaultQuery, compute_metrics, operation_counts, read_write_ratio
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_DECIMAL, XSD_INTEGER
 from ldsim.rdf import IRI, Literal
 from ldsim.sparql import parse_query, parse_update
-from ldsim.trace import read_ops_tsv, write_ops_tsv
+from ldsim.trace import read_faults_tsv, read_ops_tsv, write_faults_tsv, write_ops_tsv
 from rdf_helpers import symmetric_difference
 
 BASE = DEFAULT_BASE
@@ -520,6 +520,26 @@ class TestRuntime:
         # the two command properties match "off".
         assert len(trace.slots[0]["lights-off"]) == 2
         assert len(trace.slots[1]["lights-off"]) == 2
+
+    def test_unfinished_run_scores_and_round_trips(self, small_build, tmp_path):
+        # A run cut off before its last slot is scored, so it can be
+        # reported invalid; the slots it never reached hold no faults.
+        query = parse_query(f'SELECT ?it {{ ?it <{RDF_VALUE}> "off" }}')
+        runtime = SimulationRuntime(make_env(small_build),
+                                    fault_checks=(FaultQuery("off", query),))
+        runtime.initialize(run_params(iterations=4))
+        runtime.tick()
+        runtime.tick()
+        trace = runtime.fault_trace()
+        assert trace.k == 4 and len(trace.slots) == 5
+        assert trace.slots[3:] == [{}, {}] and trace.slots[2]["off"]
+        report = compute_metrics(trace, trace, [], valid=False)
+        assert report.per_slot_counts[3:] == [0, 0]
+        assert report.normalized_fault_count == 1.0
+        write_faults_tsv(trace, tmp_path / "cut.faults.tsv")
+        back = read_faults_tsv(tmp_path / "cut.faults.tsv")
+        assert (back.k, back.slots) == (trace.k, trace.slots)
+        assert compute_metrics(back, back, [], valid=False) == report
 
     def test_env_change_digests_match_across_seeded_runs(self, small_build):
         entries = [EnvEntry("sunlight", "builtin"), EnvEntry("occupancy", "builtin"),

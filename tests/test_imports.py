@@ -10,6 +10,8 @@ from pathlib import Path
 import ldsim
 
 PACKAGE = Path(ldsim.__file__).parent
+# Where the package's own code may call it from, besides the package.
+CALLERS = [Path(__file__).resolve().parents[1] / name for name in ("perfbench", "tools")]
 
 
 def _imports(tree: ast.Module, module: str):
@@ -51,6 +53,47 @@ def _private_names(tree: ast.Module) -> list[tuple[str, int]]:
                 node.level > 0 or (node.module or "").split(".")[0] == "ldsim"):
             out += [(alias.name, node.lineno) for alias in node.names
                     if alias.name.startswith("_")]
+    return out
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions and classes, and `Class.method` for methods."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return out
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every name the code uses: variables, attributes, and strings that are
+    identifiers (a `getattr` or a patch target names a function so)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def _dead(definitions: list[str], named: set[str]) -> list[str]:
+    """Definitions no code names; the server's `handle` and `do_*` and the
+    dunder methods are called by their frameworks."""
+    out = []
+    for qualified in definitions:
+        name = qualified.rsplit(".", 1)[-1]
+        if name == "handle" or name.startswith("do_") or \
+                (name.startswith("__") and name.endswith("__")):
+            continue
+        if name not in named:
+            out.append(qualified)
     return out
 
 
@@ -139,3 +182,28 @@ def test_guard_sees_private_names():
                      "def f():\n"
                      "    from . import _hidden\n")
     assert _private_names(tree) == [("_Lexer", 1), ("_put", 2), ("_hidden", 5)]
+
+
+def test_no_dead_helpers():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    named = set().union(*(_named(tree) for tree in trees.values()))
+    for folder in CALLERS:
+        for path in sorted(folder.glob("*.py")):
+            named |= _named(ast.parse(path.read_text(), filename=str(path)))
+    dead = [f"{path.name}: {name}" for path, tree in trees.items()
+            for name in _dead(_definitions(tree), named)]
+    assert dead == []
+
+
+def test_guard_sees_dead_helpers():
+    tree = ast.parse("def used(): pass\n"
+                     "def unused(): pass\n"
+                     "class C:\n"
+                     "    def __init__(self): pass\n"
+                     "    def do_GET(self): pass\n"
+                     "    def m(self): pass\n"
+                     "    def by_name(self): pass\n"
+                     "used(C())\n"
+                     "getattr(C(), 'by_name')\n")
+    assert _dead(_definitions(tree), _named(tree)) == ["unused", "C.m"]

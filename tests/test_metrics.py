@@ -29,10 +29,10 @@ from ldsim.trace import (
 EX = "http://example.org/"
 
 
-def trace_from_counts(counts, fq_id="f", length=1):
+def trace_from_counts(counts, fq_id="f"):
     slots = [{fq_id: frozenset(f"k{i}" for i in range(c))} if c else {}
              for c in counts]
-    return FaultTrace(k=len(counts) - 1, slots=slots, lengths={fq_id: length})
+    return FaultTrace(k=len(counts) - 1, slots=slots)
 
 
 def read_op(slot=0, ok=True):
@@ -62,15 +62,6 @@ class TestMatchFaults:
 
 
 class TestSlidingWindow:
-    def test_length_two_requires_consecutive_match(self):
-        slots = [{"f": frozenset({"a"})},
-                 {"f": frozenset({"a", "b"})},
-                 {"f": frozenset({"b"})}]
-        trace = FaultTrace(k=2, slots=slots, lengths={"f": 2})
-        assert trace.matched(0) == frozenset()
-        assert trace.matched(1) == frozenset({("f", "a")})
-        assert trace.matched(2) == frozenset({("f", "b")})
-
     def test_length_one_is_raw(self):
         trace = trace_from_counts([1, 0, 2])
         assert trace.counts() == [1, 0, 2]
@@ -203,20 +194,25 @@ class TestDryRun:
 class TestPersistence:
     def test_faults_tsv_round_trip(self, tmp_path):
         slots = [{"f": frozenset({"?x=<a>", "?x=<b>"})}, {}, {"f": frozenset({"?x=<b>"})}]
-        trace = FaultTrace(k=2, slots=slots, lengths={"f": 1})
+        trace = FaultTrace(k=2, slots=slots)
         path = tmp_path / "run.faults.tsv"
         write_faults_tsv(trace, path)
         back = read_faults_tsv(path)
         assert back.k == trace.k
         assert back.slots == trace.slots
-        assert back.lengths == trace.lengths
 
     def test_ops_tsv_round_trip(self, tmp_path):
         ops = [write_op(slot=3), read_op(slot=4),
                OperationRecord(5, "POST", EX + "t", "create", 201, 17, "a2",
-                               (EX + "t",))]
+                               (EX + "t", EX + "u"))]
         path = tmp_path / "run.ops.tsv"
         write_ops_tsv(ops, path)
+        assert path.read_text() == (
+            "timeslot\tmethod\ttarget\tclassification\tstatus\tpayload_bytes"
+            "\tagent\tdelta_graphs\n"
+            f"3\tPUT\t{EX}g\treplace\t204\t0\t\t{EX}g\n"
+            f"4\tGET\t{EX}g\tread\t200\t0\t\t\n"
+            f"5\tPOST\t{EX}t\tcreate\t201\t17\ta2\t{EX}t,{EX}u\n")
         assert read_ops_tsv(path) == ops
 
     def test_offline_recompute_matches_online(self, tmp_path):

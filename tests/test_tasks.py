@@ -10,14 +10,12 @@ from ldsim.rdf import IRI, Dataset
 from ldsim.sparql import EvalContext, PathPlus, TriplePattern, eval_query
 from ldsim.tasks import (
     TASK_IDS,
-    apply_fault_fixes,
     build_environment,
     default_run_params,
     load_task,
     oracle_schedule,
-    single_loop_check,
+    value_payload,
 )
-from ldsim.tasks import _value_write
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +163,8 @@ class TestMemoisedFaultChecks:
         for t in range(1, 49):
             if t % 3 == 0:
                 for graph in commands[t % 7::29]:
-                    _value_write(runtime, graph, "on" if t % 2 else "off", "test")
+                    runtime.apply_agent_write(
+                        graph, value_payload(graph, "on" if t % 2 else "off"), "test", 204)
             runtime.tick()
             fresh = Dataset(dict(runtime.dataset.graphs()))
             for fq in task.fault_queries:
@@ -173,19 +172,6 @@ class TestMemoisedFaultChecks:
                                   sim_time=runtime.sim_time(t))
                 assert runtime.fault_slots[-1][fq.id] == match_faults(fresh, fq, ctx), \
                     (tid, t, fq.id)
-
-
-class TestSingleLoop:
-    def test_ts_tasks_stay_fixed(self, pd, tasks):
-        for tid in ("TS1", "TS2", "TS3"):
-            assert single_loop_check(tasks[tid], pd, iterations=48), tid
-
-    def test_tc5_fails_single_loop(self, pd, tasks):
-        # Fix at 09:00 while occupants are still arriving: faults come back.
-        assert not single_loop_check(tasks["TC5"], pd, iterations=48, fix_at=18)
-
-    def test_tc1_fails_single_loop(self, pd, tasks):
-        assert not single_loop_check(tasks["TC1"], pd, iterations=48, fix_at=0)
 
 
 class TestTransitivePathGuard:
@@ -217,6 +203,11 @@ def _strip_plus(query):
     return Query(query.form, Group(tuple(elements)), query.projection)
 
 
+def schedule_counts(actions):
+    """(reads, writes) a schedule issues."""
+    return (sum(len(a.reads) for a in actions), sum(len(a.writes) for a in actions))
+
+
 class TestOracleSchedules:
     def runtime_for(self, task, pd, seed=42, iterations=48):
         env = build_environment(task, pd, seed)
@@ -238,23 +229,24 @@ class TestOracleSchedules:
     def test_exact_operation_counts(self, pd, tasks, tid, reads, writes, loops):
         task = tasks[tid]
         runtime = self.runtime_for(task, pd)
-        script = oracle_schedule(task, runtime)
-        assert script.read_count == reads == task.ideal_reads
-        assert script.write_count == writes == task.ideal_writes
-        assert script.loops == loops
+        actions = oracle_schedule(task, runtime)
+        assert schedule_counts(actions) == (reads, writes)
+        assert (reads, writes) == (task.ideal_reads, task.ideal_writes)
+        assert len(actions) == loops
 
     def test_tc1_covers_lower_bounds(self, pd, tasks):
         runtime = self.runtime_for(tasks["TC1"], pd)
-        script = oracle_schedule(tasks["TC1"], runtime)
-        assert script.read_count == 146
-        assert script.write_count >= 146
-        assert script.loops == 3
+        actions = oracle_schedule(tasks["TC1"], runtime)
+        reads, writes = schedule_counts(actions)
+        assert reads == 146
+        assert writes >= 146
+        assert len(actions) == 3
 
     def test_tc2_covers_lower_bounds(self, pd, tasks):
         runtime = self.runtime_for(tasks["TC2"], pd)
-        script = oracle_schedule(tasks["TC2"], runtime)
-        assert script.read_count == 146
-        assert script.write_count >= 146
+        reads, writes = schedule_counts(oracle_schedule(tasks["TC2"], runtime))
+        assert reads == 146
+        assert writes >= 146
 
     @pytest.mark.parametrize("tid", ["TS1", "TS2", "TS3", "TC1", "TC2", "TC3",
                                      "TC4", "TC5", "TC6", "TC7"])
@@ -262,17 +254,15 @@ class TestOracleSchedules:
         task = tasks[tid]
         iterations = 48
         runtime = self.runtime_for(task, pd, iterations=iterations)
-        script = oracle_schedule(task, runtime)
-        pending = sorted(script.actions, key=lambda a: a.at)
-        queue = list(pending)
-        boundary_slots = {a.at for a in pending if a.at > 0}
+        actions = oracle_schedule(task, runtime)
+        assert [a.at for a in actions] == sorted(a.at for a in actions)
+        queue = list(actions)
+        boundary_slots = {a.at for a in actions if a.at > 0}
         while runtime.iteration < iterations:
             while queue and queue[0].at <= runtime.iteration:
-                action = queue.pop(0)
-                for graph, value in action.writes:
-                    from ldsim.tasks import _value_write
-
-                    _value_write(runtime, graph, value, "oracle")
+                for graph, value in queue.pop(0).writes:
+                    runtime.apply_agent_write(graph, value_payload(graph, value),
+                                              "oracle", 204)
             runtime.tick()
         # Residual faults allowed only in the boundary slots themselves
         # (the fix lands in the same slot, checked at the next boundary).
@@ -281,15 +271,3 @@ class TestOracleSchedules:
                 continue
             assert not any(slot.values()), (tid, t, slot)
 
-
-class TestFixHelper:
-    def test_fixes_clear_current_faults(self, pd, tasks):
-        task = tasks["TS1"]
-        env = build_environment(task, pd, seed=7)
-        runtime = SimulationRuntime(env, task.fault_queries)
-        runtime.initialize(default_run_params(task, iterations=4))
-        assert len(runtime.fault_slots[0]["lights-on"]) == 146
-        writes = apply_fault_fixes(runtime, task)
-        assert writes == 146
-        runtime.tick()
-        assert not runtime.fault_slots[1]["lights-on"]
