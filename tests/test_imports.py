@@ -1,7 +1,9 @@
 """The package's import graph: module-level imports only, and no cycles.
 
 The cycle check counts every import, lazy ones included, so a cycle cannot
-hide behind an import inside a function.
+hide behind an import inside a function. A further guard holds that every
+function, class and method of the package is named by some code that could
+call it.
 """
 
 import ast
@@ -10,7 +12,7 @@ from pathlib import Path
 import ldsim
 
 PACKAGE = Path(ldsim.__file__).parent
-# Where the package's own code may call it from, besides the package.
+# The code outside the package that may be a package name's only caller.
 CALLERS = [Path(__file__).resolve().parents[1] / name for name in ("perfbench", "tools")]
 
 
