@@ -1,8 +1,11 @@
 """Benchmark orchestration and the command line interface.
 
-`run_benchmark` wires everything together: build the dataset, execute the
-seed-matched dry run used for normalization, start the server, attach an
-agent, kick the run off over HTTP, and score the recorded trace.
+`serve_task` stands a task up at a new server: it builds the building at the
+server's base, loads the task and attaches a fresh runtime. `ldsim serve`
+calls it and waits for a run to be started over HTTP. `run_benchmark` calls
+it too, then executes the seed-matched dry run used for normalization,
+attaches an agent, kicks the run off over HTTP and scores the recorded
+trace.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ from .building import (
     GeneratorParams,
     PartitionedDataset,
     build_dataset,
-    load_dataset,
-    read_manifest,
-    rebase_partitioned,
     validate_counts,
     write_dataset,
     write_manifest,
@@ -109,49 +109,72 @@ class OracleRunner:
                     self.writes += 1
 
 
-def _make_agent(kind: str, task: TaskSpec, pd: PartitionedDataset,
-                runtime: SimulationRuntime, base: str, poll_interval: float):
+@dataclass
+class ServedTask:
+    server: LinkedDataServer
+    pd: PartitionedDataset
+    task: TaskSpec
+    runtime: SimulationRuntime
+
+
+def serve_task(task_id: str, seed: int = 42, source: str | Path | None = None,
+               host: str = "127.0.0.1", port: int = 0) -> ServedTask:
+    """Serve one task at a new server, waiting for `PUT <sim>` to start a run.
+
+    The building is built at the server's base, from the synthetic building
+    of `seed` or from the Turtle file `source`, so `ldsim build --seed S
+    --base B` writes what this serves at B. The caller stops the server.
+    """
+    server = LinkedDataServer(host=host, port=port)
+    try:
+        pd = build_dataset(source=source, params=GeneratorParams(seed=seed),
+                           base=server.base)
+        task = load_task(task_id, server.base)
+        env = build_environment(task, pd, seed)
+        runtime = SimulationRuntime(env, task.fault_queries)
+        server.attach(runtime, default_policy(pd.dynamic))
+        server.start()
+    except BaseException:
+        server.stop()
+        raise
+    return ServedTask(server, pd, task, runtime)
+
+
+def _make_agent(kind: str, served: ServedTask):
+    base, task = served.server.base, served.task
     client = LdClient(base, agent=kind)
     if kind == "oracle":
-        return OracleRunner(task, runtime, client)
+        return OracleRunner(task, served.runtime, client)
     rules = parse_rules(task.rules_text, base=base)
     follow = list(DEFAULT_FOLLOW) + [base + "vocab/building#weatherReport"]
     if task.requires_reasoning:
         follow += [RDF_TYPE, RDFS_SUBCLASS]
     config = AgentConfig(
         mode=kind, rules=rules, seed_iri=base + "building",
-        reasoning=task.requires_reasoning, follow_predicates=tuple(follow),
-        poll_interval=poll_interval)
-    prefetch = pd.dataset if kind == "prefetch" else None
+        reasoning=task.requires_reasoning, follow_predicates=tuple(follow))
+    prefetch = served.pd.dataset if kind == "prefetch" else None
     return RuleAgent(client, config, prefetch_dataset=prefetch)
 
 
 def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
                   iterations: int | None = None, timeslot_ms: int = 500,
-                  out_dir: str | Path | None = None, poll_interval: float = 0.0,
+                  out_dir: str | Path | None = None,
                   host: str = "127.0.0.1") -> BenchResult:
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent!r}")
-    server = LinkedDataServer(host=host)
+    served = serve_task(task_id, seed, host=host)
+    server, task, runtime = served.server, served.task, served.runtime
     clients: list[LdClient] = []
     try:
-        pd = build_dataset(params=GeneratorParams(seed=seed), base=server.base)
-        task = load_task(task_id, server.base)
         params = default_run_params(task, iterations, timeslot_ms)
-        env = build_environment(task, pd, seed)
-        dry = dry_run(env, params, task.fault_queries)
-
-        runtime = SimulationRuntime(env, task.fault_queries)
-        server.attach(runtime, default_policy(pd.dynamic))
-        server.start()
+        dry = dry_run(runtime.env, params, task.fault_queries)
 
         stop = threading.Event()
         worker = None
         agent_obj = None
         crashed: list[BaseException] = []
         if agent != "noop":
-            agent_obj = _make_agent(agent, task, pd, runtime, server.base,
-                                    poll_interval)
+            agent_obj = _make_agent(agent, served)
             clients.append(agent_obj.client)
 
             def _agent_main():
@@ -230,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     source = p_build.add_mutually_exclusive_group()
     source.add_argument("--input", help="monolithic Turtle building description")
     source.add_argument("--synthetic", action="store_true", default=True)
-    p_build.add_argument("--seed", type=int, default=0)
+    p_build.add_argument("--seed", type=int, default=42)
     p_build.add_argument("--base", default=DEFAULT_BASE)
     p_build.add_argument("--out", required=True, help="TriG output path")
     p_build.add_argument("--manifest", help="dynamic-resource manifest path")
@@ -238,15 +261,17 @@ def main(argv: list[str] | None = None) -> int:
     p_validate = sub.add_parser("validate", help="compare dataset counts "
                                                  "against the expected statistics")
     p_validate.add_argument("--input", help="monolithic Turtle building description")
-    p_validate.add_argument("--seed", type=int, default=0)
+    p_validate.add_argument("--seed", type=int, default=42)
 
-    p_serve = sub.add_parser("serve", help="serve a built dataset")
-    p_serve.add_argument("--dataset", required=True)
-    p_serve.add_argument("--manifest", required=True)
+    p_serve = sub.add_parser("serve", help="serve one task, built from the seed "
+                                           "at the server's base, until interrupted; "
+                                           "PUT <sim> starts a run")
     p_serve.add_argument("--task", choices=TASK_IDS, required=True)
+    p_serve.add_argument("--seed", type=int, default=42)
+    p_serve.add_argument("--input", help="monolithic Turtle building description, "
+                                         "its relative IRIs read against the base")
     p_serve.add_argument("--port", type=int, default=8080)
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--seed", type=int, default=42)
 
     p_run = sub.add_parser("run", help="run one benchmark end to end")
     p_run.add_argument("--task", choices=TASK_IDS, required=True)
@@ -254,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=42)
     p_run.add_argument("--iterations", type=int)
     p_run.add_argument("--timeslot-ms", type=int, default=500)
-    p_run.add_argument("--poll-interval", type=float, default=0.0)
     p_run.add_argument("--out", default="results")
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from trace files")
@@ -292,13 +316,23 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.passed else 1
 
     if args.command == "serve":
-        return _cmd_serve(args)
+        served = serve_task(args.task, args.seed, source=args.input, host=args.host,
+                            port=args.port)
+        try:
+            print(f"serving {args.task} at {served.server.base} "
+                  "(PUT <sim> to start a run)", flush=True)
+            while True:
+                served.runtime.finished.wait(3600)
+        except KeyboardInterrupt:
+            print("stopping")
+        finally:
+            served.server.stop()
+        return 0
 
     if args.command == "run":
         result = run_benchmark(args.task, agent=args.agent, seed=args.seed,
                                iterations=args.iterations,
                                timeslot_ms=args.timeslot_ms,
-                               poll_interval=args.poll_interval,
                                out_dir=args.out)
         for name, value in result.report.rows():
             print(f"{name}\t{value}")
@@ -336,28 +370,6 @@ def main(argv: list[str] | None = None) -> int:
 
     parser.error(f"unknown command {args.command!r}")
     return 2
-
-
-def _cmd_serve(args) -> int:
-    server = LinkedDataServer(host=args.host, port=args.port)
-    old_base, manifest_dynamic = read_manifest(args.manifest)
-    dataset = load_dataset(args.dataset)
-    pd = PartitionedDataset(dataset=dataset, dynamic=manifest_dynamic, base=old_base)
-    pd = rebase_partitioned(pd, server.base)
-    task = load_task(args.task, server.base)
-    env = build_environment(task, pd, args.seed)
-    runtime = SimulationRuntime(env, task.fault_queries)
-    server.attach(runtime, default_policy(pd.dynamic))
-    server.start()
-    print(f"serving {args.task} at {server.base} (PUT <sim> to start a run)")
-    try:
-        while True:
-            runtime.finished.wait(3600)
-    except KeyboardInterrupt:
-        print("stopping")
-    finally:
-        server.stop()
-    return 0
 
 
 if __name__ == "__main__":

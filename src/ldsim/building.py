@@ -26,7 +26,7 @@ from .ns import (
     XSD_INTEGER,
     XSD_TIME,
 )
-from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Triple, rebase_dataset, skolemize
+from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Triple, skolemize
 from .rdfio import parse_document, serialize_dataset
 
 log = logging.getLogger(__name__)
@@ -149,25 +149,6 @@ class PartitionedDataset:
     dynamic: dict[str, DynamicResource]
     base: str
     source_triples: int = 0
-
-
-def rebase_partitioned(pd: PartitionedDataset, base: str) -> PartitionedDataset:
-    """The same partitioned dataset with every IRI under `pd.base` moved to `base`."""
-    if base == pd.base:
-        return pd
-    dynamic = {}
-    for res in pd.dynamic.values():
-        moved = DynamicResource(
-            graph=res.graph.replace(pd.base, base),
-            node=res.node.replace(pd.base, base),
-            point=res.point.replace(pd.base, base),
-            system=res.system.replace(pd.base, base),
-            room=res.room.replace(pd.base, base),
-            category=res.category, writable=res.writable)
-        dynamic[moved.graph] = moved
-    return PartitionedDataset(
-        dataset=rebase_dataset(pd.dataset, pd.base, base),
-        dynamic=dynamic, base=base, source_triples=pd.source_triples)
 
 
 def partition(triples: Iterable[Triple]) -> Dataset:
@@ -622,7 +603,13 @@ def validate_counts(pd: PartitionedDataset, params: GeneratorParams) -> Report:
 def build_dataset(source: str | Path | None = None,
                   params: GeneratorParams | None = None,
                   base: str = DEFAULT_BASE) -> PartitionedDataset:
-    """Full pipeline: building graph -> partition -> augment -> occupants."""
+    """Full pipeline: building graph -> partition -> augment -> occupants.
+
+    The building graph is the Turtle file `source`, read with `base` as its
+    base IRI, or else the synthetic building of `params`, generated at
+    `base`. Every IRI of a building is minted at the base it is served at;
+    a file's absolute IRIs are kept as written.
+    """
     if source is not None:
         text = Path(source).read_text()
         parsed = parse_document(text, "turtle", base=base)
@@ -650,23 +637,5 @@ def write_manifest(pd: PartitionedDataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_manifest(path: str | Path) -> tuple[str, dict[str, DynamicResource]]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0]
-    base = header.split("base=", 1)[1].split("\t")[0]
-    dynamic: dict[str, DynamicResource] = {}
-    for line in lines[2:]:
-        if not line.strip():
-            continue
-        graph, node, point, system, room, category, writable = line.split("\t")
-        dynamic[graph] = DynamicResource(graph, node, point, system, room,
-                                         category, writable == "1")
-    return base, dynamic
-
-
 def write_dataset(pd: PartitionedDataset, path: str | Path) -> None:
     Path(path).write_text(serialize_dataset(pd.dataset))
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    return parse_document(Path(path).read_text(), "trig")

@@ -515,8 +515,9 @@ class SimulationRuntime:
             self.ops.append(record)
 
     def apply_agent_write(self, target: str, triples: frozenset, agent: str,
-                          status: int = 0) -> OperationRecord:
-        """Atomically replace one graph with `triples` (a PUT) and record it."""
+                          status: int = 0, nbytes: int = 0) -> OperationRecord:
+        """Atomically replace one graph with `triples` (a PUT) and record it,
+        with the byte count of the body they were parsed from."""
         with self._lock:
             new_ds = self.dataset.replace_graphs({target: triples})
             delta = (target,) if new_ds is not self.dataset else ()
@@ -524,7 +525,7 @@ class SimulationRuntime:
             record = OperationRecord(
                 timeslot=self.iteration, method="PUT", target=target,
                 classification="replace", status=status,
-                payload_bytes=len(triples), agent=agent, delta_graphs=delta)
+                payload_bytes=nbytes, agent=agent, delta_graphs=delta)
             self.ops.append(record)
             return record
 

@@ -323,20 +323,3 @@ def skolemize(d: Dataset, base: str, doc_key: str) -> Dataset:
     for g, triples in d.graphs():
         out[g] = frozenset((conv(s), p, conv(o)) for s, p, o in triples)
     return Dataset(out)
-
-
-def rebase_dataset(d: Dataset, old: str, new: str) -> Dataset:
-    """Rewrite every IRI under one base prefix to another."""
-    if old == new:
-        return d
-
-    def conv(t: Term) -> Term:
-        if isinstance(t, IRI) and t.value.startswith(old):
-            return IRI(new + t.value[len(old):])
-        return t
-
-    out: dict[str, frozenset] = {}
-    for g, triples in d.graphs():
-        name = new + g[len(old):] if g.startswith(old) else g
-        out[name] = frozenset((conv(s), conv(p), conv(o)) for s, p, o in triples)
-    return Dataset(out)

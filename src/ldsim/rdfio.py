@@ -1,5 +1,5 @@
-"""Parsing and serialization for Turtle, TriG and N-Triples, and the one
-tokenizer that the SPARQL subset shares with them.
+"""Parsing of Turtle and N-Triples, their serialization and that of TriG,
+and the one tokenizer that the SPARQL subset shares with them.
 
 `Lexer` turns a document, query, update or agent rule file into
 (kind, value, offset) tokens. Its terminals are the productions Turtle
@@ -24,11 +24,15 @@ tokenizer that the SPARQL subset shares with them.
 Whitespace and `#` comments are skipped. `Reader` reads what the grammars
 share above the tokens: PREFIX/BASE and @prefix/@base directives, IRIREF
 resolution against the base, prefixed-name expansion and literals, with
-every failure a `ParseError` at its token. Turtle and TriG take every kind
-but `var` and the operators, and N-Triples is read as Turtle without
+every failure a `ParseError` at its token. Turtle takes every kind but
+`var`, the operators and `{ }`, and N-Triples is read as Turtle without
 directives, `[` and `(`; a token a grammar has no use for is an error.
 Pipeline: text -> tokens -> quads -> Dataset. Blank node labels are scoped
 to a single document.
+
+TriG is written, not read: `serialize_dataset` gives the dataset file that
+`ldsim build` writes, and a served building is built from the seed or a
+Turtle file instead of being loaded from it.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .ns import (
 )
 from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
 
-FORMATS = ("turtle", "trig", "n-triples")
+FORMATS = ("turtle", "n-triples")
 
 
 class ParseError(ValueError):
@@ -171,7 +175,7 @@ class Lexer:
 
 
 class Reader:
-    """Token reading for Turtle, TriG, N-Triples and the SPARQL subset:
+    """Token reading for Turtle, N-Triples and the SPARQL subset:
     errors placed at a token, the directives and IRIs both grammars share,
     and literals."""
 
@@ -245,7 +249,7 @@ class Reader:
         return None
 
 
-# -- Turtle, TriG and N-Triples -----------------------------------------------
+# -- Turtle and N-Triples -----------------------------------------------------
 
 
 class _Parser(Reader):
@@ -257,7 +261,6 @@ class _Parser(Reader):
         self.quads: list[Quad] = []
         self.blank_count = 0
         self.line_based = fmt == "n-triples"
-        self.allow_graphs = fmt == "trig"
 
     def fresh_blank(self) -> BlankNode:
         self.blank_count += 1
@@ -272,63 +275,18 @@ class _Parser(Reader):
             elif tok[0] in ("word", "lang") and tok[1].lower() in ("prefix", "base"):
                 self.directive()
                 continue
-            elif self.allow_graphs and self._graph_block():
-                continue
             else:
                 self._triples(graph)
             self.expect(".")
         return Dataset.from_quads(self.quads)
 
-    # -- TriG graph blocks ---------------------------------------------------
-
-    def _graph_block(self) -> bool:
-        tok = self.lex.peek()
-        if tok[0] == "{":
-            self.lex.next()
-            self._block_body(self.default_graph)
-            return True
-        if tok[0] == "word" and tok[1].lower() == "graph":
-            self.lex.next()
-            name = self.iri_from(self.lex.next())
-            self.expect("{")
-            self._block_body(name)
-            return True
-        if tok[0] in ("iri", "pname"):
-            # Could be `name { ... }` or the subject of plain triples.
-            save = self.lex.next()
-            if self.lex.peek()[0] == "{":
-                self.lex.next()
-                self._block_body(self.iri_from(save))
-                return True
-            self._triples(self.default_graph, presubject=save)
-            self.expect(".")
-            return True
-        return False
-
-    def _block_body(self, graph: IRI) -> None:
-        while True:
-            tok = self.lex.peek()
-            if tok[0] == "}":
-                self.lex.next()
-                return
-            if tok[0] == "eof":
-                raise self.error("unterminated graph block", tok)
-            self._triples(graph)
-            nxt = self.lex.peek()
-            if nxt[0] == ".":
-                self.lex.next()
-            elif nxt[0] != "}":
-                raise self.unexpected("'.' or '}'", nxt)
-
     # -- triples -------------------------------------------------------------
 
-    def _triples(self, graph: IRI, presubject: tuple | None = None) -> None:
-        if presubject is not None:
-            subject = self._term_from(presubject, graph, "subject")
-        elif self.lex.peek()[0] == "[":
+    def _triples(self, graph: IRI) -> None:
+        if self.lex.peek()[0] == "[":
             self.lex.next()
             subject = self._blank_property_list(graph)
-            if self.lex.peek()[0] in (".", "}"):
+            if self.lex.peek()[0] == ".":
                 return
         else:
             subject = self._term(graph, "subject")
@@ -346,8 +304,8 @@ class _Parser(Reader):
             if lex.peek()[0] != ";":
                 return
             lex.next()
-            # Allow trailing semicolons before '.' or '}'.
-            if lex.peek()[0] in (".", "}", ";"):
+            # Allow trailing semicolons before '.'.
+            if lex.peek()[0] in (".", ";"):
                 while lex.peek()[0] == ";":
                     lex.next()
                 return
@@ -359,9 +317,7 @@ class _Parser(Reader):
         return self.iri_from(tok)
 
     def _term(self, graph: IRI, position: str) -> Term:
-        return self._term_from(self.lex.next(), graph, position)
-
-    def _term_from(self, tok: tuple, graph: IRI, position: str) -> Term:
+        tok = self.lex.next()
         kind = tok[0]
         if kind == "blank":
             return BlankNode(tok[1])
@@ -405,11 +361,8 @@ class _Parser(Reader):
 
 def parse_document(text: str, fmt: str = "turtle", base: str | None = None,
                    default_graph: str = DEFAULT_GRAPH) -> Dataset:
-    """Parse a document into a dataset.
-
-    For the triple formats every quad carries `default_graph`; the quad
-    formats place unlabeled statements there as well.
-    """
+    """Parse a Turtle or N-Triples document into a dataset whose every quad
+    carries `default_graph`."""
     return _Parser(text, fmt, base, default_graph).parse()
 
 

@@ -319,7 +319,7 @@ class _Handler(socketserver.StreamRequestHandler):
         triples = self._parse_payload(target, body)
         if triples is None:
             return
-        self.runtime.apply_agent_write(target, triples, self._agent(), 204)
+        self.runtime.apply_agent_write(target, triples, self._agent(), 204, len(body))
         self._reply(204)
 
     def _refuse_write(self) -> None:
@@ -391,7 +391,7 @@ class _Server(socketserver.ThreadingTCPServer):
 
 class LinkedDataServer:
     """Socket lifecycle wrapper; bind first so the base IRI is known before
-    the dataset is rebased onto it."""
+    the building is built at it."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundHandler", (_Handler,), {})
@@ -416,10 +416,11 @@ class LinkedDataServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        # `shutdown` waits for a serve loop, so it would hang one never started.
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(2)
+        self._httpd.server_close()
 
 
 def default_policy(dynamic: dict) -> frozenset[str]:

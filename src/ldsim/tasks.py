@@ -30,7 +30,6 @@ class TaskSpec:
     fault_queries: tuple[FaultQuery, ...]
     duration: int
     requires_reasoning: bool
-    ideal_reads: int
     ideal_writes: int
     rules_text: str = ""
 
@@ -91,7 +90,6 @@ def load_task(task_id: str, base: str) -> TaskSpec:
         fault_queries=fault_queries,
         duration=int(props.get("duration", 1440)),
         requires_reasoning=props.get("reasoning", "false") == "true",
-        ideal_reads=int(props.get("ideal.reads", 0)),
         ideal_writes=int(props.get("ideal.writes", 0)),
         rules_text=rules_path.read_text() if rules_path.exists() else "",
     )

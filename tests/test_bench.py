@@ -2,20 +2,28 @@
 
 import functools
 import gc
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from ldsim import bench, httpclient, server
 from ldsim.agents import AgentConfig
 from ldsim.bench import main, run_benchmark
-from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned, \
-    write_manifest
-from ldsim.engine import SimulationRuntime
+from ldsim.building import GeneratorParams, build_dataset, generate_synthetic
+from ldsim.engine import SimulationRuntime, dry_run
 from ldsim.metrics import write_metrics_tsv
-from ldsim.ns import DEFAULT_BASE
-from ldsim.tasks import TASK_IDS, load_task, oracle_schedule
+from ldsim.ns import DEFAULT_BASE, SIM_PATH
+from ldsim.rdfio import serialize_dataset, serialize_triples
+from ldsim.tasks import TASK_IDS, build_environment, default_run_params, load_task, \
+    oracle_schedule
 
 # 24 slots of 100 ms keep a run short; the prefetch agent is left out
 # because it misses tick deadlines at much shorter slots.
@@ -90,24 +98,94 @@ def test_cli_reports_a_doctored_run(runs, tmp_path, capsys):
     assert "audit: FAIL" in out
 
 
-def test_rebase_partitioned_round_trip(tmp_path):
-    params = GeneratorParams(
-        rooms=4, floors=1, wings=1, lighting_systems=3,
-        systems_with_occupancy=2, systems_with_command=2,
-        systems_with_luminance=1, rooms_with_occupancy=2,
-        rooms_with_command=2, rooms_with_luminance=1,
-        command_points=2, luminance_points=1, hygiene_lights=0, seed=3)
-    original = build_dataset(params=params)
-    other = "http://127.0.0.1:9999/"
-    moved = rebase_partitioned(original, other)
-    assert moved.base == other and moved.dataset != original.dataset
-    assert all(graph.startswith(other) for graph in moved.dynamic)
-    back = rebase_partitioned(moved, DEFAULT_BASE)
-    assert back.dataset == original.dataset
-    write_manifest(original, tmp_path / "a.tsv")
-    write_manifest(back, tmp_path / "b.tsv")
-    assert (tmp_path / "a.tsv").read_text() == (tmp_path / "b.tsv").read_text()
-    assert rebase_partitioned(original, DEFAULT_BASE) is original
+@pytest.mark.parametrize("from_file", [False, True], ids=["seed", "input"])
+def test_served_building_is_what_build_writes(from_file, tmp_path, capsys):
+    # `serve` builds at its own base what `build --base` writes there, from
+    # the seed or from a Turtle file of relative IRIs (`--input`).
+    source, argv = None, ["build", "--seed", "42"]
+    if from_file:
+        source = tmp_path / "building.ttl"
+        source.write_text(serialize_triples(generate_synthetic(GeneratorParams(seed=42)))
+                          .replace(f"<{DEFAULT_BASE}", "<"))
+        argv += ["--input", str(source)]
+    served = bench.serve_task("TC6", seed=42, source=source)
+    try:
+        base = served.server.base
+        expected = build_dataset(params=GeneratorParams(seed=42), base=base)
+        assert served.runtime.dataset == expected.dataset
+        assert served.pd.dynamic == expected.dynamic
+        out = tmp_path / "building.trig"
+        assert main(argv + ["--base", base, "--out", str(out)]) == 0
+        assert out.read_text() == serialize_dataset(served.runtime.dataset)
+    finally:
+        served.server.stop()
+
+
+def test_served_day_repeats_the_dry_run_at_the_default_base():
+    served = bench.serve_task("TC6", seed=42)
+    control = httpclient.LdClient(served.server.base, agent="control")
+    try:
+        params = default_run_params(served.task, 48, 20)
+        status, body = control.put_raw(SIM_PATH, bench.sim_start_payload(params))
+        assert status == 200, body
+        assert served.runtime.finished.wait(60)
+        counts = served.runtime.fault_trace().counts()
+    finally:
+        control.close_all()
+        served.server.stop()
+    task = load_task("TC6", DEFAULT_BASE)
+    env = build_environment(task, build_dataset(params=GeneratorParams(seed=42)), 42)
+    dry = dry_run(env, default_run_params(task, 48, 20), task.fault_queries)
+    assert counts == dry.counts() and sum(counts) > 0
+
+
+def test_a_failed_set_up_releases_its_server():
+    # A server stopped before it ever served must not wait for its loop.
+    raised = []
+
+    def set_up():
+        try:
+            bench.serve_task("TS9")
+        except ValueError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=set_up, daemon=True)
+    worker.start()
+    worker.join(30)
+    assert not worker.is_alive()
+    assert raised and "unknown task" in str(raised[0])
+
+
+def test_serve_command_serves_until_interrupted():
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ldsim.bench", "serve", "--task", "TC6", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        line = proc.stdout.readline()
+        served = re.fullmatch(r"serving TC6 at (http://127\.0\.0\.1:\d+/) "
+                              r"\(PUT <sim> to start a run\)\n", line)
+        assert served, line
+        base = served[1]
+        client = httpclient.LdClient(base)
+        try:
+            status, triples = client.get_graph(base + "building")
+        finally:
+            client.close_all()
+        assert status == 200 and triples
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        assert (proc.returncode, out) == (0, "stopping\n"), err
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.poll() is not None
 
 
 def test_one_seed_gives_one_dry_run_on_any_port():

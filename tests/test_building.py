@@ -8,6 +8,8 @@ from ldsim.building import (
     CAT_OCCUPANCY,
     CAT_OUTSIDE,
     CAT_SETPOINT,
+    MANIFEST_COLUMNS,
+    DynamicResource,
     GeneratorParams,
     augment_datapoints,
     build_dataset,
@@ -15,12 +17,12 @@ from ldsim.building import (
     generate_synthetic,
     occupant_quads,
     partition,
-    read_manifest,
     validate_counts,
     write_manifest,
 )
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE
 from ldsim.rdf import IRI, Literal
+from ldsim.rdfio import serialize_triples
 from rdf_helpers import symmetric_difference
 
 BASE = DEFAULT_BASE
@@ -182,19 +184,33 @@ class TestPipeline:
         assert len(rooms) == 66
 
     def test_manifest_round_trip(self, table1_build, tmp_path):
+        # What `ldsim build` writes beside the TriG: the base and the source
+        # size, the columns, then one row per dynamic resource in graph order.
         path = tmp_path / "building.manifest.tsv"
         write_manifest(table1_build, path)
-        base, dynamic = read_manifest(path)
-        assert base == table1_build.base
-        assert dynamic.keys() == table1_build.dynamic.keys()
-        sample = next(iter(dynamic.values()))
-        assert sample.category in (CAT_OCCUPANCY, CAT_COMMAND, CAT_LUMINANCE,
-                                   CAT_SETPOINT, CAT_OUTSIDE)
+        header, columns, *rows = path.read_text().splitlines()
+        assert header == f"# base={BASE}\tsource_triples={table1_build.source_triples}"
+        assert tuple(columns.split("\t")) == MANIFEST_COLUMNS
+        assert [row.split("\t", 1)[0] for row in rows] == sorted(table1_build.dynamic)
+        read = {}
+        for row in rows:
+            graph, node, point, system, room, category, writable = row.split("\t")
+            read[graph] = DynamicResource(graph, node, point, system, room, category,
+                                          writable == "1")
+        assert read == table1_build.dynamic
 
-    def test_dataset_file_round_trip(self, table1_build, tmp_path):
-        from ldsim.building import load_dataset, write_dataset
-
-        path = tmp_path / "building.trig"
-        write_dataset(table1_build, path)
-        back = load_dataset(path)
-        assert back == table1_build.dataset
+    def test_relative_turtle_file_builds_the_generated_building(self, tmp_path):
+        # `--input`: the synthetic building written as Turtle with relative
+        # IRIs is, built at another base, the building generated there.
+        params = GeneratorParams(seed=42)
+        text = serialize_triples(generate_synthetic(params)).replace(f"<{BASE}", "<")
+        assert BASE not in text
+        path = tmp_path / "building.ttl"
+        path.write_text(text)
+        other = "http://127.0.0.1:9999/"
+        from_file = build_dataset(source=path, base=other)
+        generated = build_dataset(params=params, base=other)
+        assert from_file.base == generated.base == other
+        assert from_file.dataset == generated.dataset
+        assert from_file.dynamic == generated.dynamic
+        assert from_file.source_triples == generated.source_triples == 5254

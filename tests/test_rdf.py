@@ -1,17 +1,17 @@
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldsim.ns import DEFAULT_GRAPH, RDF_LANG_STRING, XSD_INTEGER, XSD_STRING
+from ldsim.ns import BRICK, DEFAULT_GRAPH, RDF_LANG_STRING, RDF_TYPE, XSD_INTEGER, XSD_STRING
 from ldsim.rdf import (
     IRI,
     BlankNode,
     Dataset,
     Literal,
     Quad,
-    rebase_dataset,
     skolemize,
 )
 from ldsim.rdfio import ParseError, parse_document, serialize_dataset, serialize_triples
@@ -227,26 +227,6 @@ class TestParsing:
     def test_empty_document(self):
         assert len(parse_document("", "turtle")) == 0
 
-    def test_trig_two_graph_fixture(self):
-        # 10 triples split over 2 named graph blocks, counted by hand.
-        doc = """
-        @prefix ex: <http://example.org/> .
-        ex:g1 {
-            ex:a ex:p ex:b ; ex:q "1", "2" .
-            ex:b ex:p ex:c .
-            ex:c ex:p ex:a ; ex:q "3" .
-        }
-        ex:g2 {
-            ex:a ex:p ex:c .
-            ex:b ex:q "4", "5", "6" .
-        }
-        """
-        ds = parse_document(doc, "trig")
-        assert len(ds) == 10
-        assert ds.graph_names() == {G1.value, G2.value}
-        assert len(ds.graph(G1.value)) == 6
-        assert len(ds.graph(G2.value)) == 4
-
     def test_custom_default_graph(self):
         ds = parse_document("<a> <b> 1 .", "turtle", base=EX, default_graph=EX + "tgt")
         assert ds.graph_names() == {EX + "tgt"}
@@ -314,12 +294,31 @@ class TestRoundTrip:
             back = parse_document(text, fmt, default_graph=EX + "g")
             assert back.graph(EX + "g") == frozenset(triples)
 
-    def test_dataset_trig_round_trip(self, ):
-        rng = random.Random(5)
-        quads = {_random_quad(rng) for _ in range(40)}
-        ds = Dataset.from_quads(quads)
-        back = parse_document(serialize_dataset(ds), "trig")
-        assert back == ds
+    def test_serialize_dataset_exact_text(self):
+        # The TriG of `ldsim build`: prefixes in use, the default graph's
+        # triples bare, then each named graph's block in name order.
+        ds = Dataset.from_quads([
+            quad(A, P, B, IRI(DEFAULT_GRAPH)),
+            quad(B, P, A, G2),
+            quad(A, IRI(RDF_TYPE), IRI(BRICK + "Room"), G1),
+            quad(A, P, Literal("2", XSD_INTEGER), G1),
+            quad(A, P, Literal("x"), G1),
+        ])
+        assert serialize_dataset(ds) == textwrap.dedent(f"""\
+            @prefix brick: <{BRICK}> .
+
+            <{EX}a> <{EX}p> <{EX}b> .
+
+            <{EX}g1> {{
+                <{EX}a> a brick:Room ;
+                    <{EX}p> "x", 2 .
+            }}
+
+            <{EX}g2> {{
+                <{EX}b> <{EX}p> <{EX}a> .
+            }}
+            """)
+        assert serialize_dataset(Dataset()) == ""
 
 
 def _random_ground_triple(rng: random.Random):
@@ -361,12 +360,3 @@ class TestSkolemize:
         ds = parse_document("_:n <http://x/p> 1 .", "n-triples")
         assert skolemize(ds, EX, "doc1") != skolemize(ds, EX, "doc2")
 
-
-def test_rebase_rewrites_graph_names_and_terms():
-    ds = Dataset.from_quads([quad(A, P, B, G1), quad(IRI("http://other/x"), P, A, G2)])
-    out = rebase_dataset(ds, EX, "http://h:9/")
-    assert "http://h:9/g1" in out.graph_names()
-    quads = set(out.quads())
-    assert quad(IRI("http://h:9/a"), IRI("http://h:9/p"), IRI("http://h:9/b"),
-                IRI("http://h:9/g1")) in quads
-    assert any(q.s == IRI("http://other/x") for q in quads)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldsim.building import GeneratorParams, build_dataset, rebase_partitioned
+from ldsim.building import GeneratorParams, build_dataset
 from ldsim import server as server_module
 from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime
 from ldsim.httpclient import LdClient, _read_reply
@@ -41,7 +41,7 @@ def small_params():
 
 def start_server(params=None, seed=7, updates=()):
     server = LinkedDataServer()
-    pd = rebase_partitioned(build_dataset(params=params or small_params()), server.base)
+    pd = build_dataset(params=params or small_params(), base=server.base)
     env = SimEnvironment(dataset=pd.dataset, init_entries=[],
                          update_entries=list(updates), seed=seed, base=server.base,
                          dynamic=pd.dynamic)
@@ -215,6 +215,19 @@ class TestBodyCache:
 
 
 class TestPut:
+    def test_write_records_its_body_byte_count(self, served):
+        # A PUT's record holds the byte count of its body, as a GET's does.
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        client = LdClient(server.base, agent="tester")
+        path = client.path_of(res.graph)
+        bodies = [f"<{res.node}> <{RDF_VALUE}> \"on\" .\n",
+                  f"<#it> <{RDF_VALUE}> \"off\" , \"off\" .  # one triple\n"]
+        assert [client.put_raw(path, body)[0] for body in bodies] == [204, 204]
+        _, ops = runtime.snapshot_log()
+        assert [op.payload_bytes for op in ops if op.method == "PUT"] == \
+            [len(body.encode()) for body in bodies]
+
     def test_switch_on_and_read_back(self, served):
         server, runtime, dynamic = served
         res = command_resource(dynamic)

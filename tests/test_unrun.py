@@ -1,5 +1,5 @@
 """`tools/unrun.py`: its statement counting, and one traced session of
-TS1 with the noop agent in a subprocess."""
+TS1, served and with the noop agent, in a subprocess."""
 
 import ast
 import importlib.util
@@ -98,6 +98,8 @@ def test_one_traced_session_reports_every_module():
     for name, lines in listed.items():
         assert lines <= set(unrun.statements((SRC / name).read_text())), name
         assert len(lines) == counts[name][1], name
-    # The dry run runs in every session; a path walk needs TC2 or TS3.
+    # The dry run and the served set-up run in every session; a path walk
+    # needs TC2 or TS3.
     assert first_body_line(SRC / "engine.py", "dry_run") not in listed.get("engine.py", set())
+    assert first_body_line(SRC / "bench.py", "serve_task") not in listed.get("bench.py", set())
     assert first_body_line(SRC / "sparql.py", "_join_path") in listed["sparql.py"]

@@ -4,11 +4,13 @@
         [--perfbench-seconds 2]
 
 In one process, with every thread traced by `sys.settrace`, it runs `ldsim
-build`, `ldsim validate` and, for each task and agent (all ten tasks and
-all four agents by default), a `run_benchmark` of 8 slots of 300 ms at seed
-42 whose trace files then go through `ldsim metrics --compare` and `ldsim
-audit`. With `--perfbench-seconds S` it also runs each workload of
-`perfbench/` for S seconds. The commands' own output is discarded.
+build`, `ldsim validate`, a run of the first task served as `ldsim serve`
+serves it (`bench.serve_task`, started by `PUT <sim>`) and, for each task
+and agent (all ten tasks and all four agents by default), a `run_benchmark`
+whose trace files then go through `ldsim metrics --compare` and `ldsim
+audit`. Every run is 8 slots of 300 ms at seed 42. With
+`--perfbench-seconds S` it also runs each workload of `perfbench/` for S
+seconds. The commands' own output is discarded.
 
 A statement is one `ast` statement of a module. Docstrings and `def` and
 `class` lines are left out, and a compound statement (`if`, `for`, `try`,
@@ -107,6 +109,9 @@ class Tracer:
 def session(args, out_dir: Path, problems: list[str]) -> None:
     """The traced commands and runs; what goes wrong is added to `problems`."""
     from ldsim import bench
+    from ldsim.httpclient import LdClient
+    from ldsim.ns import SIM_PATH
+    from ldsim.tasks import default_run_params
 
     def command(*argv: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()) as seen:
@@ -116,6 +121,18 @@ def session(args, out_dir: Path, problems: list[str]) -> None:
 
     command("build", "--out", str(out_dir / "building.trig"))
     command("validate")
+    served = bench.serve_task(args.tasks[0], seed=42)
+    control = LdClient(served.server.base, agent="control")
+    try:
+        params = default_run_params(served.task, ITERATIONS, TIMESLOT_MS)
+        status, body = control.put_raw(SIM_PATH, bench.sim_start_payload(params))
+        if status != 200:
+            problems.append(f"served {args.tasks[0]} did not start: {status} {body!r}")
+        elif not served.runtime.finished.wait(60):
+            problems.append(f"served {args.tasks[0]} did not finish")
+    finally:
+        control.close_all()
+        served.server.stop()
     for task in args.tasks:
         for agent in args.agents:
             result = bench.run_benchmark(task, agent=agent, seed=42, iterations=ITERATIONS,
