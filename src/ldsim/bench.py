@@ -250,9 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build the benchmark dataset")
-    source = p_build.add_mutually_exclusive_group()
-    source.add_argument("--input", help="monolithic Turtle building description")
-    source.add_argument("--synthetic", action="store_true", default=True)
+    p_build.add_argument("--input", help="monolithic Turtle building description "
+                                         "(default: the synthetic building of --seed)")
     p_build.add_argument("--seed", type=int, default=42)
     p_build.add_argument("--base", default=DEFAULT_BASE)
     p_build.add_argument("--out", required=True, help="TriG output path")

@@ -6,6 +6,16 @@ update files, in order), evaluates fault queries at the slot boundary and
 publishes an immutable dataset snapshot. Randomness is counter-based
 (a hash of seed, iteration, update id and binding key), never a sequential
 stream, so agent writes cannot desynchronize seed-matched runs.
+
+A tick publishes one dataset version: the `sim` graph and the graphs of
+each run of consecutive built-ins are staged in one dict and replaced
+together, so the predicate index is patched once per tick; an update file
+first sees everything staged before it. Built-ins keep a write record
+keyed by graph identity: per sensor graph, the frozenset they last wrote
+or checked and its value. While the snapshot holds that very frozenset
+the value is unchanged, so a sensor whose value and graph are as recorded
+costs no scan; a graph that anything else replaced fails the identity
+test and is read again.
 """
 
 from __future__ import annotations
@@ -47,6 +57,11 @@ from .trace import FaultTrace, OperationRecord
 log = logging.getLogger(__name__)
 
 _RDF_VALUE = IRI(RDF_VALUE)
+_ON, _OFF = Literal("on"), Literal("off")
+_SIM_FIELDS = ("currentIteration", "iterations", "timeslotDuration", "running",
+               "currentTime")
+_TIME_FIELDS = ("inXSDDateTimeStamp", "inDateTime", "year", "month", "day", "hour",
+                "minute")
 
 
 # -- keyed randomness -----------------------------------------------------------
@@ -269,6 +284,17 @@ class SimulationRuntime:
             self._by_category.setdefault(res.category, []).append(res)
         for resources in self._by_category.values():
             resources.sort(key=lambda r: r.graph)
+        # Per sensor graph: the frozenset a built-in last wrote or checked
+        # there and the node's only `rdf:value` in it. The record holds the
+        # frozenset, so its identity is never reused while it is kept.
+        self._written: dict[str, tuple[frozenset, Literal]] = {}
+        self._last_inputs: dict[str, object] = {}  # per built-in, its last call's
+        sim = self._sim_graph_name()
+        self._sim_terms = {"sim": IRI(sim), "time": IRI(sim + "#time"),
+                           "desc": IRI(sim + "#time-desc")}
+        self._sim_terms.update((name, IRI(env.base + SIM_VOCAB + name))
+                               for name in _SIM_FIELDS)
+        self._sim_terms.update((name, IRI(OWL_TIME + name)) for name in _TIME_FIELDS)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -316,10 +342,8 @@ class SimulationRuntime:
         self.occlusion = {room: 0.05 + 0.05 * self.rng.unit(0, "occlusion", room)
                           for room in rooms}
         self.occupants = self._load_occupants()
-        ds = self.env.dataset
         ctx_time = self.sim_time(0)
-        for entry in self.env.init_entries:
-            ds = self._apply_entry(ds, entry, 0, ctx_time)
+        ds = self._apply_entries(self.env.dataset, self.env.init_entries, {}, 0, ctx_time)
         ds = self._snapshot_initial_values(ds)
         ds = ds.replace_graphs({self._sim_graph_name(): self._sim_graph(0)})
         self.dataset = ds
@@ -353,30 +377,25 @@ class SimulationRuntime:
 
     def _sim_graph(self, iteration: int) -> frozenset:
         assert self.params is not None
-        sim = IRI(self._sim_graph_name())
-        vocab = self.env.base + SIM_VOCAB
+        k = self._sim_terms
+        sim, time_node, desc_node = k["sim"], k["time"], k["desc"]
         t = self.sim_time(iteration)
-        time_node = IRI(sim.value + "#time")
-        desc_node = IRI(sim.value + "#time-desc")
         running = iteration < self.params.iterations
         return frozenset([
-            (sim, IRI(vocab + "currentIteration"),
-             Literal(str(iteration), XSD_INTEGER)),
-            (sim, IRI(vocab + "iterations"),
-             Literal(str(self.params.iterations), XSD_INTEGER)),
-            (sim, IRI(vocab + "timeslotDuration"),
+            (sim, k["currentIteration"], Literal(str(iteration), XSD_INTEGER)),
+            (sim, k["iterations"], Literal(str(self.params.iterations), XSD_INTEGER)),
+            (sim, k["timeslotDuration"],
              Literal(str(self.params.timeslot_ms), XSD_INTEGER)),
-            (sim, IRI(vocab + "running"),
-             Literal("true" if running else "false", XSD_BOOLEAN)),
-            (sim, IRI(vocab + "currentTime"), time_node),
-            (time_node, IRI(OWL_TIME + "inXSDDateTimeStamp"),
+            (sim, k["running"], Literal("true" if running else "false", XSD_BOOLEAN)),
+            (sim, k["currentTime"], time_node),
+            (time_node, k["inXSDDateTimeStamp"],
              Literal(t.isoformat(), XSD_DATETIMESTAMP)),
-            (time_node, IRI(OWL_TIME + "inDateTime"), desc_node),
-            (desc_node, IRI(OWL_TIME + "year"), Literal(str(t.year), XSD_INTEGER)),
-            (desc_node, IRI(OWL_TIME + "month"), Literal(str(t.month), XSD_INTEGER)),
-            (desc_node, IRI(OWL_TIME + "day"), Literal(str(t.day), XSD_INTEGER)),
-            (desc_node, IRI(OWL_TIME + "hour"), Literal(str(t.hour), XSD_INTEGER)),
-            (desc_node, IRI(OWL_TIME + "minute"), Literal(str(t.minute), XSD_INTEGER)),
+            (time_node, k["inDateTime"], desc_node),
+            (desc_node, k["year"], Literal(str(t.year), XSD_INTEGER)),
+            (desc_node, k["month"], Literal(str(t.month), XSD_INTEGER)),
+            (desc_node, k["day"], Literal(str(t.day), XSD_INTEGER)),
+            (desc_node, k["hour"], Literal(str(t.hour), XSD_INTEGER)),
+            (desc_node, k["minute"], Literal(str(t.minute), XSD_INTEGER)),
         ])
 
     # -- tick ---------------------------------------------------------------
@@ -387,10 +406,9 @@ class SimulationRuntime:
             assert self.params is not None and self.started
             t = self.iteration + 1
             sim_time = self.sim_time(t)
-            ds = self.dataset.replace_graphs(
-                {self._sim_graph_name(): self._sim_graph(t)})
-            for entry in self.env.update_entries:
-                ds = self._apply_entry(ds, entry, t, sim_time)
+            staged = {self._sim_graph_name(): self._sim_graph(t)}
+            ds = self._apply_entries(self.dataset, self.env.update_entries, staged,
+                                     t, sim_time)
             self.dataset = ds
             self.iteration = t
             checking_at = _time.monotonic()
@@ -398,73 +416,91 @@ class SimulationRuntime:
             self.fault_check_seconds.append(_time.monotonic() - checking_at)
         self.tick_seconds.append(_time.monotonic() - started_at)
 
-    def _apply_entry(self, ds: Dataset, entry: EnvEntry, iteration: int,
-                     sim_time: datetime) -> Dataset:
-        if entry.kind == "update":
-            ctx = EvalContext(rng=self.rng, iteration=iteration, op_id=entry.id,
-                              sim_time=sim_time)
-            try:
-                return eval_update(ds, entry.update, ctx)
-            except Exception as exc:
-                raise RuntimeError(f"environment update {entry.id!r} failed "
-                                   f"at iteration {iteration}: {exc}") from exc
-        if entry.id == "sunlight":
-            return self._sunlight(ds, sim_time)
-        if entry.id == "occupancy":
-            return self._occupancy(ds, iteration, sim_time)
-        if entry.id == "setpoints":
-            return self._setpoints(ds, iteration)
-        raise RuntimeError(f"unknown builtin process {entry.id!r}")
+    def _apply_entries(self, ds: Dataset, entries: list[EnvEntry], staged: dict,
+                       iteration: int, sim_time: datetime) -> Dataset:
+        """`ds` with the `staged` graphs and then the entries applied, in
+        order. Built-ins add their graphs to `staged`; an update first
+        publishes what is staged, since it must see the earlier results."""
+        for entry in entries:
+            if entry.kind == "update":
+                ds = ds.replace_graphs(staged)
+                staged = {}
+                ctx = EvalContext(rng=self.rng, iteration=iteration, op_id=entry.id,
+                                  sim_time=sim_time)
+                try:
+                    ds = eval_update(ds, entry.update, ctx)
+                except Exception as exc:
+                    raise RuntimeError(f"environment update {entry.id!r} failed "
+                                       f"at iteration {iteration}: {exc}") from exc
+            elif entry.id == "sunlight":
+                self._sunlight(ds, staged, sim_time)
+            elif entry.id == "occupancy":
+                self._occupancy(ds, staged, iteration, sim_time)
+            elif entry.id == "setpoints":
+                self._setpoints(ds, staged, iteration)
+            else:
+                raise RuntimeError(f"unknown builtin process {entry.id!r}")
+        return ds.replace_graphs(staged)
 
     # -- built-in processes ----------------------------------------------------
 
-    def _set_value(self, ds: Dataset, values: dict, staged: dict,
-                   res: DynamicResource, value: Literal) -> None:
+    def _set_value(self, ds: Dataset, staged: dict, res: DynamicResource,
+                   value: Literal) -> None:
         """Stage `res.graph` with `value` as the node's only `rdf:value`,
-        unless it already is; `values` is the snapshot's `rdf:value`
-        subject -> object -> graphs map."""
-        node = IRI(res.node)
-        current = [o for o, graphs in values.get(node, {}).items() if res.graph in graphs]
-        if current == [value]:
+        unless it already is. The graph is read from `staged` if a built-in
+        staged it, else from `ds`; one that is as the write record says is
+        not scanned."""
+        name = res.graph
+        graph = staged[name] if name in staged else ds.graph(name)
+        record = self._written.get(name)
+        if record is not None and record[0] is graph and record[1] == value:
             return
-        staged[res.graph] = (ds.graph(res.graph)
-                             - {(node, _RDF_VALUE, o) for o in current}
-                             | {(node, _RDF_VALUE, value)})
+        node = IRI(res.node)
+        current = {tr for tr in graph if tr[0] == node and tr[1] == _RDF_VALUE}
+        written = (node, _RDF_VALUE, value)
+        if current != {written}:
+            graph = staged[name] = graph - current | {written}
+        self._written[name] = (graph, value)
 
-    def _sunlight(self, ds: Dataset, sim_time: datetime) -> Dataset:
+    def _as_before(self, builtin: str, inputs, ds: Dataset, categories: tuple) -> bool:
+        """Whether `builtin` was last called with equal `inputs` and every
+        graph of its categories is still the frozenset its write record
+        holds, so that none of its sensors needs a look; notes the inputs."""
+        graph = ds.graph
+        same = self._last_inputs.get(builtin) == inputs and all(
+            graph(res.graph) is self._written.get(res.graph, (None,))[0]
+            for category in categories for res in self._by_category.get(category, ()))
+        self._last_inputs[builtin] = inputs
+        return same
+
+    def _sunlight(self, ds: Dataset, staged: dict, sim_time: datetime) -> None:
         outside = outside_illuminance(sim_time, self.coverage)
-        values = ds.pred_nav(RDF_VALUE)[0]
-        staged: dict = {}
+        if self._as_before("sunlight", outside, ds, (CAT_OUTSIDE, CAT_LUMINANCE)):
+            return
         for res in self._by_category.get(CAT_OUTSIDE, ()):
-            self._set_value(ds, values, staged, res, _lux(outside))
+            self._set_value(ds, staged, res, _lux(outside))
         for res in self._by_category.get(CAT_LUMINANCE, ()):
             occl = self.occlusion.get(res.room, 0.05)
-            self._set_value(ds, values, staged, res,
-                            _lux(room_illuminance(outside, occl)))
-        return ds.replace_graphs(staged) if staged else ds
+            self._set_value(ds, staged, res, _lux(room_illuminance(outside, occl)))
 
-    def _occupancy(self, ds: Dataset, iteration: int, sim_time: datetime) -> Dataset:
+    def _occupancy(self, ds: Dataset, staged: dict, iteration: int,
+                   sim_time: datetime) -> None:
         self.occupants = occupancy_step(
             self.occupants, iteration, hours_of_day(sim_time), self.step_minutes,
             self.rng, OCCUPANCY)
         present = occupied_rooms(self.occupants)
-        values = ds.pred_nav(RDF_VALUE)[0]
-        staged: dict = {}
+        if self._as_before("occupancy", present, ds, (CAT_OCCUPANCY,)):
+            return
         for res in self._by_category.get(CAT_OCCUPANCY, ()):
-            value = Literal("on" if res.room in present else "off")
-            self._set_value(ds, values, staged, res, value)
-        return ds.replace_graphs(staged) if staged else ds
+            self._set_value(ds, staged, res, _ON if res.room in present else _OFF)
 
-    def _setpoints(self, ds: Dataset, iteration: int) -> Dataset:
+    def _setpoints(self, ds: Dataset, staged: dict, iteration: int) -> None:
         low, high = SETPOINT_RANGE
-        values = ds.pred_nav(RDF_VALUE)[0]
-        staged: dict = {}
         for res in self._by_category.get(CAT_SETPOINT, ()):
             if self.rng.unit(iteration, "setpoints", res.node) < SETPOINT_RATE:
                 draw = self.rng.unit(iteration, "setpoints-value", res.node)
                 value = Literal(str(low + int(draw * (high - low + 1))), XSD_INTEGER)
-                self._set_value(ds, values, staged, res, value)
-        return ds.replace_graphs(staged) if staged else ds
+                self._set_value(ds, staged, res, value)
 
     # -- faults -----------------------------------------------------------------
 

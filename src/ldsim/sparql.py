@@ -755,6 +755,8 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
         return _eval_group(d, block.graph.value, block.group, bindings, ctx)
     var = block.graph.name
     single = _single_pattern(block.group)
+    if single is not None:
+        fwd, bwd = d.pred_nav(single.p.value)
     for sol in bindings:
         if var in sol:
             # A bound graph name ranges over the named graphs, as an
@@ -766,14 +768,23 @@ def _join_graph_block(d: Dataset, block: GraphBlock, bindings: list[dict],
             continue
         if single is not None:
             # One plain pattern inside: bind the graph from the index instead
-            # of trying every named graph.
-            for es, eo, eg in d.pred_entries(single.p.value):
-                if eg == DEFAULT_GRAPH:
-                    continue
-                ext = _try_bind(sol, ((single.s, es), (single.o, eo),
-                                      (block.graph, IRI(eg))))
-                if ext is not None:
-                    out.append(ext)
+            # of trying every named graph, looking up a bound end.
+            s_val, o_val = _resolved(single.s, sol), _resolved(single.o, sol)
+            if s_val is not None:
+                rows = [(s_val, eo, graphs) for eo, graphs in fwd.get(s_val, {}).items()]
+            elif o_val is not None:
+                rows = [(es, o_val, graphs) for es, graphs in bwd.get(o_val, {}).items()]
+            else:
+                rows = ((es, eo, graphs) for es, objects in fwd.items()
+                        for eo, graphs in objects.items())
+            for es, eo, graphs in rows:
+                for eg in graphs:
+                    if eg == DEFAULT_GRAPH:
+                        continue
+                    ext = _try_bind(sol, ((single.s, es), (single.o, eo),
+                                          (block.graph, IRI(eg))))
+                    if ext is not None:
+                        out.append(ext)
             continue
         for name in d.graph_names():
             if name == DEFAULT_GRAPH:

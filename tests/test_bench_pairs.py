@@ -19,12 +19,13 @@ END_TO_END = [
 MACHINE = {"nproc": 2, "cpu": "test", "python": "3.11.7", "src_lines": 10}
 
 
-def output(latency: float, met: float = 1.0, correct: bool = True) -> str:
+def output(latency: float, met: float = 1.0, correct: bool = True,
+           machine: dict = MACHINE) -> str:
     """The stdout of one run, as `perfbench/run.py` prints it."""
     result = {"correct": correct, "attempted": 10, "failed": 0, "metrics": {
         "latency_p50_ms": {"value": latency, "unit": "ms"},
         "deadline_met_ratio": {"value": met, "unit": "ratio"}}}
-    lines = ["# machine " + json.dumps(MACHINE),
+    lines = ["# machine " + json.dumps(machine),
              "# run " + json.dumps({"workload": "agent-ts3", "seed": 1, "reads": 5})]
     if not correct:
         lines.append("# problem 5 agent writes, ideal is 6")
@@ -127,3 +128,28 @@ def test_pair_counts(text, expected):
 def test_pair_counts_refuses_an_unknown_workload():
     with pytest.raises(SystemExit):
         bench_pairs.pair_counts("nope=3", ["dry-tc2"])
+
+
+def test_each_side_records_its_own_machine(monkeypatch, tmp_path):
+    # The sides' trees differ, so each side's `src_lines` must be its own,
+    # whichever side runs first in a pair.
+    lines = {"base": 120, "head": 100}
+    monkeypatch.setattr(bench_pairs, "clone", lambda rev, into: rev * 2)
+
+    names = [m["name"] for m in json.loads(
+        (TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_run(tree, command, workload, seed, seconds, trace):
+        machine = dict(MACHINE, src_lines=lines[tree.name])
+        run = bench_pairs.parse_run(output(0.2, machine=machine))
+        return run | {"exit": 0, "metrics": dict.fromkeys(names, 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--base", "b", "--head", "h", "--pairs", "dry-tc2=2",
+                             "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert "machine" not in bench
+    for side, rev in (("base", "b"), ("head", "h")):
+        assert bench[side] == {"rev": rev, "commit": rev * 2,
+                               "machine": dict(MACHINE, src_lines=lines[side])}

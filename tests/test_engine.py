@@ -31,7 +31,7 @@ from ldsim.engine import (
 )
 from ldsim.metrics import FaultQuery, compute_metrics, operation_counts, read_write_ratio
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE, XSD_DECIMAL, XSD_INTEGER
-from ldsim.rdf import IRI, Literal
+from ldsim.rdf import IRI, Dataset, Literal
 from ldsim.sparql import parse_query, parse_update
 from ldsim.trace import read_faults_tsv, read_ops_tsv, write_faults_tsv, write_ops_tsv
 from rdf_helpers import symmetric_difference
@@ -371,6 +371,59 @@ class TestRuntime:
         assert delta.graph_names() == {BASE + "sim"}
         for res in small_build.dynamic.values():
             assert runtime.dataset.graph(res.graph) is before.graph(res.graph)
+
+    @pytest.mark.parametrize("builtin, category, stale", [
+        ("occupancy", "occupancy", Literal("on")),
+        ("sunlight", "luminance", Literal("99.0", XSD_DECIMAL)),
+    ])
+    def test_graph_replaced_behind_the_write_record_is_put_back(
+            self, small_build, builtin, category, stale):
+        # At night nobody is in and there is no light, so the built-in's
+        # inputs do not change; a graph an agent replaced is read again.
+        runtime = SimulationRuntime(make_env(
+            small_build, updates=[EnvEntry(builtin, "builtin")]))
+        runtime.initialize(run_params(iterations=5, start_hour=1))
+        runtime.tick()
+        sensor = min((r for r in small_build.dynamic.values() if r.category == category),
+                     key=lambda r: r.graph)
+        value = IRI(RDF_VALUE)
+        settled = runtime.dataset.graph(sensor.graph)
+        present = occupied_rooms(runtime.occupants)
+        replaced = frozenset(tr for tr in settled if tr[1] != value) \
+            | {(IRI(sensor.node), value, stale)}
+        runtime.apply_agent_write(sensor.graph, replaced, "a1", 204)
+        before = runtime.dataset
+        runtime.tick()
+        assert occupied_rooms(runtime.occupants) == present
+        assert runtime.dataset.graph(sensor.graph) == settled
+        delta = symmetric_difference(before, runtime.dataset)
+        assert delta.graph_names() == {BASE + "sim", sensor.graph}
+
+    def test_builtins_publish_one_version_per_tick(self, small_build, monkeypatch):
+        entries = [EnvEntry("sunlight", "builtin"), EnvEntry("occupancy", "builtin"),
+                   EnvEntry("setpoints", "builtin")]
+        runtime = SimulationRuntime(make_env(small_build, updates=entries))
+        runtime.initialize(run_params(iterations=5, start_hour=12))
+        calls = []
+        replace_graphs = Dataset.replace_graphs
+        monkeypatch.setattr(Dataset, "replace_graphs",
+                            lambda ds, updates: calls.append(set(updates))
+                            or replace_graphs(ds, updates))
+        runtime.tick()
+        station = small_build.base + "property-Outside_Luminance_Sensor"
+        assert len(calls) == 1 and {BASE + "sim", station} <= calls[0]
+
+    def test_update_sees_the_builtins_staged_before_it(self, small_build):
+        station = small_build.base + "property-Outside_Luminance_Sensor"
+        seen = BASE + "seen"
+        copy = parse_update(f"INSERT {{ GRAPH <{seen}> {{ ?it <{seen}> ?v }} }} "
+                            f"WHERE {{ GRAPH <{station}> {{ ?it <{RDF_VALUE}> ?v }} }}")
+        runtime = SimulationRuntime(make_env(small_build, updates=[
+            EnvEntry("sunlight", "builtin"), EnvEntry("copy", "update", copy)]))
+        runtime.initialize(run_params(iterations=5, start_hour=13))
+        runtime.tick()
+        lux = {o for s, p, o in runtime.dataset.graph(station) if p.value == RDF_VALUE}
+        assert {o for s, p, o in runtime.dataset.graph(seen)} == lux
 
     def test_update_file_entry_applied_each_tick(self, small_build):
         text = ("PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"

@@ -585,6 +585,50 @@ def test_select_matches_bruteforce():
         assert engine_keys == brute_keys
 
 
+def _brute_graph_pattern(ds: Dataset, pattern, sol: dict) -> list[dict]:
+    """`GRAPH ?g { pattern }` extending `sol`, by trying every quad outside
+    the default graph."""
+    out = []
+    for quad in ds.quads():
+        if quad.g.value == DEFAULT_GRAPH or quad.p != pattern.p:
+            continue
+        ext = dict(sol)
+        if all(ext.setdefault(term.name, value) == value if isinstance(term, Var)
+               else term == value
+               for term, value in ((pattern.s, quad.s), (pattern.o, quad.o),
+                                   (Var("g"), quad.g))):
+            out.append(ext)
+    return out
+
+
+class TestGraphBlockLookup:
+    """The one-pattern GRAPH ?g branch looks up a bound subject or object in
+    the index; it must give what a scan of every named-graph quad gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.tuples(st.sampled_from("abc"), st.integers(0, 1),
+                             st.one_of(st.sampled_from("abc"), st.integers(0, 2)),
+                             st.integers(0, 3)), max_size=30),
+           st.sampled_from(["?s", f"<{EX}a>", "?x"]),
+           st.sampled_from(["?o", f"<{EX}b>", f'"1"^^<{XSD_INTEGER}>', "?x"]),
+           st.dictionaries(st.sampled_from(["s", "o", "x", "g"]),
+                           st.sampled_from([IRI(EX + n) for n in "abc"]
+                                           + [IRI(EX + "g0"), IRI(DEFAULT_GRAPH),
+                                              Literal("1", XSD_INTEGER)])))
+    def test_one_pattern_block_equals_brute_force(self, quads, s, o, bound):
+        # Graph 3 is the default graph, which GRAPH ?g never matches.
+        ds = Dataset.from_quads(
+            Quad(IRI(EX + s_), IRI(EX + f"p{p}"),
+                 IRI(EX + o_) if isinstance(o_, str) else Literal(str(o_), XSD_INTEGER),
+                 IRI(DEFAULT_GRAPH if g == 3 else EX + f"g{g}"))
+            for s_, p, o_, g in quads)
+        group = parse_query(f"SELECT * {{ GRAPH ?g {{ {s} <{EX}p0> {o} }} }}").pattern
+        pattern = group.elements[0].group.elements[0]
+        got = sparql._eval_group(ds, None, group, [bound], EvalContext())
+        assert Counter(map(binding_key, got)) == \
+            Counter(map(binding_key, _brute_graph_pattern(ds, pattern, bound)))
+
+
 # -- join planning ---------------------------------------------------------------
 
 

@@ -141,7 +141,8 @@ class TestFullDayOracle:
 
     @pytest.mark.parametrize("tid, total", [
         ("TS1", 210386), ("TS2", 210386), ("TS3", 8646), ("TC1", 105911),
-        ("TC2", 108551)])
+        ("TC2", 108551), ("TC3", 108075), ("TC4", 35146), ("TC5", 12640),
+        ("TC6", 2030), ("TC7", 2871)])
     def test_total(self, pd42, tid, total):
         task = load_task(tid, pd42.base)
         trace = dry_run(build_environment(task, pd42, 42), default_run_params(task),
@@ -152,18 +153,22 @@ class TestFullDayOracle:
 
 class TestMemoisedFaultChecks:
     """Every recorded slot equals a fault check on a freshly indexed copy of
-    the snapshot, while agent writes land between ticks."""
+    the snapshot, while agent writes land between ticks. The writes also
+    replace sensor graphs that the built-ins then put back, so TC6 and TC7
+    check a tick's one staged version against a fresh index."""
 
-    @pytest.mark.parametrize("tid", ["TC2", "TC6"])
+    @pytest.mark.parametrize("tid", ["TC2", "TC6", "TC7"])
     def test_slots_match_fresh_index(self, pd, tasks, tid):
         task = tasks[tid]
         runtime = SimulationRuntime(build_environment(task, pd, 42), task.fault_queries)
         runtime.initialize(default_run_params(task, 48))
         commands = sorted(res.graph for res in pd.dynamic.values()
                           if res.category == "command")
+        sensors = sorted(res.graph for res in pd.dynamic.values()
+                         if res.category in ("occupancy", "luminance", "setpoint"))
         for t in range(1, 49):
             if t % 3 == 0:
-                for graph in commands[t % 7::29]:
+                for graph in commands[t % 7::29] + sensors[t % 5::37]:
                     runtime.apply_agent_write(
                         graph, value_payload(graph, "on" if t % 2 else "off"), "test", 204)
             runtime.tick()

@@ -13,12 +13,14 @@ name when no bare number is given, are skipped. Pair i runs seed
 first on odd ones. `--trace` adds one `--trace 1` run per side of a workload,
 whose per-layer metrics are stored as they are.
 
-The output holds every run's metrics and notes, and per workload and
-end-to-end metric each side's median and quartiles, how many pairs the head
-won (ties count for neither side), whether the medians differ by more than
-the base's interquartile range, and the no-regression check: whether the
-head's median is within the metric's bound of the base's (`within_bound`),
-and whether the base spread too widely to tell (`unresolved`). Uses the
+The output holds each side's revision, commit and machine (the `# machine`
+line of its first paired run, so `src_lines` counts that side's tree),
+every run's metrics and notes, and per workload and end-to-end metric each
+side's median and quartiles, how many pairs the head won (ties count for
+neither side), whether the medians differ by more than the base's
+interquartile range, and the no-regression check: whether the head's
+median is within the metric's bound of the base's (`within_bound`), and
+whether the base spread too widely to tell (`unresolved`). Uses the
 standard library only.
 """
 
@@ -149,12 +151,12 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     counts = pair_counts(args.pairs, [w["name"] for w in spec["workloads"]])
     seconds = spec["run_seconds"]
-    bench: dict = {"command": spec["command"], "seconds": seconds, "machine": None,
+    bench: dict = {"command": spec["command"], "seconds": seconds,
                    "workloads": {}, "trace": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side, rev in zip(SIDES, (args.base, args.head)):
-            bench[side] = {"rev": rev, "commit": clone(rev, trees[side])}
+            bench[side] = {"rev": rev, "commit": clone(rev, trees[side]), "machine": None}
         for workload, n in counts.items():
             pairs = []
             for i in range(n):
@@ -163,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                 pair: dict = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run(trees[side], spec["command"], workload, seed, seconds, 0)
-                    bench["machine"] = bench["machine"] or pair[side]["machine"]
+                    bench[side]["machine"] = bench[side]["machine"] or pair[side]["machine"]
                     print(f"{workload} seed {seed} {side}: correct={pair[side]['correct']} "
                           + " ".join(f"{k}={v:.4g}" for k, v in pair[side]["metrics"].items()),
                           flush=True)
