@@ -22,7 +22,7 @@ from .httpclient import LdClient
 from .ns import BF, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH, SIM_VOCAB, \
     SOSA, SSN, defrag
 from .rdf import IRI, Dataset, Literal
-from .sparql import Group, Parser, Query, TriplePattern, Var, eval_query
+from .sparql import Group, Parser, Query, TriplePattern, Var, closure, eval_query
 
 log = logging.getLogger(__name__)
 
@@ -203,19 +203,10 @@ def reason(kb: Dataset) -> Dataset:
 
 
 def _transitive(pairs: set) -> set:
-    closed = set(pairs)
     adjacency: dict = {}
     for a, b in pairs:
         adjacency.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c in adjacency.get(b, ()):
-                if (a, c) not in closed:
-                    closed.add((a, c))
-                    changed = True
-    return closed
+    return {(a, c) for a in adjacency for c in closure(adjacency, None, a)}
 
 
 # -- traversal ---------------------------------------------------------------------
@@ -224,8 +215,11 @@ def _transitive(pairs: set) -> set:
 def traverse(client: LdClient, pool: ThreadPoolExecutor, fanout: int, seed_iri: str,
              follow_predicates=DEFAULT_FOLLOW,
              kb: KnowledgeBase | None = None) -> tuple[KnowledgeBase, int, set[str]]:
-    """BFS over dereferenceable IRIs in object position of the follow set,
-    fetched in `pool`, whose `fanout` threads each take a share of a level.
+    """BFS over the dereferenceable IRIs at either end of a follow-set
+    triple, fetched in `pool`, whose `fanout` threads each take a share of a
+    level. Both ends are followed because links run both ways: a room's
+    graph holds `?sys bf:feeds ?room` and `?pt bf:isLocatedIn ?room`, whose
+    subjects are reached only from the room.
 
     Returns the knowledge base, the number of GET requests issued, and the
     set of graphs holding live values (polled again on later epochs).
@@ -247,13 +241,15 @@ def traverse(client: LdClient, pool: ThreadPoolExecutor, fanout: int, seed_iri: 
             kb.ingest(iri, triples)
             if any(p.value == RDF_VALUE for _, p, _ in triples):
                 dynamic.add(iri)
-            for _s, p, o in triples:
-                if p.value in follow and isinstance(o, IRI) \
-                        and o.value.startswith(base):
-                    candidate = defrag(o.value)
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        next_frontier.append(candidate)
+            for s, p, o in triples:
+                if p.value not in follow:
+                    continue
+                for end in (s, o):
+                    if isinstance(end, IRI) and end.value.startswith(base):
+                        candidate = defrag(end.value)
+                        if candidate not in seen:
+                            seen.add(candidate)
+                            next_frontier.append(candidate)
         frontier = next_frontier
     return kb, reads, dynamic
 

@@ -73,15 +73,14 @@ def normalized_fault_count(trace: FaultTrace, dry: FaultTrace) -> float | None:
 
 
 def read_write_ratio(ops: list[OperationRecord]) -> float | None:
-    reads = sum(1 for op in ops if op.ok and op.is_read)
-    writes = sum(1 for op in ops if op.ok and not op.is_read)
+    reads, writes = operation_counts(ops)
     if writes == 0:
         return None
     return reads / writes
 
 
-def operation_counts(ops: list[OperationRecord], agent: str | None = None) -> tuple[int, int]:
-    selected = [op for op in ops if op.ok and (agent is None or op.agent == agent)]
+def operation_counts(ops: list[OperationRecord]) -> tuple[int, int]:
+    selected = [op for op in ops if op.ok]
     reads = sum(1 for op in selected if op.is_read)
     return reads, len(selected) - reads
 

@@ -25,17 +25,16 @@ The handler is a `socketserver` stream handler with its own keep-alive
 loop: read a request, dispatch it to `do_<METHOD>` (any other method gets
 501), repeat until the connection closes; a timeout ends it. Requests (RFC
 9112 message syntax) are parsed byte by byte. The request line is read up to
-65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`, or `GET TARGET` for
-HTTP/0.9, which has no header block and closes the connection. Another shape
-gets 400; a malformed version gets 400 and HTTP/2 or later 505. A target
-starting with `//` is read as starting with one `/`. Header lines follow up
-to the blank line: at most 100, each at most 65,536 bytes (431 beyond
-either). Header names are looked up lower-cased, the first field of a name
-wins, and a value has its leading and trailing blanks stripped. A folded
-(obs-fold) line, a line without a colon or whose name is not printable ASCII
-up to the colon, and a second `Content-Length` get 400: the end of the
-header block or of the body cannot be trusted after them (RFC 9112 5.1, 5.2
-and 6.3). A `Transfer-Encoding` gets 501 before the body is read, as no
+65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`; another shape,
+HTTP/0.9's `GET TARGET` included, gets 400, a malformed version 400 and
+HTTP/2 or later 505. A target starting with `//` is read as starting with
+one `/`. Header lines follow up to the blank line: at most 100, each at
+most 65,536 bytes (431 beyond either). Header names are looked up
+lower-cased, the first field of a name wins, and a value has its leading
+and trailing blanks stripped. A folded (obs-fold) line, a line without a
+colon or whose name is not printable ASCII up to the colon, and a second
+`Content-Length` get 400: the end of the header block or of the body cannot
+be trusted after them (RFC 9112 5.1, 5.2 and 6.3). A `Transfer-Encoding` gets 501 before the body is read, as no
 transfer coding is decoded (RFC 9112 6.1). Each such refusal has a
 `text/plain` body and `Connection: close`. An HTTP/1.1 connection stays open
 unless a `Connection` token says `close`; an HTTP/1.0 one closes unless it
@@ -44,10 +43,9 @@ Continue` before its body is read.
 
 Every final reply, refusals included, goes through `_reply`: an HTTP/1.1
 head with `Server`, `Date` and `Content-Length`, formatted as one string and
-written with the body in one write. HTTP/0.9 gets the body alone, and `HEAD`
-the head alone. Only the interim `100 Continue` is written elsewhere. Every
-refused GET or write is logged with its status, the 400 and 409 replies of
-`sim` included.
+written with the body in one write; `HEAD` gets the head alone. Only the
+interim `100 Continue` is written elsewhere. Every refused GET or write is
+logged with its status, the 400 and 409 replies of `sim` included.
 
 Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
 the client address, the request line, the status and the `X-Agent` header.
@@ -119,9 +117,9 @@ class _Handler(socketserver.StreamRequestHandler):
     # -- request parsing (the contract is in the module docstring) -------------
 
     def _read_request(self, line: bytes) -> bool:
-        """Fill `command`, `path`, `request_version`, `close_connection` and
-        `headers`; False after a refusal or for a blank request line."""
-        self.command = self.request_version = None
+        """Fill `command`, `path`, `close_connection` and `headers`; False
+        after a refusal or for a blank request line."""
+        self.command = None
         self.close_connection = True
         self.headers = {}
         if len(line) > MAX_LINE:
@@ -141,18 +139,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 if version >= (2, 0):
                     return self._refuse_request(505, f"{words[-1]} not supported\n")
             self.close_connection = version < (1, 1)
-            self.request_version = words[-1]
-        if not 2 <= len(words) <= 3:
+        if len(words) != 3:
             return self._refuse_request(400, f"bad request syntax {line!r}\n")
         command, path = words[0], words[1]
-        if len(words) == 2 and command != "GET":
-            return self._refuse_request(400, f"bad HTTP/0.9 request type {command!r}\n")
         if path.startswith("//"):  # not a scheme-relative URL (gh-87389)
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
-        if len(words) == 2:  # HTTP/0.9 has no header block
-            self.request_version = "HTTP/0.9"
-            return True
         if not self._read_headers():
             return False
         if "transfer-encoding" in self.headers:
@@ -211,9 +203,6 @@ class _Handler(socketserver.StreamRequestHandler):
         if log.isEnabledFor(logging.DEBUG):
             log.debug('%s "%s" %s - agent=%s', self.client_address[0], self.requestline,
                       status, self._agent())
-        if self.request_version == "HTTP/0.9":  # no status line, no headers
-            self.wfile.write(body)
-            return
         typed = f"Content-Type: {content_type}; charset=utf-8\r\n" if body else ""
         allow = f"Allow: {ALLOW}\r\n" if status == 405 else ""  # RFC 9110 15.5.6
         close = "Connection: close\r\n" if self.close_connection else ""

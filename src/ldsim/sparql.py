@@ -15,17 +15,20 @@ Queries, updates and agent rule files are read with the tokenizer and
 terminals and their escape and IRIREF rules. The subset takes IRIs,
 prefixed names, variables, strings with a language tag or datatype,
 signed numbers, keywords and the operators. It refuses blank nodes, `[`
-and the @prefix/@base forms. A signed number after an operand adds or
-subtracts it (SPARQL 1.1 rule [116]): `?a-1` and `?a -1` are
-subtractions, and `?v > -1` compares with -1.
+and the @prefix/@base forms. A FILTER compares terms (variables,
+constants, `rand()` and function calls) with = != < <= > >= and joins the
+comparisons with && and || in parentheses as needed; arithmetic (+ - * /,
+and a signed number right after an operand, as in `?a -1`), negation (!)
+and unary minus and plus are refused, while `?v > -1` compares with -1.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import datetime
 from typing import Iterator
 
 from .ns import (
@@ -39,7 +42,6 @@ from .ns import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
-    XSD_TIME,
 )
 from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
 from .rdfio import ParseError, Reader, term_nt
@@ -55,6 +57,7 @@ OUT_OF_SUBSET = {
 _PATH_SYNTAX = {"^": "inverse path (^)", "/": "sequence path (/)", "(": "grouped path ( )",
                 "*": "zero-or-more path (*)", "?": "zero-or-one path (?)",
                 "|": "alternative path (|)", "!": "negated property set (!)"}
+_UNARY_SYNTAX = {"!": "negation (!)", "-": "unary minus (-)", "+": "unary plus (+)"}
 
 
 class SubsetError(ValueError):
@@ -166,22 +169,12 @@ class EBin:
 
 
 @dataclass(frozen=True)
-class ENot:
-    inner: "Expr"
-
-
-@dataclass(frozen=True)
-class ENeg:
-    inner: "Expr"
-
-
-@dataclass(frozen=True)
 class ECall:
     name: str  # "rand" or a function IRI
     args: tuple
 
 
-Expr = EVar | EConst | EBin | ENot | ENeg | ECall
+Expr = EVar | EConst | EBin | ECall
 
 
 # -- parser -------------------------------------------------------------------
@@ -458,52 +451,28 @@ class Parser(Reader):
         return left
 
     def _relational(self) -> Expr:
-        left = self._additive()
+        left = self._operand()
         tok = self.lex.peek()
         if tok[0] in ("=", "!=", "<", "<=", ">", ">="):
             self.lex.next()
-            return EBin(tok[0], left, self._additive())
+            return EBin(tok[0], left, self._operand())
         return left
 
-    def _additive(self) -> Expr:
-        # A signed number after an operand adds or subtracts it, so that
-        # `?a-1` is a subtraction (SPARQL 1.1 rule [116]).
-        left = self._multiplicative()
-        while True:
-            tok = self.lex.peek()
-            if tok[0] in ("+", "-"):
-                self.lex.next()
-                left = EBin(tok[0], left, self._multiplicative())
-            elif tok[0] == "number" and tok[1][0][0] in "+-":
-                self.lex.next()
-                lexical, datatype = tok[1]
-                unsigned = EConst(literal_value(Literal(lexical[1:], datatype)))
-                left = EBin(lexical[0], left, self._multiplicative(unsigned))
-            else:
-                return left
-
-    def _multiplicative(self, left: Expr | None = None) -> Expr:
-        left = self._unary() if left is None else left
-        while self.lex.peek()[0] in ("*", "/"):
-            op = self.lex.next()[0]
-            left = EBin(op, left, self._unary())
-        return left
-
-    def _unary(self) -> Expr:
-        tok = self.lex.peek()
-        if tok[0] == "!":
-            self.lex.next()
-            return ENot(self._unary())
-        if tok[0] == "-":
-            self.lex.next()
-            return ENeg(self._unary())
-        if tok[0] == "+":
-            self.lex.next()
-            return self._unary()
-        return self._primary()
+    def _operand(self) -> Expr:
+        """A primary term with no arithmetic after it."""
+        expr = self._primary()
+        kind, value, _offset = self.lex.peek()
+        # A signed number right after an operand would add or subtract it
+        # (SPARQL 1.1 rule [116]): `?a -1` is `?a - 1`.
+        op = value[0][0] if kind == "number" and value[0][0] in "+-" else kind
+        if op in ("+", "-", "*", "/"):
+            raise SubsetError(f"arithmetic ({op})")
+        return expr
 
     def _primary(self) -> Expr:
         tok = self.lex.next()
+        if tok[0] in _UNARY_SYNTAX:
+            raise SubsetError(_UNARY_SYNTAX[tok[0]])
         if tok[0] == "(":
             expr = self.expression()
             self.expect(")")
@@ -731,8 +700,6 @@ def _expr_vars(expr: Expr) -> set[str]:
         return {expr.name}
     if isinstance(expr, EBin):
         return _expr_vars(expr.left) | _expr_vars(expr.right)
-    if isinstance(expr, (ENot, ENeg)):
-        return _expr_vars(expr.inner)
     if isinstance(expr, ECall):
         return set().union(*(_expr_vars(arg) for arg in expr.args))
     return set()
@@ -837,8 +804,6 @@ def _has_call(expr: Expr) -> bool:
         return True
     if isinstance(expr, EBin):
         return _has_call(expr.left) or _has_call(expr.right)
-    if isinstance(expr, (ENot, ENeg)):
-        return _has_call(expr.inner)
     return False
 
 
@@ -923,9 +888,10 @@ def _try_bind(sol: dict, pairs) -> dict | None:
 # -- property paths -------------------------------------------------------------
 
 
-def _closure(side: dict, graph: str | None, node: Term) -> set:
+def closure(side: dict, graph: str | None, node: Term) -> set:
     """Nodes one or more steps from `node` over one direction of a
-    predicate's index (`fwd` or `bwd` of `Dataset.pred_nav`), in the view."""
+    predicate's index (`fwd` or `bwd` of `Dataset.pred_nav`), in the view.
+    With `graph` None, `side` may be any map of a node to its successors."""
     reached: set = set()
     todo = [node]
     while todo:
@@ -945,11 +911,11 @@ def _join_path(d: Dataset, graph: str | None, tp: TriplePattern,
         s = _resolved(tp.s, sol)
         o = _resolved(tp.o, sol)
         if s is not None:
-            ends = [(s, t) for t in _closure(fwd, graph, s)]
+            ends = [(s, t) for t in closure(fwd, graph, s)]
         elif o is not None:
-            ends = [(t, o) for t in _closure(bwd, graph, o)]
+            ends = [(t, o) for t in closure(bwd, graph, o)]
         else:
-            ends = [(start, t) for start in fwd for t in _closure(fwd, graph, start)]
+            ends = [(start, t) for start in fwd for t in closure(fwd, graph, start)]
         for es, eo in ends:
             ext = _try_bind(sol, ((tp.s, es), (tp.o, eo)))
             if ext is not None:
@@ -959,14 +925,10 @@ def _join_path(d: Dataset, graph: str | None, tp: TriplePattern,
 
 def eval_path(d: Dataset, path: PathPlus, start: Term) -> set:
     """All terms reachable from `start` over the union of all graphs."""
-    return _closure(d.pred_nav(path.iri)[0], None, start)
+    return closure(d.pred_nav(path.iri)[0], None, start)
 
 
 # -- expression evaluation -------------------------------------------------------
-
-
-class _TimeOfDay(int):
-    """Seconds since midnight; a distinct type so xsd:time orders separately."""
 
 
 def literal_value(lit: Literal):
@@ -981,11 +943,6 @@ def literal_value(lit: Literal):
         return lit.lexical.strip() in ("true", "1")
     if dt in (XSD_DATETIME, XSD_DATETIMESTAMP):
         return parse_datetime(lit.lexical)
-    if dt == XSD_TIME:
-        h, m, s = lit.lexical.split(":")
-        return _TimeOfDay(int(h) * 3600 + int(m) * 60 + int(float(s)))
-    if dt == XSD + "date":
-        return date.fromisoformat(lit.lexical)
     return lit.lexical
 
 
@@ -1000,6 +957,7 @@ def _term_value(t):
 
 
 _NUMERIC = (int, float)
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _eval_expr(expr: Expr, sol: dict, ctx: EvalContext):
@@ -1009,50 +967,20 @@ def _eval_expr(expr: Expr, sol: dict, ctx: EvalContext):
         if expr.name not in sol:
             raise EvalError(f"unbound variable ?{expr.name}")
         return _term_value(sol[expr.name])
-    if isinstance(expr, ENot):
-        return not _as_bool(_eval_expr(expr.inner, sol, ctx))
-    if isinstance(expr, ENeg):
-        value = _eval_expr(expr.inner, sol, ctx)
-        if not isinstance(value, _NUMERIC) or isinstance(value, bool):
-            raise EvalError("negation of non-number")
-        return -value
     if isinstance(expr, ECall):
         return _eval_call(expr, sol, ctx)
-    if isinstance(expr, EBin):
-        if expr.op == "&&":
-            return (_as_bool(_eval_expr(expr.left, sol, ctx))
-                    and _as_bool(_eval_expr(expr.right, sol, ctx)))
-        if expr.op == "||":
-            return (_as_bool(_eval_expr(expr.left, sol, ctx))
-                    or _as_bool(_eval_expr(expr.right, sol, ctx)))
-        left = _eval_expr(expr.left, sol, ctx)
-        right = _eval_expr(expr.right, sol, ctx)
-        if expr.op in ("=", "!="):
-            equal = _compatible_eq(left, right)
-            return equal if expr.op == "=" else not equal
-        if expr.op in ("<", "<=", ">", ">="):
-            _require_ordered(left, right)
-            if expr.op == "<":
-                return left < right
-            if expr.op == "<=":
-                return left <= right
-            if expr.op == ">":
-                return left > right
-            return left >= right
-        if expr.op in ("+", "-", "*", "/"):
-            if (not isinstance(left, _NUMERIC) or not isinstance(right, _NUMERIC)
-                    or isinstance(left, bool) or isinstance(right, bool)):
-                raise EvalError(f"arithmetic on non-numbers: {expr.op}")
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if right == 0:
-                raise EvalError("division by zero")
-            return left / right
-    raise EvalError(f"cannot evaluate {expr!r}")
+    if expr.op == "&&":
+        return (_as_bool(_eval_expr(expr.left, sol, ctx))
+                and _as_bool(_eval_expr(expr.right, sol, ctx)))
+    if expr.op == "||":
+        return (_as_bool(_eval_expr(expr.left, sol, ctx))
+                or _as_bool(_eval_expr(expr.right, sol, ctx)))
+    left = _eval_expr(expr.left, sol, ctx)
+    right = _eval_expr(expr.right, sol, ctx)
+    if expr.op in ("=", "!="):
+        return _compatible_eq(left, right) == (expr.op == "=")
+    _require_ordered(left, right)
+    return _ORDERINGS[expr.op](left, right)
 
 
 def _compatible_eq(left, right) -> bool:
@@ -1071,9 +999,6 @@ def _require_ordered(left, right) -> None:
           and not isinstance(left, bool) and not isinstance(right, bool))
     ok = ok or (isinstance(left, str) and isinstance(right, str))
     ok = ok or (isinstance(left, datetime) and isinstance(right, datetime))
-    ok = ok or (isinstance(left, date) and isinstance(right, date)
-                and not isinstance(left, datetime) and not isinstance(right, datetime))
-    ok = ok or (isinstance(left, _TimeOfDay) and isinstance(right, _TimeOfDay))
     if not ok:
         raise EvalError(f"unordered comparison of {left!r} and {right!r}")
 

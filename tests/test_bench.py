@@ -279,6 +279,16 @@ def test_traversal_run_keeps_its_connections_across_epochs(monkeypatch):
     assert accepted_connections(monkeypatch, "traversal", fanout=2) <= 2 + 2
 
 
+def test_traversal_run_reaches_the_building_and_acts():
+    # Systems and points link to rooms only as subjects, so a walk that
+    # followed objects alone found no command to write.
+    result = run_benchmark("TC1", agent="traversal", seed=42, iterations=16,
+                           timeslot_ms=250)
+    assert result.report.valid, result.report.notes
+    assert result.report.writes > 0
+    assert result.report.normalized_fault_count < 1.0
+
+
 def test_prefetch_run_closes_every_socket():
     # The fetch pool's threads end with the run; the sockets they leave in
     # their thread-locals must have been closed by then, not by the GC.

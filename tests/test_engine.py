@@ -551,7 +551,8 @@ class TestRuntime:
         distinct = [replace(op) for op in ops]
         assert all(a == b and a is not b for a, b in zip(ops, distinct))
         for agent in (None, "a1", "a2"):
-            assert operation_counts(ops, agent) == operation_counts(distinct, agent)
+            assert operation_counts([op for op in ops if agent in (None, op.agent)]) == \
+                operation_counts([op for op in distinct if agent in (None, op.agent)])
         assert read_write_ratio(ops) == read_write_ratio(distinct) == 3.0
         write_ops_tsv(ops, tmp_path / "shared.tsv")
         write_ops_tsv(distinct, tmp_path / "distinct.tsv")

@@ -677,7 +677,6 @@ class TestReplyWrites:
         ("HTTP/1.1", 501, b"PATCH not implemented\n", "text/plain"),
         ("HTTP/1.1", 505, b"HTTP/2.0 not supported\n", "text/plain"),
         ("HTTP/1.0", 200, b"<a> <b> <c> .\n", "text/turtle"),
-        ("HTTP/0.9", 200, b"<a> <b> <c> .\n", "text/turtle"),
     ])
     def test_reply_bytes_equal_the_stdlib_sequence(self, monkeypatch, version, status,
                                                    body, content_type):
@@ -685,7 +684,6 @@ class TestReplyWrites:
         monkeypatch.setattr(server_module, "_http_date", lambda second: date)
         close = version == "HTTP/1.0" or status in (414, 431, 501, 505)
         handler = _Handler.__new__(_Handler)
-        handler.request_version = version
         handler.close_connection = close
         handler.requestline, handler.command = "GET / " + version, "GET"
         handler.client_address = ("127.0.0.1", 0)
@@ -710,15 +708,8 @@ class TestReplyWrites:
         stdlib.end_headers()
         stdlib.wfile.write(body)
         assert sent == stdlib.wfile.getvalue()
-        assert sent.startswith(b"HTTP/1.1 ") == (version != "HTTP/0.9")
-        assert (b"\r\nConnection: close\r\n" in sent) == (close and version != "HTTP/0.9")
-
-    def test_http09_gets_bare_body(self, served):
-        server, _, dynamic = served
-        path = command_resource(dynamic).graph[len(server.base):]
-        sends = serve_raw(served, f"GET /{path}\r\n".encode())
-        assert len(sends) == 1
-        assert sends[0].startswith(b"@prefix")
+        assert sent.startswith(b"HTTP/1.1 ")
+        assert (b"\r\nConnection: close\r\n" in sent) == close
 
     def test_date_header_is_now(self, served):
         head = serve_raw(served, b"GET /nothing-here HTTP/1.1\r\n\r\n")[0]
@@ -942,6 +933,7 @@ class TestRequestRefusals:
         pytest.param(b"GET /sim HTTP/1.x\r\n", 400, id="bad-version"),
         pytest.param(b"GET /sim HTTP/2.0\r\n", 505, id="http-2"),
         pytest.param(b"PUT /sim\r\n", 400, id="http-0.9-put"),
+        pytest.param(b"GET /x\r\n", 400, id="http-0.9-get"),
     ])
     def test_refused_without_status_line_and_closed(self, served, head, status):
         # Requests without a usable version. `http.server` would answer them
