@@ -72,11 +72,9 @@ def normalized_fault_count(trace: FaultTrace, dry: FaultTrace) -> float | None:
     return total_faults(trace) / denominator
 
 
-def read_write_ratio(ops: list[OperationRecord]) -> float | None:
-    reads, writes = operation_counts(ops)
-    if writes == 0:
-        return None
-    return reads / writes
+def read_write_ratio(reads: int, writes: int) -> float | None:
+    """RWR from `operation_counts`; None without writes."""
+    return reads / writes if writes else None
 
 
 def operation_counts(ops: list[OperationRecord]) -> tuple[int, int]:
@@ -138,7 +136,7 @@ def compute_metrics(trace: FaultTrace, dry: FaultTrace | None,
         average_fault_count=average_fault_count(trace),
         normalized_fault_count=(normalized_fault_count(trace, dry)
                                 if dry is not None else None),
-        read_write_ratio=read_write_ratio(ops),
+        read_write_ratio=read_write_ratio(reads, writes),
         reads=reads,
         writes=writes,
         total_faults=total_faults(trace),

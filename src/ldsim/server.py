@@ -34,12 +34,12 @@ lower-cased, the first field of a name wins, and a value has its leading
 and trailing blanks stripped. A folded (obs-fold) line, a line without a
 colon or whose name is not printable ASCII up to the colon, and a second
 `Content-Length` get 400: the end of the header block or of the body cannot
-be trusted after them (RFC 9112 5.1, 5.2 and 6.3). A `Transfer-Encoding` gets 501 before the body is read, as no
-transfer coding is decoded (RFC 9112 6.1). Each such refusal has a
-`text/plain` body and `Connection: close`. An HTTP/1.1 connection stays open
-unless a `Connection` token says `close`; an HTTP/1.0 one closes unless it
-says `keep-alive`. An HTTP/1.1 request with `Expect: 100-continue` gets `100
-Continue` before its body is read.
+be trusted after them (RFC 9112 5.1, 5.2 and 6.3). A `Transfer-Encoding`
+gets 501 before the body is read, as no transfer coding is decoded (RFC 9112
+6.1). Each such refusal has a `text/plain` body and `Connection: close`. An
+HTTP/1.1 connection stays open unless a `Connection` token says `close`; an
+HTTP/1.0 one closes unless it says `keep-alive`. An HTTP/1.1 request with
+`Expect: 100-continue` gets `100 Continue` before its body is read.
 
 Every final reply, refusals included, goes through `_reply`: an HTTP/1.1
 head with `Server`, `Date` and `Content-Length`, formatted as one string and

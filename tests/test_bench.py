@@ -280,8 +280,8 @@ def test_traversal_run_keeps_its_connections_across_epochs(monkeypatch):
 
 
 def test_traversal_run_reaches_the_building_and_acts():
-    # Systems and points link to rooms only as subjects, so a walk that
-    # followed objects alone found no command to write.
+    # Systems and points link to rooms only as subjects, so the walk reaches
+    # a command only by following both ends of a link.
     result = run_benchmark("TC1", agent="traversal", seed=42, iterations=16,
                            timeslot_ms=250)
     assert result.report.valid, result.report.notes

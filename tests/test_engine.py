@@ -553,7 +553,7 @@ class TestRuntime:
         for agent in (None, "a1", "a2"):
             assert operation_counts([op for op in ops if agent in (None, op.agent)]) == \
                 operation_counts([op for op in distinct if agent in (None, op.agent)])
-        assert read_write_ratio(ops) == read_write_ratio(distinct) == 3.0
+        assert read_write_ratio(*operation_counts(ops)) == 3.0
         write_ops_tsv(ops, tmp_path / "shared.tsv")
         write_ops_tsv(distinct, tmp_path / "distinct.tsv")
         assert (tmp_path / "shared.tsv").read_text() == \

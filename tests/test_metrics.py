@@ -9,6 +9,7 @@ from ldsim.metrics import (
     fault_rate,
     match_faults,
     normalized_fault_count,
+    operation_counts,
     read_metrics_tsv,
     read_write_ratio,
     total_faults,
@@ -122,22 +123,22 @@ class TestNormalizedFaultCount:
 class TestReadWriteRatio:
     def test_writes_only(self):
         ops = [write_op() for _ in range(146)]
-        assert read_write_ratio(ops) == 0.0
+        assert read_write_ratio(*operation_counts(ops)) == 0.0
 
     def test_balanced(self):
         ops = [read_op() for _ in range(146)] + [write_op() for _ in range(146)]
-        assert read_write_ratio(ops) == 1.0
+        assert read_write_ratio(*operation_counts(ops)) == 1.0
 
     def test_scripted_client(self):
         ops = [read_op() for _ in range(12)] + [write_op() for _ in range(4)]
-        assert read_write_ratio(ops) == 3.0
+        assert read_write_ratio(*operation_counts(ops)) == 3.0
 
     def test_zero_writes_unavailable(self):
-        assert read_write_ratio([read_op()]) is None
+        assert read_write_ratio(*operation_counts([read_op()])) is None
 
     def test_failures_not_counted(self):
         ops = [read_op(ok=False), write_op(), read_op()]
-        assert read_write_ratio(ops) == 1.0
+        assert read_write_ratio(*operation_counts(ops)) == 1.0
 
 
 class TestAudit:
