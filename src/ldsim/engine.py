@@ -16,6 +16,19 @@ or checked and its value. While the snapshot holds that very frozenset
 the value is unchanged, so a sensor whose value and graph are as recorded
 costs no scan; a graph that anything else replaced fails the identity
 test and is read again.
+
+A fault check reuses its last result while the index entries of every
+predicate its query reads are the same objects. Otherwise it splits the
+query. Each pattern and GRAPH block has a state, the index maps it looks
+up (`sparql.element_state`), and becomes volatile the first time its
+state differs between two evaluations; it never leaves. The stable part,
+the elements that never changed and may match more than once, with the
+filters over their variables, is solved once per volatile set and kept;
+each check joins the rest of the query onto its solutions. A dry TC6 day
+solves its stable part once, not in every slot where only `rdf:value`
+moved. The whole query is evaluated when its read predicates are unknown
+or its stable part would be a growing cross product (`eval_stable`).
+`metrics.match_faults` on a freshly indexed snapshot stays the reference.
 """
 
 from __future__ import annotations
@@ -51,7 +64,16 @@ from .ns import (
     XSD_INTEGER,
 )
 from .rdf import IRI, Dataset, Literal, Quad
-from .sparql import EvalContext, Update, eval_update, read_predicates
+from .sparql import (
+    EvalContext,
+    Filter,
+    Update,
+    element_state,
+    eval_stable,
+    eval_update,
+    read_predicates,
+    split_query,
+)
 from .trace import FaultTrace, OperationRecord
 
 log = logging.getLogger(__name__)
@@ -76,8 +98,9 @@ class KeyedRandom:
         self.base = base
 
     def unit(self, *key) -> float:
-        material = "\x1f".join(str(part) for part in (self.seed, *key))
-        material = material.replace(self.base, DEFAULT_BASE)
+        material = "\x1f".join(map(str, (self.seed, *key)))
+        if self.base != DEFAULT_BASE:
+            material = material.replace(self.base, DEFAULT_BASE)
         digest = hashlib.sha256(material.encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
@@ -247,6 +270,26 @@ class RunParams:
     step_seconds: int = 60
 
 
+class _FaultMemo:
+    """One fault check's memo: the predicates its query reads (None:
+    evaluate every slot), their entries and the result at the last check;
+    the query's patterns and GRAPH blocks with their `element_state` at the
+    last evaluation, the volatile ones among them, and for those the split
+    as (rest query, stable solutions), or None to evaluate the whole."""
+
+    __slots__ = ("reads", "entries", "result", "elements", "states", "volatile", "split")
+
+    def __init__(self, fc: FaultQuery):
+        self.reads = read_predicates(fc.query)
+        self.entries: tuple | None = None
+        self.result: frozenset[str] = frozenset()
+        self.elements = tuple(el for el in fc.query.pattern.elements
+                              if not isinstance(el, Filter))
+        self.states: tuple | None = None
+        self.volatile: frozenset = frozenset()
+        self.split: tuple | None = None
+
+
 class SimulationRuntime:
     """One live simulation: tick executor plus serialized agent writes.
 
@@ -268,10 +311,7 @@ class SimulationRuntime:
         self.tick_seconds: list[float] = []
         self.fault_check_seconds: list[float] = []  # the fault-check phase of each tick
         self.fault_slots: list[dict[str, frozenset[str]]] = []
-        # Per fault check: the predicates it reads (None: evaluate every
-        # slot), and the index entries and result of its last evaluation.
-        self._fault_memo: list[tuple[frozenset[str] | None, tuple | None, frozenset]] = [
-            (read_predicates(fc.query), None, frozenset()) for fc in self.fault_checks]
+        self._fault_memo = [_FaultMemo(fc) for fc in self.fault_checks]
         self.ops: list[OperationRecord] = []
         self._last_read: dict[tuple[str, str], OperationRecord] = {}
         self.coverage: tuple[float, float] = (0.0, 0.0)
@@ -507,23 +547,45 @@ class SimulationRuntime:
     def _check_faults(self, ds: Dataset, iteration: int,
                       sim_time: datetime) -> dict[str, frozenset[str]]:
         out = {}
-        for i, fc in enumerate(self.fault_checks):
-            reads, last_entries, last_result = self._fault_memo[i]
-            if reads is not None:
+        for fc, memo in zip(self.fault_checks, self._fault_memo):
+            if memo.reads is not None:
                 # Entries are immutable and shared across versions while
                 # their triples stay the same (see `rdf`), so the same
                 # entry objects mean the same solutions.
-                entries = tuple(ds.pred_entries(p) for p in reads)
-                if last_entries is not None and all(
-                        a is b for a, b in zip(last_entries, entries)):
-                    out[fc.id] = last_result
+                entries = tuple(ds.pred_entries(p) for p in memo.reads)
+                if memo.entries is not None and all(
+                        a is b for a, b in zip(memo.entries, entries)):
+                    out[fc.id] = memo.result
                     continue
+                memo.entries = entries
             ctx = EvalContext(rng=self.rng, iteration=iteration,
                               op_id=f"fault:{fc.id}", sim_time=sim_time)
-            out[fc.id] = match_faults(ds, fc, ctx)
-            if reads is not None:
-                self._fault_memo[i] = (reads, entries, out[fc.id])
+            out[fc.id] = memo.result = self._match(ds, fc, memo, ctx)
         return out
+
+    def _match(self, ds: Dataset, fc: FaultQuery, memo: _FaultMemo,
+               ctx: EvalContext) -> frozenset[str]:
+        """`match_faults`, joining the rest of the query onto the kept
+        solutions of its stable part. An element joins the volatile ones
+        the first time its state differs between two evaluations, and
+        never leaves; the stable part is solved again only then."""
+        if memo.reads is None:
+            return match_faults(ds, fc, ctx)
+        states = tuple(element_state(ds, el) for el in memo.elements)
+        if memo.states is not None:
+            volatile = memo.volatile | {
+                el for el, old, new in zip(memo.elements, memo.states, states)
+                if any(a is not b for a, b in zip(old, new))}
+            if volatile != memo.volatile:
+                memo.volatile = volatile
+                split = split_query(ds, fc.query, volatile)
+                rows = None if split is None else eval_stable(ds, split[0], ctx)
+                memo.split = None if rows is None else (FaultQuery(fc.id, split[1]), rows)
+        memo.states = states
+        if memo.split is None:
+            return match_faults(ds, fc, ctx)
+        rest, rows = memo.split
+        return match_faults(ds, rest, ctx, start=rows)
 
     def fault_trace(self) -> FaultTrace:
         """Slots 0..k; those a run stopped before reaching are empty, as

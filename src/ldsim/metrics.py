@@ -38,9 +38,11 @@ class FaultQuery:
     query: Query
 
 
-def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None) -> frozenset[str]:
-    """Distinct solution keys of one fault query against one snapshot."""
-    result = eval_query(d, fq.query, ctx)
+def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None,
+                 start: list[dict] | None = None) -> frozenset[str]:
+    """Distinct solution keys of one fault query against one snapshot;
+    with `start`, of the query's pattern joined onto those solutions."""
+    result = eval_query(d, fq.query, ctx, start)
     if isinstance(result, bool):
         return frozenset(("true",)) if result else frozenset()
     return frozenset(binding_key(sol) for sol in result)

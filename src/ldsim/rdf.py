@@ -18,7 +18,9 @@ fault-check memoisation relies on: an entry is never mutated, and a child
 holds the very same entry object as its parent for every predicate whose
 (s, o, graph) entries the change left as they were, so two versions whose
 entries for a predicate are the same object hold the same triples of it.
-A predicate the change touched gets a new entry object.
+A predicate the change touched gets a new entry object, which still
+shares the subject -> objects and object -> subjects maps of every
+subject and object whose entries the change left as they were.
 """
 
 from __future__ import annotations
@@ -105,22 +107,23 @@ class PredicateEntry:
 
     def patched(self, removed: list, added: list) -> "PredicateEntry":
         """A new entry without the `removed` and with the `added` (s, o, graph)
-        entries; each removed entry must be present and each added one not."""
-        held: dict[tuple, set] = {}
-        for entries, keep in ((removed, False), (added, True)):
-            for s, o, g in entries:
-                graphs = held.get((s, o))
-                if graphs is None:
-                    graphs = held[s, o] = set(self.fwd.get(s, {}).get(o, ()))
-                if keep:
-                    graphs.add(g)
-                else:
-                    graphs.discard(g)
+        entries; each removed entry must be present and each added one not.
+
+        Each pair's graph tuple is read from the maps being built, so it
+        reflects the entries patched before it. A pair held by one graph
+        drops to no tuple or rises to a one-graph tuple without a sort."""
         fwd, bwd = dict(self.fwd), dict(self.bwd)
         copied_fwd: set = set()
         copied_bwd: set = set()
-        for (s, o), graphs in held.items():
-            graphs = tuple(sorted(graphs))
+        for s, o, g in removed:
+            graphs = fwd[s][o]
+            graphs = () if len(graphs) == 1 else tuple(x for x in graphs if x != g)
+            _put(fwd, copied_fwd, s, o, graphs)
+            _put(bwd, copied_bwd, o, s, graphs)
+        for s, o, g in added:
+            objects = fwd.get(s)
+            graphs = objects.get(o) if objects is not None else None
+            graphs = (g,) if graphs is None else tuple(sorted(graphs + (g,)))
             _put(fwd, copied_fwd, s, o, graphs)
             _put(bwd, copied_bwd, o, s, graphs)
         return PredicateEntry(fwd, bwd, self.size - len(removed) + len(added))

@@ -545,10 +545,13 @@ def binding_key(binding: dict) -> str:
                     for name, term in sorted(binding.items()))
 
 
-def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None):
-    """ASK -> bool; SELECT -> distinct list of bindings."""
+def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None,
+               start: list[dict] | None = None):
+    """ASK -> bool; SELECT -> distinct list of bindings. The pattern
+    extends the `start` solutions, by default the one empty solution."""
     ctx = ctx or EvalContext()
-    solutions = _eval_group(d, None, q.pattern, [{}], ctx)
+    solutions = (_eval_group(d, None, q.pattern, [{}], ctx) if start is None
+                 else _extend(d, q.pattern, start, ctx))
     if q.form == "ask":
         return bool(solutions)
     names = q.projection if q.projection is not None else tuple(sorted(q.pattern.variables()))
@@ -557,6 +560,28 @@ def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None):
         projected = {n: sol[n] for n in names if n in sol}
         seen[binding_key(projected)] = projected
     return [seen[k] for k in sorted(seen)]
+
+
+def _extend(d: Dataset, group: Group, start: list[dict], ctx: EvalContext) -> list[dict]:
+    """The group's solutions extending the `start` ones. The elements that
+    share no variable with `start` and match at most once are joined
+    first, with the filters over their variables alone, so that such a
+    filter (a time of day, an outside light level) prunes once instead of
+    once per start solution."""
+    if not start or not all(_self_contained(el.group) for el in group.elements
+                            if isinstance(el, GraphBlock)):
+        return _eval_group(d, None, group, start, ctx)
+    bound = set(start[0])
+    once = [el for el in group.elements if not isinstance(el, Filter)
+            and not _element_vars(el) & bound and _cost(d, el, set()) <= 1]
+    if not once:
+        return _eval_group(d, None, group, start, ctx)
+    names = Group(tuple(once)).variables()
+    once += [el for el in group.elements if isinstance(el, Filter)
+             and not _has_call(el.expr) and _expr_vars(el.expr) <= names]
+    rows = _eval_group(d, None, Group(tuple(once)), [{}], ctx)
+    rest = Group(tuple(el for el in group.elements if el not in once))
+    return _eval_group(d, None, rest, [sol | row for sol in start for row in rows], ctx)
 
 
 def eval_update(d: Dataset, u: Update, ctx: EvalContext | None = None) -> Dataset:
@@ -608,6 +633,22 @@ def _instantiate(templates: tuple[QuadPattern, ...], sol: dict) -> Iterator[Quad
         yield Quad(s, p, o, g_term)
 
 
+class _CrossProduct(Exception):
+    """A connected plan would multiply its solutions by an unlinked element."""
+
+
+def eval_stable(d: Dataset, group: Group, ctx: EvalContext) -> list[dict] | None:
+    """The group's solutions from nothing bound, or None when its plan
+    would join an element that neither shares a bound variable nor matches
+    at most once: a growing cross product, which a whole query may avoid
+    by joining its other elements in between."""
+    try:
+        plan = list(_plan(d, group, set(), connected=True))
+    except _CrossProduct:
+        return None
+    return _join_plan(d, None, plan, [{}], ctx)
+
+
 def _eval_group(d: Dataset, graph: str | None, group: Group,
                 bindings: list[dict], ctx: EvalContext) -> list[dict]:
     """The group's solutions over one named graph, or all graphs if None."""
@@ -615,10 +656,14 @@ def _eval_group(d: Dataset, graph: str | None, group: Group,
         return []
     # Every solution of a group binds the same variables, so the first
     # incoming one tells the planner what is bound.
-    solutions = bindings
-    for el in _plan(d, group, set(bindings[0])):
+    return _join_plan(d, graph, _plan(d, group, set(bindings[0])), bindings, ctx)
+
+
+def _join_plan(d: Dataset, graph: str | None, plan, solutions: list[dict],
+               ctx: EvalContext) -> list[dict]:
+    for el in plan:
         if isinstance(el, Filter):
-            solutions = [sol for sol in solutions if _filter_true(el.expr, sol, ctx)]
+            solutions = _filtered(el.expr, solutions, ctx)
         elif isinstance(el, TriplePattern):
             solutions = _join_pattern(d, graph, el, solutions)
         else:
@@ -628,7 +673,7 @@ def _eval_group(d: Dataset, graph: str | None, group: Group,
     return solutions
 
 
-def _plan(d: Dataset, group: Group, bound: set[str]) -> Iterator:
+def _plan(d: Dataset, group: Group, bound: set[str], connected: bool = False) -> Iterator:
     """The group's elements in join order, with each filter placed where
     its variables are all bound. Lazy, so an evaluation that runs out of
     solutions plans no further.
@@ -637,6 +682,9 @@ def _plan(d: Dataset, group: Group, bound: set[str]) -> Iterator:
     the one with the fewest estimated matches per solution (`_cost`), ties
     going to the one written first, among those that share a variable
     with what is bound or match at most once (no growing cross products).
+    When none does, the cheapest goes next anyway; with `connected`, it
+    raises `_CrossProduct` instead once an element that may match more
+    than once has joined, since the solutions would then multiply.
     A filter that calls a function stays last, since `rand()` is keyed on
     the whole solution. A filter inside a GRAPH block sees what the
     elements before the block bound, so a group keeps its written order
@@ -651,14 +699,20 @@ def _plan(d: Dataset, group: Group, bound: set[str]) -> Iterator:
     pending = [(el, _element_vars(el)) for el in pending]
     waiting = [(flt, _expr_vars(flt.expr)) for flt in filters if not _has_call(flt.expr)]
     bound = set(bound)
+    fanned_out = False  # whether an element joined so far may match more than once
     while True:
         yield from (flt for flt, names in waiting if names <= bound)
         waiting = [(flt, names) for flt, names in waiting if not names <= bound]
         if not pending:
             break
         scored = [(_cost(d, el, bound), el, names) for el, names in pending]
-        linked = [entry for entry in scored if entry[0] <= 1 or entry[2] & bound] or scored
-        best, names = min(linked, key=lambda entry: entry[0])[1:]
+        linked = [entry for entry in scored if entry[0] <= 1 or entry[2] & bound]
+        if not linked:
+            if connected and fanned_out:
+                raise _CrossProduct
+            linked = scored
+        cost, best, names = min(linked, key=lambda entry: entry[0])
+        fanned_out = fanned_out or cost > 1
         pending.remove((best, names))
         bound |= names
         yield best
@@ -778,25 +832,80 @@ def read_predicates(q: Query) -> frozenset[str] | None:
     variable predicate (it scans every triple), a GRAPH ?g block that is
     not one fixed-predicate pattern (it ranges over graph names), or a
     function call (randomness and simulated time come from the context).
+    The same holds for each element of the query's group (`element_state`
+    narrows it to the maps an element looks up), so a fault check keeps
+    the solutions of the part that did not change (`split_query`).
     """
+    read = _group_predicates(q.pattern)
+    return None if read is None else frozenset(read)
+
+
+def _group_predicates(group: Group) -> set[str] | None:
     read: set[str] = set()
+    for el in group.elements:
+        got = _element_predicates(el)
+        if got is None:
+            return None
+        read |= got
+    return read
 
-    def collect(group: Group) -> bool:
-        for el in group.elements:
-            if isinstance(el, TriplePattern):
-                if isinstance(el.p, Var):
-                    return False
-                read.add(el.p.iri if isinstance(el.p, PathPlus) else el.p.value)
-            elif isinstance(el, GraphBlock):
-                if isinstance(el.graph, Var) and _single_pattern(el.group) is None:
-                    return False
-                if not collect(el.group):
-                    return False
-            elif isinstance(el, Filter) and _has_call(el.expr):
-                return False
-        return True
 
-    return frozenset(read) if collect(q.pattern) else None
+def _element_predicates(el) -> set[str] | None:
+    """The predicates one element reads, as `read_predicates` counts them."""
+    if isinstance(el, TriplePattern):
+        if isinstance(el.p, Var):
+            return None
+        return {el.p.iri if isinstance(el.p, PathPlus) else el.p.value}
+    if isinstance(el, GraphBlock):
+        if isinstance(el.graph, Var) and _single_pattern(el.group) is None:
+            return None
+        return _group_predicates(el.group)
+    return None if _has_call(el.expr) else set()
+
+
+def element_state(d: Dataset, el) -> tuple:
+    """The index objects that decide one element's solutions, to compare
+    by identity (see `rdf`: a patch shares every map it does not touch).
+    For a pattern with a fixed predicate and a constant subject or object,
+    that end's map of the predicate's entry; otherwise the entries of the
+    predicates the element reads. `el` is an element of a query whose
+    `read_predicates` is not None."""
+    if isinstance(el, TriplePattern) and isinstance(el.p, IRI):
+        entry = d.pred_entries(el.p.value)
+        if not isinstance(el.s, Var):
+            return (entry.fwd.get(el.s),)
+        if not isinstance(el.o, Var):
+            return (entry.bwd.get(el.o),)
+        return (entry,)
+    return tuple(d.pred_entries(p) for p in sorted(_element_predicates(el)))
+
+
+def split_query(d: Dataset, q: Query, volatile) -> tuple[Group, Query] | None:
+    """The query's group cut in two: the stable part, every pattern and
+    GRAPH block that is not in `volatile` and may match more than once in
+    `d`, plus every filter whose variables it binds; and a query over the
+    rest, with the whole query's form and projection. Joining the rest
+    onto the stable part's solutions (`eval_query(..., start=)`) gives the
+    query's solutions. An element that matches at most once is cheap to
+    join again, and in the rest a filter over it prunes before the kept
+    solutions are joined (see `_extend`).
+
+    None when the group has no such cut: `read_predicates` is None, or a
+    filter reads a variable its group does not bind (in a GRAPH block,
+    one from outside the block, which keeps the written order; see
+    `_plan`).
+    """
+    group = q.pattern
+    if read_predicates(q) is None or not _self_contained(group):
+        return None
+    stable = [el for el in group.elements if not isinstance(el, Filter)
+              and el not in volatile and _cost(d, el, set()) > 1]
+    bound = Group(tuple(stable)).variables()
+    stable += [el for el in group.elements
+               if isinstance(el, Filter) and _expr_vars(el.expr) <= bound]
+    rest = tuple(el for el in group.elements if el not in stable)
+    names = q.projection if q.projection is not None else tuple(sorted(group.variables()))
+    return Group(tuple(stable)), Query(q.form, Group(rest), names)
 
 
 def _has_call(expr: Expr) -> bool:
@@ -817,49 +926,77 @@ def _in_view(targets: dict, graph: str | None):
 
 def _join_pattern(d: Dataset, graph: str | None, tp: TriplePattern,
                   bindings: list[dict]) -> list[dict]:
+    """Extend each solution by the matches of one pattern. The same triple
+    can sit in several graphs (resource partitioning); solutions do not
+    bind the graph here, so distinct rows match once. A fixed predicate's
+    maps are fetched once, each end's variable name read once and a bound
+    end looked up; a solution the pattern binds nothing new in is kept
+    as it is."""
     if isinstance(tp.p, PathPlus):
         return _join_path(d, graph, tp, bindings)
+    if isinstance(tp.p, Var):
+        return _join_any_predicate(d, graph, tp, bindings)
+    fwd, bwd = d.pred_nav(tp.p.value)
+    s_name = tp.s.name if isinstance(tp.s, Var) else None
+    o_name = tp.o.name if isinstance(tp.o, Var) else None
     out: list[dict] = []
-    # The same triple can sit in several graphs (resource partitioning);
-    # solutions do not bind the graph here, so match distinct rows once.
-    # Joins look up the bound side where possible, and each predicate's
-    # maps once per pattern.
-    scan: frozenset | None = None
-    navs: dict[IRI, tuple[dict, dict]] = {}
     for sol in bindings:
-        p = _resolved(tp.p, sol)
-        if isinstance(p, IRI):
-            nav = navs.get(p)
-            if nav is None:
-                nav = navs[p] = d.pred_nav(p.value)
-            fwd, bwd = nav
-            s_val = _resolved(tp.s, sol)
-            o_val = _resolved(tp.o, sol)
-            if s_val is not None:
-                for eo in _in_view(fwd.get(s_val, {}), graph):
-                    ext = _try_bind(sol, ((tp.o, eo),))
-                    if ext is not None:
-                        out.append(ext)
-            elif o_val is not None:
-                for es in _in_view(bwd.get(o_val, {}), graph):
-                    ext = _try_bind(sol, ((tp.s, es),))
-                    if ext is not None:
-                        out.append(ext)
-            else:
-                for es, objects in fwd.items():
-                    for eo in _in_view(objects, graph):
-                        ext = _try_bind(sol, ((tp.s, es), (tp.o, eo)))
-                        if ext is not None:
-                            out.append(ext)
-        else:
-            if scan is None:
-                scan = frozenset((es, ep, eo) for name, triples in d.graphs()
-                                 if graph is None or name == graph
-                                 for es, ep, eo in triples)
-            for es, ep, eo in scan:
-                ext = _try_bind(sol, ((tp.s, es), (tp.p, ep), (tp.o, eo)))
-                if ext is not None:
+        s_val = tp.s if s_name is None else sol.get(s_name)
+        o_val = tp.o if o_name is None else sol.get(o_name)
+        if s_val is not None:
+            objects = fwd.get(s_val)
+            if objects is None:
+                continue
+            if o_val is not None:
+                held = objects.get(o_val)
+                if held is not None and (graph is None or graph in held):
+                    out.append(sol)
+                continue
+            for eo in _in_view(objects, graph):
+                ext = dict(sol)
+                ext[o_name] = eo
+                out.append(ext)
+        elif o_val is not None:
+            for es in _in_view(bwd.get(o_val, {}), graph):
+                ext = dict(sol)
+                ext[s_name] = es
+                out.append(ext)
+        elif s_name == o_name:
+            for es, objects in fwd.items():
+                held = objects.get(es)
+                if held is not None and (graph is None or graph in held):
+                    ext = dict(sol)
+                    ext[s_name] = es
                     out.append(ext)
+        else:
+            for es, objects in fwd.items():
+                for eo in _in_view(objects, graph):
+                    ext = dict(sol)
+                    ext[s_name] = es
+                    ext[o_name] = eo
+                    out.append(ext)
+    return out
+
+
+def _join_any_predicate(d: Dataset, graph: str | None, tp: TriplePattern,
+                        bindings: list[dict]) -> list[dict]:
+    """A variable predicate: bound to an IRI, the fixed-predicate join;
+    otherwise a scan of every triple in the view."""
+    out: list[dict] = []
+    scan: frozenset | None = None
+    for sol in bindings:
+        p = sol.get(tp.p.name)
+        if isinstance(p, IRI):
+            out.extend(_join_pattern(d, graph, TriplePattern(tp.s, p, tp.o), [sol]))
+            continue
+        if scan is None:
+            scan = frozenset((es, ep, eo) for name, triples in d.graphs()
+                             if graph is None or name == graph
+                             for es, ep, eo in triples)
+        for es, ep, eo in scan:
+            ext = _try_bind(sol, ((tp.s, es), (tp.p, ep), (tp.o, eo)))
+            if ext is not None:
+                out.append(ext)
     return out
 
 
@@ -1026,6 +1163,26 @@ def _eval_call(call: ECall, sol: dict, ctx: EvalContext):
         if func == "hourOfDay":
             return ctx.sim_time.hour
     raise EvalError(f"unknown function <{call.name}>")
+
+
+def _filtered(expr: Expr, solutions: list[dict], ctx: EvalContext) -> list[dict]:
+    """The solutions a FILTER keeps. One that calls no function depends on
+    its variables' values alone, so it is evaluated once per distinct
+    binding of them: joined onto many kept solutions, a time-of-day test
+    reads the same hour and bounds in each."""
+    if _has_call(expr):
+        return [sol for sol in solutions if _filter_true(expr, sol, ctx)]
+    names = tuple(_expr_vars(expr))
+    verdicts: dict[tuple, bool] = {}
+    out = []
+    for sol in solutions:
+        key = tuple(sol.get(name) for name in names)
+        keep = verdicts.get(key)
+        if keep is None:
+            keep = verdicts[key] = _filter_true(expr, sol, ctx)
+        if keep:
+            out.append(sol)
+    return out
 
 
 def _filter_true(expr: Expr, sol: dict, ctx: EvalContext) -> bool:

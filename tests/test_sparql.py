@@ -1,3 +1,5 @@
+import itertools
+import operator
 import os
 import random
 import subprocess
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 
 from ldsim import sparql
 from ldsim.engine import KeyedRandom
+from ldsim.metrics import FaultQuery, match_faults
 from ldsim.ns import DEFAULT_GRAPH, RDF_LANG_STRING, RDF_VALUE, XSD_DECIMAL, XSD_DOUBLE, \
     XSD_INTEGER
-from ldsim.rdf import IRI, Dataset, Literal, Quad
+from ldsim.rdf import IRI, Dataset, Literal, PredicateEntry, Quad
 from ldsim.rdfio import ParseError, parse_document
 from ldsim.sparql import (
     EBin,
@@ -27,11 +30,14 @@ from ldsim.sparql import (
     Var,
     binding_key,
     eval_path,
+    element_state,
     eval_query,
+    eval_stable,
     eval_update,
     parse_query,
     parse_update,
     read_predicates,
+    split_query,
 )
 from rdf_helpers import symmetric_difference
 
@@ -665,6 +671,38 @@ graph_blocks = st.builds(
     lambda g, inner: f"GRAPH <{EX}g{g}> {{ {' '.join(inner)} }}",
     st.integers(0, 2), st.lists(st.one_of(patterns, filters), min_size=1, max_size=3))
 groups = st.lists(st.one_of(patterns, patterns, graph_blocks, filters), min_size=1, max_size=6)
+# The branches of the fixed-predicate join: one variable at both ends, a
+# constant at both ends, and a plain pattern in a graph's view.
+same_var_patterns = st.builds("{0} {1} {0} .".format, st.sampled_from(VARS),
+                              st.sampled_from(PREDICATES))
+constant_patterns = st.builds("{} {} {} .".format, st.sampled_from(NODES[:2]),
+                              st.sampled_from(PREDICATES),
+                              st.sampled_from(NODES[:2] + [f'"1"^^<{XSD_INTEGER}>']))
+plain_patterns = st.builds("{} {} {} .".format, subjects, st.sampled_from(PREDICATES), objects)
+graph_patterns = st.one_of(
+    st.builds(lambda g, inner: f"GRAPH <{EX}g{g}> {{ {inner} }}",
+              st.integers(0, 2), st.one_of(plain_patterns, same_var_patterns)),
+    # Joined after its copy outside, the pattern in the view has both ends bound.
+    st.builds(lambda g, inner: f"{inner} GRAPH <{EX}g{g}> {{ {inner} }}",
+              st.integers(0, 2), plain_patterns))
+# Each branch of the fixed-predicate join, and where it runs: over every
+# graph, in one graph's view, after a copy of itself that binds both ends
+# (in the view), and after variable-predicate patterns have bound its ends
+# (the second of them joins with its predicate bound).
+JOIN_SHAPES = [f"?v0 {PREDICATES[0]} ?v1 .", f"?v0 {PREDICATES[0]} ?v0 .",
+               f"{NODES[0]} {PREDICATES[0]} ?v1 .", f"?v0 {PREDICATES[0]} {NODES[0]} .",
+               f"{NODES[0]} {PREDICATES[0]} {NODES[1]} .",
+               f'{NODES[1]} {PREDICATES[0]} "1"^^<{XSD_INTEGER}> .']
+JOIN_SETTINGS = ["{}", f"GRAPH <{EX}g1> {{{{ {{}} }}}}", f"{{0}} GRAPH <{EX}g1> {{{{ {{0}} }}}}",
+                 "?v0 ?vp ?v1 . {} ?v1 ?vp ?v2 ."]
+# Few terms, so that ends fan out and triples repeat across graphs.
+dense_quad_sets = st.sets(st.tuples(
+    st.sampled_from("ab"), st.integers(0, 2),
+    st.one_of(st.sampled_from("abc"), st.integers(1, 2)),
+    st.integers(0, 2)), min_size=3, max_size=30)
+join_cases = st.one_of(same_var_patterns, constant_patterns, graph_patterns)
+planned_groups = st.lists(st.one_of(patterns, patterns, graph_blocks, filters, join_cases),
+                          min_size=1, max_size=6)
 
 
 def random_dataset(quads) -> Dataset:
@@ -683,13 +721,23 @@ def solution_bag(ds: Dataset, group) -> Counter:
 
 class TestJoinPlanning:
     @settings(max_examples=300, deadline=None)
-    @given(quad_sets, groups)
+    @given(quad_sets, planned_groups)
     def test_planned_bag_equals_written_order(self, quads, elements):
         ds = random_dataset(quads)
         group = parse_query(f"SELECT * {{ {' '.join(elements)} }}").pattern
         planned = solution_bag(ds, group)
         with mock.patch.object(sparql, "_plan", written_order):
             assert solution_bag(ds, group) == planned
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_quad_sets, st.sampled_from(JOIN_SHAPES), st.sampled_from(JOIN_SETTINGS))
+    def test_fixed_predicate_join_equals_brute_force(self, quads, shape, setting):
+        # The brute-force matcher scans every quad and knows no index, so
+        # it checks each branch of the join, not only their agreement.
+        ds = random_dataset(quads)
+        group = parse_query(f"SELECT * {{ {setting.format(shape)} }}").pattern
+        assert set(solution_bag(ds, group)) == {
+            binding_key(sol) for sol in brute_solutions(set(ds.quads()), group)}
 
     @settings(max_examples=150, deadline=None)
     @given(quad_sets, groups, st.booleans())
@@ -776,3 +824,157 @@ class TestJoinPlanning:
         group = parse_query(f"SELECT * {{ ?s <{EX}p> ?o . ?s <{EX}v> \"on\" . "
                             f"GRAPH <{EX}g> {{ {inner} }} }}").pattern
         assert list(sparql._plan(ds, group, set())) == list(group.elements)
+
+
+# -- split fault queries ------------------------------------------------------------
+
+SPLIT_VARS = ["?v0", "?v1", "?v2"]
+split_subjects = st.sampled_from(SPLIT_VARS + NODES[:2])
+split_objects = st.sampled_from(SPLIT_VARS + NODES[:2] + [f'"{i}"^^<{XSD_INTEGER}>' for i in (1, 2)])
+split_elements = st.one_of(
+    st.builds("{} {} {} .".format, split_subjects, st.sampled_from(PREDICATES), split_objects),
+    st.builds("{} {}+ {} .".format, split_subjects, st.sampled_from(PREDICATES), split_objects),
+    st.builds(lambda g, inner: f"GRAPH <{EX}g{g}> {{ {' '.join(inner)} }}", st.integers(0, 2),
+              st.lists(st.builds("{} {} {} .".format, split_subjects,
+                                 st.sampled_from(PREDICATES), split_objects),
+                       min_size=1, max_size=2)),
+    st.builds("GRAPH ?g {{ {} {} {} }}".format, split_subjects, st.sampled_from(PREDICATES),
+              split_objects))
+
+
+@st.composite
+def split_queries(draw):
+    """SELECTs in the subset that `read_predicates` can read: fixed
+    predicates, `iri+`, GRAPH <iri>, a one-pattern GRAPH ?g and comparison
+    filters over the variables the patterns bind."""
+    elements = draw(st.lists(split_elements, min_size=1, max_size=4))
+    text = " ".join(elements)
+    used = [v for v in SPLIT_VARS + ["?g"] if v in text]
+    if used:
+        elements += draw(st.lists(st.builds(
+            "FILTER({} {} {})".format, st.sampled_from(used),
+            st.sampled_from(["!=", "!=", "=", "<", ">="]),
+            st.sampled_from(used + ["1", "2", NODES[0]])), max_size=2))
+    projection = " ".join(draw(st.lists(st.sampled_from(used), min_size=1, unique=True))) \
+        if used and draw(st.booleans()) else "*"
+    return parse_query(f"SELECT {projection} {{ {' '.join(elements)} }}")
+
+
+# A replacement of one graph: (graph number, raw (s, p, o) triples).
+replacements = st.lists(st.tuples(st.integers(0, 2), st.sets(st.tuples(
+    st.sampled_from("abcd"), st.integers(0, 2),
+    st.one_of(st.sampled_from("abcd"), st.integers(0, 3))), max_size=8)), max_size=4)
+
+
+def _triple(s, p, o):
+    return (IRI(EX + s), IRI(EX + f"p{p}"),
+            IRI(EX + o) if isinstance(o, str) else Literal(str(o), XSD_INTEGER))
+
+
+class TestSplitQuery:
+    @settings(max_examples=200, deadline=None)
+    @given(dense_quad_sets, split_queries(), replacements)
+    # A rest with a pattern apart from the stable part, a filter over it
+    # alone and one that spans both.
+    @example(quads={("a", 0, "b", 0), ("b", 1, "a", 1), ("a", 1, "a", 2), ("b", 2, 1, 0),
+                    ("a", 2, 1, 2)},
+             query=parse_query(f"SELECT ?v1 {{ <{EX}a> <{EX}p0> ?v0 . ?v1 <{EX}p1> <{EX}a> . "
+                               f"?v1 <{EX}p2> 1 FILTER(?v0 != <{EX}c>) FILTER(?v0 != ?v1) }}"),
+             steps=[(0, {("a", 0, "c"), ("b", 2, 1)}), (2, set())])
+    def test_rest_on_kept_stable_part_equals_whole_query(self, quads, query, steps):
+        ctx = EvalContext()
+        whole = FaultQuery("q", query)
+        elements = [el for el in query.pattern.elements if not isinstance(el, Filter)]
+        for n in range(len(elements) + 1):
+            for volatile in map(set, itertools.combinations(elements, n)):
+                ds = random_dataset(quads)
+                stable_group, rest = split_query(ds, query, volatile)
+                rows = eval_stable(ds, stable_group, ctx)
+                if rows is None:
+                    continue
+                stable = [el for el in stable_group.elements if not isinstance(el, Filter)]
+                states = [element_state(ds, el) for el in stable]
+                # The predicates of a stable element whose state is a whole
+                # entry keep their triples; every other triple may change.
+                kept = set().union(*(_predicates_of(el) for el, state in zip(stable, states)
+                                     if all(isinstance(x, PredicateEntry) for x in state)))
+                for step in [None] + steps:
+                    if step is not None:
+                        g, raw = step
+                        name = EX + f"g{g}"
+                        ds = ds.replace_graphs({name: frozenset(
+                            [tr for tr in ds.graph(name) if tr[1].value in kept]
+                            + [tr for tr in map(lambda t: _triple(*t), raw)
+                               if tr[1].value not in kept])})
+                    if any(a is not b for el, state in zip(stable, states)
+                           for a, b in zip(state, element_state(ds, el))):
+                        break  # a stable element changed: the check splits again
+                    fresh = Dataset(dict(ds.graphs()))
+                    assert match_faults(ds, FaultQuery("q", rest), ctx, start=rows) == \
+                        match_faults(fresh, whole, ctx), (volatile, step)
+
+    @pytest.mark.parametrize("removed, same", [
+        (("x", "type", "Thing"), [True, False, True]),
+        (("b", "type", "Light"), [False, False, True]),
+        (("a", "for", "b"), [True, True, False]),
+    ])
+    def test_a_state_changes_only_with_the_maps_its_element_reads(self, removed, same):
+        ds = Dataset.from_quads([q("a", "type", "Light"), q("b", "type", "Light"),
+                                 q("x", "type", "Thing"), q("a", "for", "b"),
+                                 q("a", "for", "c")])
+        elements = parse_query(
+            f"SELECT * {{ ?l <{EX}type> <{EX}Light> . ?s <{EX}type> ?t . "
+            f"<{EX}a> <{EX}for> ?o }}").pattern.elements
+        before = [element_state(ds, el) for el in elements]
+        after = ds.replace_graphs({EX + "g": ds.graph(EX + "g") - {q(*removed)[:3]}})
+        assert [all(map(operator.is_, old, element_state(after, el)))
+                for old, el in zip(before, elements)] == same
+
+    def test_stable_part_holds_its_patterns_and_their_filters(self):
+        query = parse_query(
+            f"SELECT ?it {{ ?sys <{EX}hasPoint> ?os . ?os <{EX}forProperty> ?osp . "
+            f"?osp <{EX}value> \"on\" . ?os <{EX}forProperty> ?it . ?it <{EX}value> ?lux "
+            f"<{EX}w> <{EX}sunrise> ?sr FILTER(?lux < 500) FILTER(?sys != ?os) "
+            f"FILTER(?sr != ?os) }}")
+        ds = Dataset.from_quads([q("s", "hasPoint", "o1"), q("s", "hasPoint", "o2"),
+                                 q("o1", "forProperty", "p1"), q("o2", "forProperty", "p2"),
+                                 q("w", "sunrise", "r")])
+        volatile = {el for el in query.pattern.elements
+                    if isinstance(el, sparql.TriplePattern) and el.p == IRI(EX + "value")}
+        stable, rest = split_query(ds, query, volatile)
+        # The value patterns changed; the sunrise matches once, so it is
+        # joined again each time, and the filter over it with it.
+        assert [el for el in stable.elements if isinstance(el, Filter)] == \
+            [query.pattern.elements[-2]]
+        assert len(stable.elements) == 4
+        assert [el.o for el in rest.pattern.elements[:3]] == \
+            [Literal("on"), Var("lux"), Var("sr")]
+        assert rest.projection == ("it",)
+
+    @pytest.mark.parametrize("body", [
+        "?a ?p ?b",                                            # reads every predicate
+        "?a ex:p ?b FILTER(rand() < 0.5)",
+        "?a ex:q ?b . GRAPH <http://example.org/g> { ?b ex:p ?c FILTER(?c != ?a) }",
+    ])
+    def test_no_split_without_a_cut(self, body):
+        query = parse_query(f"PREFIX ex: <{EX}> SELECT * {{ {body} }}")
+        assert split_query(Dataset(), query, set()) is None
+
+    def test_a_growing_cross_product_is_not_kept(self):
+        ds = Dataset.from_quads([q("a", "p", "b"), q("c", "p", "d"), q("a", "q", "e"),
+                                 q("c", "q", "f"), q("w", "sunrise", "x")])
+        ctx = EvalContext()
+        # Two fan-out patterns with no shared variable: the volatile
+        # pattern that joins them stays out of the stable part.
+        apart = parse_query(f"SELECT * {{ ?a <{EX}p> ?b . ?c <{EX}q> ?d . "
+                            f"?b <{EX}v> ?c }}")
+        stable, _rest = split_query(ds, apart, {apart.pattern.elements[-1]})
+        assert len(stable.elements) == 2
+        assert eval_stable(ds, stable, ctx) is None
+        # A pattern that matches once joins anything without growth.
+        once = parse_query(f"SELECT * {{ <{EX}w> <{EX}sunrise> ?sr . ?a <{EX}p> ?b }}")
+        assert len(eval_stable(ds, once.pattern, ctx)) == 2
+
+
+def _predicates_of(el) -> frozenset[str]:
+    return read_predicates(sparql.Query("select", sparql.Group((el,)), None))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldsim import engine
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim.engine import SimulationRuntime, dry_run
 from ldsim.ns import DEFAULT_BASE
@@ -16,6 +17,8 @@ from ldsim.tasks import (
     oracle_schedule,
     value_payload,
 )
+
+FOR_PROPERTY = "http://www.w3.org/ns/ssn/forProperty"
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +160,16 @@ class TestMemoisedFaultChecks:
     replace sensor graphs that the built-ins then put back, so TC6 and TC7
     check a tick's one staged version against a fresh index."""
 
-    @pytest.mark.parametrize("tid", ["TC2", "TC6", "TC7"])
+    @staticmethod
+    def assert_slot_matches_fresh_index(runtime, task, t):
+        fresh = Dataset(dict(runtime.dataset.graphs()))
+        for fq in task.fault_queries:
+            ctx = EvalContext(rng=runtime.rng, iteration=t, op_id=f"fault:{fq.id}",
+                              sim_time=runtime.sim_time(t))
+            assert runtime.fault_slots[-1][fq.id] == match_faults(fresh, fq, ctx), \
+                (task.id, t, fq.id)
+
+    @pytest.mark.parametrize("tid", TASK_IDS)
     def test_slots_match_fresh_index(self, pd, tasks, tid):
         task = tasks[tid]
         runtime = SimulationRuntime(build_environment(task, pd, 42), task.fault_queries)
@@ -172,12 +184,63 @@ class TestMemoisedFaultChecks:
                     runtime.apply_agent_write(
                         graph, value_payload(graph, "on" if t % 2 else "off"), "test", 204)
             runtime.tick()
-            fresh = Dataset(dict(runtime.dataset.graphs()))
-            for fq in task.fault_queries:
-                ctx = EvalContext(rng=runtime.rng, iteration=t, op_id=f"fault:{fq.id}",
-                                  sim_time=runtime.sim_time(t))
-                assert runtime.fault_slots[-1][fq.id] == match_faults(fresh, fq, ctx), \
-                    (tid, t, fq.id)
+            self.assert_slot_matches_fresh_index(runtime, task, t)
+
+    @pytest.mark.parametrize("tid", ["TC1", "TC2", "TC6"])
+    def test_stable_triple_removed_then_restored(self, pd, tasks, tid):
+        # Mid-run, the `?pt ssn:forProperty ?it` link of every third light
+        # leaves every graph that holds it, and later comes back: a
+        # predicate of the kept stable part changes, and changes back.
+        task = tasks[tid]
+        runtime = SimulationRuntime(build_environment(task, pd, 42), task.fault_queries)
+        runtime.initialize(default_run_params(task, 48))
+        lights = sorted((res for res in pd.dynamic.values() if res.category == "command"),
+                        key=lambda res: res.graph)[::3]
+        links = {(IRI(res.point), IRI(res.node)) for res in lights}
+        holders = {g for s, o, g in runtime.dataset.pred_entries(FOR_PROPERTY)
+                   if (s, o) in links}
+        originals = {g: runtime.dataset.graph(g) for g in holders}
+        cut = {g: frozenset(tr for tr in triples
+                            if tr[1].value != FOR_PROPERTY or (tr[0], tr[2]) not in links)
+               for g, triples in originals.items()}
+        named = {t: set() for t in range(1, 49)}
+        for t in range(1, 49):
+            if t in (16, 32):
+                for g in holders:
+                    runtime.apply_agent_write(g, (cut if t == 16 else originals)[g],
+                                              "test", 204)
+            runtime.tick()
+            self.assert_slot_matches_fresh_index(runtime, task, t)
+            named[t] = {res.node for res in lights for keys in runtime.fault_slots[-1].values()
+                        for key in keys if res.node in key}
+        assert not any(named[t] for t in range(16, 32))
+        if tid != "TC6":  # TC6 has few faults; TC1 and TC2 keep about half the lights
+            assert any(named[t] for t in range(1, 16)) and any(named[t] for t in range(32, 49))
+
+    @pytest.mark.parametrize("tid", ["TC2", "TC6"])
+    def test_full_day_solves_each_stable_part_at_most_twice(self, pd, tasks, tid, monkeypatch):
+        # The gain of the split check: a dry day joins the unchanged
+        # patterns of each fault query once or twice, not once a slot.
+        owner, solved = {}, {fq.query: 0 for fq in tasks[tid].fault_queries}
+        split_query, eval_stable = engine.split_query, engine.eval_stable
+
+        def counting_split(d, query, volatile):
+            split = split_query(d, query, volatile)
+            if split is not None:
+                owner[id(split[0])] = (split[0], query)
+            return split
+
+        def counting_eval(d, group, ctx):
+            solved[owner[id(group)][1]] += 1
+            return eval_stable(d, group, ctx)
+
+        monkeypatch.setattr(engine, "split_query", counting_split)
+        monkeypatch.setattr(engine, "eval_stable", counting_eval)
+        task = tasks[tid]
+        trace = dry_run(build_environment(task, pd, 42), default_run_params(task),
+                        task.fault_queries)
+        assert len(trace.slots) == 1441
+        assert all(1 <= n <= 2 for n in solved.values()), solved
 
 
 class TestTransitivePathGuard:
