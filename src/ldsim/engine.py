@@ -22,12 +22,12 @@ predicate its query reads are the same objects. Otherwise it splits the
 query. Each pattern and GRAPH block has a state, the index maps it looks
 up (`sparql.element_state`), and becomes volatile the first time its
 state differs between two evaluations; it never leaves. The stable part,
-the elements that never changed and may match more than once, with the
-filters over their variables, is solved once per volatile set and kept;
-each check joins the rest of the query onto its solutions. A dry TC6 day
-solves its stable part once, not in every slot where only `rdf:value`
-moved. The whole query is evaluated when its read predicates are unknown
-or its stable part would be a growing cross product (`eval_stable`).
+the elements that never changed, with the filters over their variables,
+is solved once per volatile set and kept; each check joins the rest of
+the query onto its solutions. A dry TC6 day solves its stable part once,
+not in every slot where only `rdf:value` moved. The whole query is evaluated when its read predicates are unknown
+or its stable part would be a growing cross product (`eval_stable`):
+each next element must share a bound variable or match at most once.
 `metrics.match_faults` on a freshly indexed snapshot stays the reference.
 """
 
@@ -578,7 +578,7 @@ class SimulationRuntime:
                 if any(a is not b for a, b in zip(old, new))}
             if volatile != memo.volatile:
                 memo.volatile = volatile
-                split = split_query(ds, fc.query, volatile)
+                split = split_query(fc.query, volatile)
                 rows = None if split is None else eval_stable(ds, split[0], ctx)
                 memo.split = None if rows is None else (FaultQuery(fc.id, split[1]), rows)
         memo.states = states

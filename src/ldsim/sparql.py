@@ -550,8 +550,7 @@ def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None,
     """ASK -> bool; SELECT -> distinct list of bindings. The pattern
     extends the `start` solutions, by default the one empty solution."""
     ctx = ctx or EvalContext()
-    solutions = (_eval_group(d, None, q.pattern, [{}], ctx) if start is None
-                 else _extend(d, q.pattern, start, ctx))
+    solutions = _eval_group(d, None, q.pattern, [{}] if start is None else start, ctx)
     if q.form == "ask":
         return bool(solutions)
     names = q.projection if q.projection is not None else tuple(sorted(q.pattern.variables()))
@@ -560,28 +559,6 @@ def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None,
         projected = {n: sol[n] for n in names if n in sol}
         seen[binding_key(projected)] = projected
     return [seen[k] for k in sorted(seen)]
-
-
-def _extend(d: Dataset, group: Group, start: list[dict], ctx: EvalContext) -> list[dict]:
-    """The group's solutions extending the `start` ones. The elements that
-    share no variable with `start` and match at most once are joined
-    first, with the filters over their variables alone, so that such a
-    filter (a time of day, an outside light level) prunes once instead of
-    once per start solution."""
-    if not start or not all(_self_contained(el.group) for el in group.elements
-                            if isinstance(el, GraphBlock)):
-        return _eval_group(d, None, group, start, ctx)
-    bound = set(start[0])
-    once = [el for el in group.elements if not isinstance(el, Filter)
-            and not _element_vars(el) & bound and _cost(d, el, set()) <= 1]
-    if not once:
-        return _eval_group(d, None, group, start, ctx)
-    names = Group(tuple(once)).variables()
-    once += [el for el in group.elements if isinstance(el, Filter)
-             and not _has_call(el.expr) and _expr_vars(el.expr) <= names]
-    rows = _eval_group(d, None, Group(tuple(once)), [{}], ctx)
-    rest = Group(tuple(el for el in group.elements if el not in once))
-    return _eval_group(d, None, rest, [sol | row for sol in start for row in rows], ctx)
 
 
 def eval_update(d: Dataset, u: Update, ctx: EvalContext | None = None) -> Dataset:
@@ -880,26 +857,23 @@ def element_state(d: Dataset, el) -> tuple:
     return tuple(d.pred_entries(p) for p in sorted(_element_predicates(el)))
 
 
-def split_query(d: Dataset, q: Query, volatile) -> tuple[Group, Query] | None:
+def split_query(q: Query, volatile) -> tuple[Group, Query] | None:
     """The query's group cut in two: the stable part, every pattern and
-    GRAPH block that is not in `volatile` and may match more than once in
-    `d`, plus every filter whose variables it binds; and a query over the
-    rest, with the whole query's form and projection. Joining the rest
-    onto the stable part's solutions (`eval_query(..., start=)`) gives the
-    query's solutions. An element that matches at most once is cheap to
-    join again, and in the rest a filter over it prunes before the kept
-    solutions are joined (see `_extend`).
+    GRAPH block that is not in `volatile`, plus every filter whose
+    variables it binds; and a query over the rest, with the whole query's
+    form and projection. Joining the rest onto the stable part's solutions
+    (`eval_query(..., start=)`) gives the query's solutions. `q` is a query
+    whose `read_predicates` is not None.
 
-    None when the group has no such cut: `read_predicates` is None, or a
-    filter reads a variable its group does not bind (in a GRAPH block,
-    one from outside the block, which keeps the written order; see
-    `_plan`).
+    None when a filter reads a variable its group does not bind (in a
+    GRAPH block, one from outside the block, which keeps the written
+    order; see `_plan`).
     """
     group = q.pattern
-    if read_predicates(q) is None or not _self_contained(group):
+    if not _self_contained(group):
         return None
-    stable = [el for el in group.elements if not isinstance(el, Filter)
-              and el not in volatile and _cost(d, el, set()) > 1]
+    stable = [el for el in group.elements
+              if not isinstance(el, Filter) and el not in volatile]
     bound = Group(tuple(stable)).variables()
     stable += [el for el in group.elements
                if isinstance(el, Filter) and _expr_vars(el.expr) <= bound]

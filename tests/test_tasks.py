@@ -224,8 +224,8 @@ class TestMemoisedFaultChecks:
         owner, solved = {}, {fq.query: 0 for fq in tasks[tid].fault_queries}
         split_query, eval_stable = engine.split_query, engine.eval_stable
 
-        def counting_split(d, query, volatile):
-            split = split_query(d, query, volatile)
+        def counting_split(query, volatile):
+            split = split_query(query, volatile)
             if split is not None:
                 owner[id(split[0])] = (split[0], query)
             return split
