@@ -22,7 +22,7 @@ from .httpclient import LdClient
 from .ns import BF, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH, SIM_VOCAB, \
     SOSA, SSN, defrag
 from .rdf import IRI, Dataset, Literal
-from .sparql import Group, Parser, Query, TriplePattern, Var, closure, eval_query
+from .sparql import Group, Parser, QuadPattern, Query, Var, closure, eval_query, instantiate
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ class RuleAction:
     """PUT `payload`, instantiated per solution, to the graph of `target`."""
 
     target: Var | IRI
-    payload: tuple[TriplePattern, ...]
+    payload: tuple[QuadPattern, ...]
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,10 @@ class Rule:
 def parse_rules(text: str, base: str | None = None) -> list[Rule]:
     """RULE <name> [ONCE] [GROUP <g>] WHEN { pattern } THEN PUT ?v { payload }
 
-    The target may also be an IRI; the payload holds at least one triple."""
+    The pattern is a query's group pattern, and the payload an update's
+    template (`Parser.template`) with no GRAPH block: the PUT names its
+    graph. The target may also be an IRI. The payload holds at least one
+    triple, and every variable of the action is bound by the pattern."""
     parser = Parser(text, base)
     parser.prologue()
     rules: list[Rule] = []
@@ -92,10 +95,10 @@ def parse_rules(text: str, base: str | None = None) -> list[Rule]:
         parser.expect_keyword("put")
         tok = parser.lex.next()
         target = Var(tok[1]) if tok[0] == "var" else parser.iri_from(tok)
-        payload = tuple(parser.group().elements)
+        payload = parser.template()
         if not payload:
             raise parser.error("empty payload: a PUT replaces a graph")
-        if not all(isinstance(tp, TriplePattern) for tp in payload):
+        if any(quad.graph is not None for quad in payload):
             raise parser.error("payload templates allow plain triples only")
         condition_vars = condition.variables()
         for term in _action_vars(target, payload):
@@ -380,13 +383,9 @@ class RuleAgent:
             target = defrag(bound.value)
         else:
             target = defrag(target_term.value)
-        triples = []
-        for tp in rule.action.payload:
-            def term(t):
-                return solution[t.name] if isinstance(t, Var) else t
-
-            triples.append((term(tp.s), term(tp.p), term(tp.o)))
-        return target, frozenset(triples)
+        triples = frozenset((s, p, o) for s, p, o, _g in
+                            instantiate(rule.action.payload, solution))
+        return (target, triples) if triples else None
 
     def _act(self, target: str, payload: frozenset) -> None:
         try:

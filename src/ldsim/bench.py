@@ -17,14 +17,13 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agents import DEFAULT_FOLLOW, AgentConfig, RuleAgent, parse_rules
+from .agents import DEFAULT_FOLLOW, AgentConfig, AgentStats, RuleAgent, parse_rules
 from .building import (
     GeneratorParams,
     PartitionedDataset,
     build_dataset,
     validate_counts,
     write_dataset,
-    write_manifest,
 )
 from .engine import RunParams, SimulationRuntime, dry_run
 from .httpclient import LdClient
@@ -63,7 +62,7 @@ class BenchResult:
     trace: FaultTrace
     dry: FaultTrace
     ops: list
-    agent_stats: object | None = None
+    agent_stats: AgentStats | None = None
     paths: dict = field(default_factory=dict)
 
 
@@ -85,8 +84,7 @@ class OracleRunner:
         self.task = task
         self.runtime = runtime
         self.client = client
-        self.reads = 0
-        self.writes = 0
+        self.stats = AgentStats()
 
     def run(self, stop: threading.Event) -> None:
         while not self.runtime.started and not stop.is_set():
@@ -102,11 +100,15 @@ class OracleRunner:
             for graph in action.reads:
                 status, _ = self.client.get_graph(graph)
                 if status == 200:
-                    self.reads += 1
+                    self.stats.reads += 1
+                else:
+                    self.stats.errors += 1
             for graph, value in action.writes:
                 status = self.client.put_graph(graph, value_payload(graph, value))
                 if 200 <= status < 300:
-                    self.writes += 1
+                    self.stats.writes += 1
+                else:
+                    self.stats.errors += 1
 
 
 @dataclass
@@ -213,7 +215,7 @@ def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
         result = BenchResult(
             task_id=task_id, agent=agent, seed=seed, report=report, meta=meta,
             trace=trace, dry=dry, ops=ops,
-            agent_stats=getattr(agent_obj, "stats", agent_obj))
+            agent_stats=None if agent_obj is None else agent_obj.stats)
         if out_dir is not None:
             result.paths = persist_result(result, out_dir)
         return result
@@ -255,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--seed", type=int, default=42)
     p_build.add_argument("--base", default=DEFAULT_BASE)
     p_build.add_argument("--out", required=True, help="TriG output path")
-    p_build.add_argument("--manifest", help="dynamic-resource manifest path")
 
     p_validate = sub.add_parser("validate", help="compare dataset counts "
                                                  "against the expected statistics")
@@ -297,11 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         pd = build_dataset(source=args.input, params=GeneratorParams(seed=args.seed),
                            base=args.base)
         write_dataset(pd, args.out)
-        manifest = args.manifest or str(Path(args.out).with_suffix(".manifest.tsv"))
-        write_manifest(pd, manifest)
         print(f"dataset: {args.out} ({len(pd.dataset)} quads, "
               f"{len(pd.dataset.graph_names())} graphs)")
-        print(f"manifest: {manifest} ({len(pd.dynamic)} dynamic resources)")
         return 0
 
     if args.command == "validate":

@@ -624,18 +624,5 @@ def build_dataset(source: str | Path | None = None,
     return pd
 
 
-MANIFEST_COLUMNS = ("graph", "node", "point", "system", "room", "category", "writable")
-
-
-def write_manifest(pd: PartitionedDataset, path: str | Path) -> None:
-    lines = [f"# base={pd.base}\tsource_triples={pd.source_triples}"]
-    lines.append("\t".join(MANIFEST_COLUMNS))
-    for graph in sorted(pd.dynamic):
-        r = pd.dynamic[graph]
-        lines.append("\t".join([r.graph, r.node, r.point, r.system, r.room,
-                                r.category, "1" if r.writable else "0"]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_dataset(pd: PartitionedDataset, path: str | Path) -> None:
     Path(path).write_text(serialize_dataset(pd.dataset))

@@ -23,12 +23,14 @@ and the one tokenizer that the SPARQL subset shares with them.
 
 Whitespace and `#` comments are skipped. `Reader` reads what the grammars
 share above the tokens: PREFIX/BASE and @prefix/@base directives, IRIREF
-resolution against the base, prefixed-name expansion and literals, with
-every failure a `ParseError` at its token. Turtle takes every kind but
-`var`, the operators and `{ }`, and N-Triples is read as Turtle without
-directives, `[` and `(`; a token a grammar has no use for is an error.
-Pipeline: text -> tokens -> quads -> Dataset. Blank node labels are scoped
-to a single document.
+resolution against the base, prefixed-name expansion, literals, and the
+predicate-object list (Turtle 1.1 rule [7], SPARQL 1.1 rules [77] and
+[83]), each grammar reading its own verbs and terms in it; every failure
+is a `ParseError` at its token. Turtle takes every kind but `var`, the
+operators and `{ }`, and N-Triples is read as Turtle without directives,
+`;`, `,`, `[` and `(`; a token a grammar has no use for is an error.
+Pipeline: text -> tokens -> triples -> Dataset. Blank node labels are
+scoped to a single document.
 
 TriG is written, not read: `serialize_dataset` gives the dataset file that
 `ldsim build` writes, and a served building is built from the seed or a
@@ -55,7 +57,7 @@ from .ns import (
     XSD_STRING,
     resolve,
 )
-from .rdf import IRI, BlankNode, Dataset, Literal, Quad, Term
+from .rdf import IRI, BlankNode, Dataset, Literal, Term
 
 FORMATS = ("turtle", "n-triples")
 
@@ -108,6 +110,7 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
 _EXCLUDED_RE = re.compile(f"[{_EXCLUDED}]")
 _ESCAPE_RE = re.compile(r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)")
+_LIST_END = frozenset((".", "]", "}"))
 
 
 def _unescape(raw: str) -> str:
@@ -177,7 +180,8 @@ class Lexer:
 class Reader:
     """Token reading for Turtle, N-Triples and the SPARQL subset:
     errors placed at a token, the directives and IRIs both grammars share,
-    and literals."""
+    literals, and the predicate-object list of Turtle 1.1 rule [7] and
+    SPARQL 1.1 rules [77] and [83] (`predicate_objects`)."""
 
     def __init__(self, text: str, base: str | None = None):
         self.lex = Lexer(text)
@@ -248,17 +252,38 @@ class Reader:
             return Literal(value, XSD_BOOLEAN)
         return None
 
+    def predicate_objects(self, subject, verb, term) -> list[tuple]:
+        """`verb objects (';' (verb objects)?)*` of `subject`, where
+        `objects` is `term (',' term)*`: its (subject, verb, object)
+        triples in order. `verb()` and `term()` read one verb and one
+        object. A run of ';' ends the list before a token that opens no
+        verb: '.', ']', '}' or a keyword other than `a`, such as FILTER."""
+        lex = self.lex
+        out = []
+        while True:
+            p = verb()
+            out.append((subject, p, term()))
+            while lex.peek()[0] == ",":
+                lex.next()
+                out.append((subject, p, term()))
+            if lex.peek()[0] != ";":
+                return out
+            while lex.peek()[0] == ";":
+                lex.next()
+            kind, value, _offset = lex.peek()
+            if kind in _LIST_END or (kind == "word" and value != "a"):
+                return out
+
 
 # -- Turtle and N-Triples -----------------------------------------------------
 
 
 class _Parser(Reader):
-    def __init__(self, text: str, fmt: str, base: str | None, default_graph: str):
+    def __init__(self, text: str, fmt: str, base: str | None):
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
         super().__init__(text, base)
-        self.default_graph = IRI(default_graph)
-        self.quads: list[Quad] = []
+        self.triples: list[tuple] = []
         self.blank_count = 0
         self.line_based = fmt == "n-triples"
 
@@ -266,49 +291,30 @@ class _Parser(Reader):
         self.blank_count += 1
         return BlankNode(f"g{self.blank_count}")
 
-    def parse(self) -> Dataset:
-        graph = self.default_graph
+    def parse(self) -> list[tuple]:
         while (tok := self.lex.peek())[0] != "eof":
             if self.line_based:
-                s, p = self._term(graph, "subject"), self._verb()
-                self.quads.append(Quad(s, p, self._term(graph, "object"), graph))
+                s, p = self._term("subject"), self._verb()
+                self.triples.append((s, p, self._term()))
             elif tok[0] in ("word", "lang") and tok[1].lower() in ("prefix", "base"):
                 self.directive()
                 continue
             else:
-                self._triples(graph)
+                self._triples()
             self.expect(".")
-        return Dataset.from_quads(self.quads)
+        return self.triples
 
     # -- triples -------------------------------------------------------------
 
-    def _triples(self, graph: IRI) -> None:
+    def _triples(self) -> None:
         if self.lex.peek()[0] == "[":
             self.lex.next()
-            subject = self._blank_property_list(graph)
+            subject = self._blank_property_list()
             if self.lex.peek()[0] == ".":
                 return
         else:
-            subject = self._term(graph, "subject")
-        self._predicate_object_list(subject, graph)
-
-    def _predicate_object_list(self, subject: Term, graph: IRI) -> None:
-        lex = self.lex
-        while True:
-            p = self._verb()
-            while True:
-                self.quads.append(Quad(subject, p, self._term(graph, "object"), graph))
-                if lex.peek()[0] != ",":
-                    break
-                lex.next()
-            if lex.peek()[0] != ";":
-                return
-            lex.next()
-            # Allow trailing semicolons before '.'.
-            if lex.peek()[0] in (".", ";"):
-                while lex.peek()[0] == ";":
-                    lex.next()
-                return
+            subject = self._term("subject")
+        self.triples += self.predicate_objects(subject, self._verb, self._term)
 
     def _verb(self) -> IRI:
         tok = self.lex.next()
@@ -316,46 +322,44 @@ class _Parser(Reader):
             return IRI(RDF_TYPE)
         return self.iri_from(tok)
 
-    def _term(self, graph: IRI, position: str) -> Term:
+    def _term(self, position: str = "object") -> Term:
         tok = self.lex.next()
         kind = tok[0]
         if kind == "blank":
             return BlankNode(tok[1])
         if kind == "[" and not self.line_based:
-            return self._blank_property_list(graph)
+            return self._blank_property_list()
         if kind == "(" and not self.line_based:
-            return self._collection(graph)
+            return self._collection()
         term = self.constant(tok)
         if term is None or (position == "subject" and isinstance(term, Literal)):
             raise self.unexpected(position, tok)
         return term
 
-    def _blank_property_list(self, graph: IRI) -> BlankNode:
+    def _blank_property_list(self) -> BlankNode:
         node = self.fresh_blank()
-        if self.lex.peek()[0] == "]":
-            self.lex.next()
-            return node
-        self._predicate_object_list(node, graph)
+        if self.lex.peek()[0] != "]":
+            self.triples += self.predicate_objects(node, self._verb, self._term)
         self.expect("]")
         return node
 
-    def _collection(self, graph: IRI) -> Term:
+    def _collection(self) -> Term:
         items = []
         while self.lex.peek()[0] != ")":
-            items.append(self._term(graph, "object"))
+            items.append(self._term())
         self.lex.next()
         if not items:
             return IRI(RDF_NIL)
         head = self.fresh_blank()
         node = head
         for i, item in enumerate(items):
-            self.quads.append(Quad(node, IRI(RDF_FIRST), item, graph))
+            self.triples.append((node, IRI(RDF_FIRST), item))
             if i + 1 < len(items):
                 nxt = self.fresh_blank()
-                self.quads.append(Quad(node, IRI(RDF_REST), nxt, graph))
+                self.triples.append((node, IRI(RDF_REST), nxt))
                 node = nxt
             else:
-                self.quads.append(Quad(node, IRI(RDF_REST), IRI(RDF_NIL), graph))
+                self.triples.append((node, IRI(RDF_REST), IRI(RDF_NIL)))
         return head
 
 
@@ -363,7 +367,8 @@ def parse_document(text: str, fmt: str = "turtle", base: str | None = None,
                    default_graph: str = DEFAULT_GRAPH) -> Dataset:
     """Parse a Turtle or N-Triples document into a dataset whose every quad
     carries `default_graph`."""
-    return _Parser(text, fmt, base, default_graph).parse()
+    triples = _Parser(text, fmt, base).parse()
+    return Dataset({default_graph: frozenset(triples)} if triples else None)
 
 
 # -- serialization ------------------------------------------------------------

@@ -66,7 +66,7 @@ from functools import lru_cache
 from http import HTTPStatus
 
 from .engine import RunParams, SimulationRuntime
-from .ns import SIM_PATH, SIM_VOCAB, defrag
+from .ns import DEFAULT_GRAPH, SIM_PATH, SIM_VOCAB, defrag
 from .rdf import BlankNode, Dataset, Literal, skolemize
 from .rdfio import ParseError, parse_document, serialize_triples
 from .sparql import literal_value, parse_datetime
@@ -234,26 +234,25 @@ class _Handler(socketserver.StreamRequestHandler):
             return None
         return self.rfile.read(length) if length else b""
 
-    def _payload_format(self) -> str | None:
-        """The body's parse format (Turtle if untyped); None after a 415."""
+    def _body_triples(self, body: bytes, base: str) -> frozenset | None:
+        """The body's triples, parsed by its media type (Turtle if untyped)
+        against `base`; None after a 415 or a 400."""
         content_type = (self.headers.get("content-type") or TURTLE).split(";")[0].strip()
         fmt = PARSE_FORMATS.get(content_type)
         if fmt is None:
             self._refuse(415, f"unsupported media type {content_type}\n".encode())
-        return fmt
-
-    def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
-        fmt = self._payload_format()
-        if fmt is None:
             return None
         try:
-            parsed = parse_document(body.decode("utf-8"), fmt,
-                                    base=target, default_graph=target)
+            return parse_document(body.decode("utf-8"), fmt, base=base).graph(DEFAULT_GRAPH)
         except (ParseError, UnicodeDecodeError) as exc:
             self._refuse(400, f"unparsable payload: {exc}\n".encode())
             return None
-        triples = set()
-        for s, p, o, _g in parsed.quads():
+
+    def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
+        triples = self._body_triples(body, target)
+        if triples is None:
+            return None
+        for s, _p, _o in triples:
             if isinstance(s, BlankNode):
                 self._refuse(400, b"blank node subjects not allowed in payloads\n")
                 return None
@@ -261,15 +260,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._refuse(
                     400, f"payload subject {s.value} outside target resource\n".encode())
                 return None
-            triples.add((s, p, o))
         if not triples:
             self._refuse(400, b"payload without triples: a PUT replaces a graph\n")
             return None
         if any(isinstance(o, BlankNode) for _, _, o in triples):
-            ds = skolemize(Dataset({target: frozenset(triples)}), self.base,
+            ds = skolemize(Dataset({target: triples}), self.base,
                            f"put-{hashlib.sha256(body).hexdigest()[:16]}")
-            triples = set(ds.graph(target))
-        return frozenset(triples)
+            triples = ds.graph(target)
+        return triples
 
     # -- methods ------------------------------------------------------------
 
@@ -326,19 +324,13 @@ class _Handler(socketserver.StreamRequestHandler):
         if self.runtime.started:
             self._refuse(409, b"run already in progress\n")
             return
-        fmt = self._payload_format()
-        if fmt is None:
-            return
-        try:
-            parsed = parse_document(body.decode("utf-8"), fmt, base=self.base,
-                                    default_graph=self.base + SIM_PATH)
-        except (ParseError, UnicodeDecodeError) as exc:
-            self._refuse(400, f"unparsable payload: {exc}\n".encode())
+        triples = self._body_triples(body, self.base)
+        if triples is None:
             return
         vocab = self.base + SIM_VOCAB
         values: dict[str, object] = {}
         try:
-            for _s, p, o, _g in parsed.quads():
+            for _s, p, o in triples:
                 if p.value.startswith(vocab) and isinstance(o, Literal):
                     values[p.value[len(vocab):]] = literal_value(o)
             initial_time = values["initialTime"]

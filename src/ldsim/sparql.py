@@ -2,7 +2,8 @@
 
 Supported: ASK and SELECT (distinct solutions) over basic graph patterns,
 GRAPH blocks, FILTER expressions, one property path form, `iri+` (one or
-more steps over one predicate), and DELETE/INSERT/WHERE updates. Everything
+more steps over one predicate), and DELETE/INSERT/WHERE updates, whose
+templates hold plain triple patterns and GRAPH blocks of them. Everything
 else, FROM clauses and the rest of the path algebra (^, /, ( ), *, ?, |
 and !) included, is refused with an error naming the construct.
 
@@ -12,7 +13,8 @@ enclosing FILTER false.
 
 Queries, updates and agent rule files are read with the tokenizer and
 `Reader` of `rdfio`, which Turtle uses too; its docstring gives the
-terminals and their escape and IRIREF rules. The subset takes IRIs,
+terminals and their escape and IRIREF rules, and `Reader.predicate_objects`
+reads the `;` and `,` lists of both grammars. The subset takes IRIs,
 prefixed names, variables, strings with a language tag or datatype,
 signed numbers, keywords and the operators. It refuses blank nodes, `[`
 and the @prefix/@base forms. A FILTER compares terms (variables,
@@ -183,11 +185,15 @@ Expr = EVar | EConst | EBin | ECall
 class Parser(Reader):
     """Recursive-descent parser of the subset's queries and updates.
 
-    Also the entry point for grammars that embed its group patterns, such
-    as agent rule files: `prologue`, `keyword`, `expect_keyword`, `group`,
-    `iri_from`, `error` and `unexpected` are public; `lex.peek()`/`lex.next()`
-    give (kind, value, offset) tokens, and `lex.text`/`lex.pos` let such a
-    grammar read a token of its own.
+    A subject's patterns are read by `Reader.predicate_objects` (SPARQL 1.1
+    rule [83]), as Turtle's triples are, with a path allowed as a verb.
+
+    Also the entry point for grammars that embed its group patterns or
+    templates, such as agent rule files: `prologue`, `keyword`,
+    `expect_keyword`, `group`, `template`, `iri_from`, `error` and
+    `unexpected` are public; `lex.peek()`/`lex.next()` give (kind, value,
+    offset) tokens, and `lex.text`/`lex.pos` let such a grammar read a
+    token of its own.
     """
 
     def keyword(self) -> str | None:
@@ -258,15 +264,15 @@ class Parser(Reader):
             self.lex.next()
             if self.keyword() == "data":
                 raise SubsetError("DELETE DATA")
-            deletes = self.quad_templates()
+            deletes = self.template()
             if self.keyword() == "insert":
                 self.lex.next()
-                inserts = self.quad_templates()
+                inserts = self.template()
         elif kw == "insert":
             self.lex.next()
             if self.keyword() == "data":
                 raise SubsetError("INSERT DATA")
-            inserts = self.quad_templates()
+            inserts = self.template()
         else:
             raise self.error(f"expected DELETE or INSERT, found {kw.upper()}")
         self.expect_keyword("where")
@@ -336,25 +342,11 @@ class Parser(Reader):
             elements.extend(self.triple_patterns())
 
     def triple_patterns(self) -> list[TriplePattern]:
-        out = []
-        s = self.pattern_term(position="subject")
-        while True:
-            p = self.verb_or_path()
-            while True:
-                o = self.pattern_term(position="object")
-                out.append(TriplePattern(s, p, o))
-                if self.lex.peek()[0] == ",":
-                    self.lex.next()
-                    continue
-                break
-            if self.lex.peek()[0] == ";":
-                self.lex.next()
-                if self.lex.peek()[0] in (".", "}", ";"):
-                    return out
-                continue
-            return out
+        s = self.pattern_term("subject")
+        return [TriplePattern(*t)
+                for t in self.predicate_objects(s, self.verb_or_path, self.pattern_term)]
 
-    def pattern_term(self, position: str):
+    def pattern_term(self, position: str = "object"):
         tok = self.lex.next()
         if tok[0] == "var":
             return Var(tok[1])
@@ -387,49 +379,24 @@ class Parser(Reader):
             return PathPlus(iri)
         return IRI(iri)
 
-    # -- update templates -----------------------------------------------------
+    # -- templates -----------------------------------------------------------
 
-    def quad_templates(self) -> tuple[QuadPattern, ...]:
-        self.expect("{")
+    def template(self) -> tuple[QuadPattern, ...]:
+        """A DELETE or INSERT template or a rule's payload: a group of
+        triple patterns and GRAPH blocks of them, with no path (SPARQL 1.1
+        rule [48], `QuadPattern`). Patterns outside a GRAPH block target
+        the default graph."""
+        tok = self.lex.peek()
         out: list[QuadPattern] = []
-        while True:
-            tok = self.lex.peek()
-            if tok[0] == "}":
-                self.lex.next()
-                return tuple(out)
-            if tok[0] == ".":
-                self.lex.next()
-                continue
-            if self.keyword() == "graph":
-                self.lex.next()
-                name_tok = self.lex.next()
-                name = (Var(name_tok[1]) if name_tok[0] == "var"
-                        else self.iri_from(name_tok))
-                out.extend(self._template_triples(name))
-            else:
-                out.extend(self._template_triples(None))
-
-    def _template_triples(self, graph) -> list[QuadPattern]:
-        inside = graph is not None
-        if inside:
-            self.expect("{")
-        out = []
-        while True:
-            tok = self.lex.peek()
-            if inside and tok[0] == "}":
-                self.lex.next()
-                return out
-            if not inside and tok[0] in ("}",):
-                return out
-            if tok[0] == ".":
-                self.lex.next()
-                if not inside:
-                    return out
-                continue
-            for tp in self.triple_patterns():
-                if isinstance(tp.p, PathPlus):
-                    raise self.error("property paths not allowed in templates")
+        for el in self.group().elements:
+            graph, patterns = ((el.graph, el.group.elements) if isinstance(el, GraphBlock)
+                               else (None, (el,)))
+            for tp in patterns:
+                if not isinstance(tp, TriplePattern) or isinstance(tp.p, PathPlus):
+                    raise self.error("templates allow plain triples and GRAPH blocks "
+                                     "of them only", tok)
                 out.append(QuadPattern(tp.s, tp.p, tp.o, graph))
+        return tuple(out)
 
     # -- expressions -----------------------------------------------------------
 
@@ -568,46 +535,34 @@ def eval_update(d: Dataset, u: Update, ctx: EvalContext | None = None) -> Datase
     removals: list[Quad] = []
     additions: list[Quad] = []
     for sol in solutions:
-        removals.extend(_instantiate(u.delete_templates, sol))
-        additions.extend(_instantiate(u.insert_templates, sol))
+        removals.extend(instantiate(u.delete_templates, sol))
+        additions.extend(instantiate(u.insert_templates, sol))
     if not removals and not additions:
         return d
     return d.apply(removals, additions)
 
 
-def _instantiate(templates: tuple[QuadPattern, ...], sol: dict) -> Iterator[Quad]:
+def instantiate(templates: tuple[QuadPattern, ...], sol: dict) -> Iterator[Quad]:
+    """The templates' quads under one solution. A quad with an unbound
+    variable, a literal subject, or a predicate or graph that is no IRI is
+    skipped with a warning."""
+    default = IRI(DEFAULT_GRAPH)
     for tpl in templates:
-        terms = []
-        ok = True
-        for t in (tpl.s, tpl.p, tpl.o):
-            if isinstance(t, Var):
-                if t.name not in sol:
-                    log.warning("skipping template quad: unbound ?%s", t.name)
-                    ok = False
-                    break
-                terms.append(sol[t.name])
-            else:
-                terms.append(t)
-        if not ok:
-            continue
-        g = tpl.graph
+        s, p, o, g = tpl.s, tpl.p, tpl.o, tpl.graph or default
+        if isinstance(s, Var):
+            s = sol.get(s.name)
+        if isinstance(p, Var):
+            p = sol.get(p.name)
+        if isinstance(o, Var):
+            o = sol.get(o.name)
         if isinstance(g, Var):
-            if g.name not in sol:
-                log.warning("skipping template quad: unbound graph ?%s", g.name)
-                continue
-            g_term = sol[g.name]
-            if not isinstance(g_term, IRI):
-                log.warning("skipping template quad: graph bound to non-IRI")
-                continue
-        elif g is None:
-            g_term = IRI(DEFAULT_GRAPH)
+            g = sol.get(g.name)
+        if s is None or p is None or o is None or g is None:
+            log.warning("skipping template quad %s: unbound variable", tpl)
+        elif isinstance(s, Literal) or not isinstance(p, IRI) or not isinstance(g, IRI):
+            log.warning("skipping template quad %s: malformed instantiation", tpl)
         else:
-            g_term = g
-        s, p, o = terms
-        if isinstance(s, Literal) or not isinstance(p, IRI):
-            log.warning("skipping template quad: malformed instantiation")
-            continue
-        yield Quad(s, p, o, g_term)
+            yield Quad(s, p, o, g)
 
 
 class _CrossProduct(Exception):

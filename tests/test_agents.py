@@ -19,7 +19,7 @@ from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS
 from ldsim.rdf import IRI, Dataset, Literal, Quad
 from ldsim.rdfio import ParseError
 from ldsim.server import LinkedDataServer, default_policy
-from ldsim.sparql import Group, TriplePattern, Var
+from ldsim.sparql import Group, QuadPattern, TriplePattern, Var
 from ldsim.tasks import TASK_IDS, build_environment, load_task
 
 EX = "http://example.org/"
@@ -45,12 +45,13 @@ class TestParseRules:
         assert night.once and night.group == "night-shift-2"
         assert night.fire_key == "night-shift-2"
         assert night.action.target == Var("it")
-        assert night.action.payload == (TriplePattern(Var("it"), ex("state"), Literal("off")),)
+        assert night.action.payload == (
+            QuadPattern(Var("it"), ex("state"), Literal("off"), None),)
         assert night.condition.elements == (
             TriplePattern(Var("it"), ex("state"), Literal("on")),)
         assert (plain.name, plain.once, plain.group) == ("plain", False, None)
         assert plain.fire_key == "plain"
-        assert plain.action.payload == (TriplePattern(Var("x"), ex("p"), ex("z")),)
+        assert plain.action.payload == (QuadPattern(Var("x"), ex("p"), ex("z"), None),)
 
     def test_group_before_once(self):
         (rule,) = parse_rules(PREFIX + "RULE r GROUP g ONCE WHEN { ?a ex:p ?b } "
@@ -84,6 +85,7 @@ class TestParseRules:
         ("RULE r WHEN { ?x ex:p ?y } THEN PUT ?x { }", "empty payload"),
         ("RULE r WHEN { ?x ex:p ?y } THEN PUT ?x { GRAPH ?x { ?x ex:p ?y } }",
          "plain triples only"),
+        ("RULE r WHEN { ?a ex:p ?b } THEN PUT ?a { ?a ex:q+ ?b }", "plain triples"),
     ])
     def test_malformed_rules_rejected(self, text, message):
         with pytest.raises(ParseError, match=message):

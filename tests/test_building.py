@@ -8,8 +8,6 @@ from ldsim.building import (
     CAT_OCCUPANCY,
     CAT_OUTSIDE,
     CAT_SETPOINT,
-    MANIFEST_COLUMNS,
-    DynamicResource,
     GeneratorParams,
     augment_datapoints,
     build_dataset,
@@ -18,7 +16,6 @@ from ldsim.building import (
     occupant_quads,
     partition,
     validate_counts,
-    write_manifest,
 )
 from ldsim.ns import DEFAULT_BASE, RDF_VALUE
 from ldsim.rdf import IRI, Literal
@@ -182,22 +179,6 @@ class TestPipeline:
         assert len(quads) == 2 * 66  # type + workplace per occupant
         rooms = {q.o.value for q in quads if q.p.value.endswith("worksIn")}
         assert len(rooms) == 66
-
-    def test_manifest_round_trip(self, table1_build, tmp_path):
-        # What `ldsim build` writes beside the TriG: the base and the source
-        # size, the columns, then one row per dynamic resource in graph order.
-        path = tmp_path / "building.manifest.tsv"
-        write_manifest(table1_build, path)
-        header, columns, *rows = path.read_text().splitlines()
-        assert header == f"# base={BASE}\tsource_triples={table1_build.source_triples}"
-        assert tuple(columns.split("\t")) == MANIFEST_COLUMNS
-        assert [row.split("\t", 1)[0] for row in rows] == sorted(table1_build.dynamic)
-        read = {}
-        for row in rows:
-            graph, node, point, system, room, category, writable = row.split("\t")
-            read[graph] = DynamicResource(graph, node, point, system, room, category,
-                                          writable == "1")
-        assert read == table1_build.dynamic
 
     def test_relative_turtle_file_builds_the_generated_building(self, tmp_path):
         # `--input`: the synthetic building written as Turtle with relative

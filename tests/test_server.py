@@ -217,13 +217,15 @@ class TestBodyCache:
 class TestPut:
     def test_write_records_its_body_byte_count(self, served):
         # A PUT's record holds the byte count of its body, as a GET's does.
+        # The last body's doubled ';' is Turtle too (rule [7]).
         server, runtime, dynamic = served
         res = command_resource(dynamic)
         client = LdClient(server.base, agent="tester")
         path = client.path_of(res.graph)
         bodies = [f"<{res.node}> <{RDF_VALUE}> \"on\" .\n",
-                  f"<#it> <{RDF_VALUE}> \"off\" , \"off\" .  # one triple\n"]
-        assert [client.put_raw(path, body)[0] for body in bodies] == [204, 204]
+                  f"<#it> <{RDF_VALUE}> \"off\" , \"off\" .  # one triple\n",
+                  f"<{res.node}> <{RDF_VALUE}> \"on\" ;; <{RDF_VALUE}> \"on\" .\n"]
+        assert [client.put_raw(path, body)[0] for body in bodies] == [204, 204, 204]
         _, ops = runtime.snapshot_log()
         assert [op.payload_bytes for op in ops if op.method == "PUT"] == \
             [len(body.encode()) for body in bodies]

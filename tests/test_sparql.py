@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from ldsim import sparql
 from ldsim.engine import KeyedRandom
 from ldsim.metrics import FaultQuery, match_faults
-from ldsim.ns import DEFAULT_GRAPH, RDF_LANG_STRING, RDF_VALUE, XSD_DECIMAL, XSD_DOUBLE, \
-    XSD_INTEGER
+from ldsim.ns import DEFAULT_GRAPH, RDF_LANG_STRING, RDF_TYPE, RDF_VALUE, XSD_BOOLEAN, \
+    XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 from ldsim.rdf import IRI, Dataset, Literal, PredicateEntry, Quad
 from ldsim.rdfio import ParseError, parse_document
 from ldsim.sparql import (
@@ -120,6 +120,15 @@ class TestParser:
         assert len(ast.delete_templates) == 1
         assert len(ast.insert_templates) == 1
 
+    @pytest.mark.parametrize("template", [
+        "FILTER(?o > 1)",
+        "GRAPH <http://x/g> { GRAPH <http://x/h> { ?s <http://x/p> ?o } }",
+        "?s <http://x/p>+ ?o",
+    ])
+    def test_template_holds_plain_triples_only(self, template):
+        with pytest.raises(ParseError):
+            parse_update(f"INSERT {{ {template} }} WHERE {{ ?s <http://x/p> ?o }}")
+
     def test_update_unbound_template_var_rejected(self):
         with pytest.raises(ParseError):
             parse_update("INSERT { <http://x/s> <http://x/p> ?nope } WHERE { }")
@@ -187,6 +196,26 @@ TERMS = st.one_of(
 )
 
 
+# A subject's verbs and objects as written, beside the terms they denote.
+VERBS = {"ex:p": IRI(EX + "p"), "ex:q": IRI(EX + "q"), "a": IRI(RDF_TYPE)}
+OBJECTS = {"ex:o": IRI(EX + "o"), "1": Literal("1", XSD_INTEGER),
+           "true": Literal("true", XSD_BOOLEAN), '"x"@en': Literal("x", RDF_LANG_STRING, "en")}
+
+
+@st.composite
+def predicate_object_lists(draw):
+    """(verb, objects) groups and their text, joined by runs of one to
+    three ';' and ended by a run of none to three."""
+    groups = draw(st.lists(st.tuples(st.sampled_from(sorted(VERBS)),
+                                     st.lists(st.sampled_from(sorted(OBJECTS)),
+                                              min_size=1, max_size=3)),
+                           min_size=1, max_size=4))
+    runs = [draw(st.sampled_from([";", " ;", ";;", "; ;", ";;;"])) for _ in groups[1:]]
+    written = [f"{verb} " + " , ".join(objects) for verb, objects in groups]
+    text = "".join(w + " " + r + " " for w, r in zip(written, runs)) + written[-1]
+    return groups, text + draw(st.sampled_from(["", ";", " ;", ";;", " ; ;"]))
+
+
 def filter_expr(text: str):
     return parse_query(f"ASK {{ ?a ?p ?b FILTER({text}) }}").pattern.elements[1].expr
 
@@ -204,6 +233,20 @@ class TestSharedTerminals:
         query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ex:s ex:p {text}. }}")
         [pattern] = query.pattern.elements
         assert quad.o == pattern.o == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(predicate_object_lists(), st.sampled_from(["", " .", " FILTER(true)"]))
+    def test_a_predicate_object_list_reads_the_same_in_turtle_and_sparql(self, case, end):
+        groups, text = case
+        s = IRI(EX + "s")
+        expected = {(s, VERBS[verb], OBJECTS[o]) for verb, objects in groups for o in objects}
+        turtle = parse_document(f"@prefix ex: <{EX}> .\nex:s {text} .\n[ {text} ] .\n")
+        named = {t for t in turtle.graph(DEFAULT_GRAPH) if t[0] == s}
+        blank = {(s, p, o) for b, p, o in turtle.graph(DEFAULT_GRAPH) if b != s}
+        query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * {{ ex:s {text}{end} }}")
+        patterns = {(tp.s, tp.p, tp.o) for tp in query.pattern.elements
+                    if not isinstance(tp, Filter)}
+        assert named == blank == patterns == expected
 
     @pytest.mark.parametrize("text, value", [
         (r'"a\rb"', "a\rb"), (r'"a\bb"', "a\bb"), ('"""x\\ny"""', "x\ny"),
