@@ -315,12 +315,13 @@ class RuleAgent:
             raise ValueError(f"unknown agent mode {config.mode!r}")
 
     def _prime(self, dataset: Dataset) -> None:
+        graphs = {}
         for name, triples in dataset.graphs():
-            if name == DEFAULT_GRAPH:
-                continue
-            self.kb.ingest(name, triples)
-            if any(p.value == RDF_VALUE for _, p, _ in triples):
-                self.dynamic.add(name)
+            if name != DEFAULT_GRAPH:
+                graphs[name] = triples
+                if any(p.value == RDF_VALUE for _, p, _ in triples):
+                    self.dynamic.add(name)
+        self.kb.dataset = Dataset(graphs)
 
     def _sim_graph(self) -> str:
         return self.client.base + SIM_PATH

@@ -612,10 +612,7 @@ def build_dataset(source: str | Path | None = None,
     """
     if source is not None:
         text = Path(source).read_text()
-        parsed = parse_document(text, "turtle", base=base)
-        merged = frozenset((s, p, o) for s, p, o, _ in parsed.quads())
-        triples = skolemize(Dataset({DEFAULT_GRAPH: merged}), base,
-                            "src").graph(DEFAULT_GRAPH)
+        triples = skolemize(parse_document(text, "turtle", base=base), base, "src")
     else:
         triples = generate_synthetic(params or GeneratorParams(), base)
     pd = augment_datapoints(partition(triples), base)

@@ -2,10 +2,11 @@
 
 Owns the run lifecycle: one tick per timeslot advances simulated time,
 applies the registered environmental updates (built-in processes and
-update files, in order), evaluates fault queries at the slot boundary and
-publishes an immutable dataset snapshot. Randomness is counter-based
-(a hash of seed, iteration, update id and binding key), never a sequential
-stream, so agent writes cannot desynchronize seed-matched runs.
+update files, in order), publishes an immutable dataset snapshot and
+matches each fault query against it (`metrics.FaultCheck`). Randomness is
+counter-based (a hash of seed, iteration, update id and binding key),
+never a sequential stream, so agent writes cannot desynchronize
+seed-matched runs.
 
 A tick publishes one dataset version: the `sim` graph and the graphs of
 each run of consecutive built-ins are staged in one dict and replaced
@@ -16,19 +17,6 @@ or checked and its value. While the snapshot holds that very frozenset
 the value is unchanged, so a sensor whose value and graph are as recorded
 costs no scan; a graph that anything else replaced fails the identity
 test and is read again.
-
-A fault check reuses its last result while the index entries of every
-predicate its query reads are the same objects. Otherwise it splits the
-query. Each pattern and GRAPH block has a state, the index maps it looks
-up (`sparql.element_state`), and becomes volatile the first time its
-state differs between two evaluations; it never leaves. The stable part,
-the elements that never changed, with the filters over their variables,
-is solved once per volatile set and kept; each check joins the rest of
-the query onto its solutions. A dry TC6 day solves its stable part once,
-not in every slot where only `rdf:value` moved. The whole query is evaluated when its read predicates are unknown
-or its stable part would be a growing cross product (`eval_stable`):
-each next element must share a bound variable or match at most once.
-`metrics.match_faults` on a freshly indexed snapshot stays the reference.
 """
 
 from __future__ import annotations
@@ -50,7 +38,7 @@ from .building import (
     CAT_SETPOINT,
     DynamicResource,
 )
-from .metrics import FaultQuery, match_faults
+from .metrics import FaultCheck, FaultQuery
 from .ns import (
     DEFAULT_BASE,
     DEFAULT_GRAPH,
@@ -64,16 +52,7 @@ from .ns import (
     XSD_INTEGER,
 )
 from .rdf import IRI, Dataset, Literal, Quad
-from .sparql import (
-    EvalContext,
-    Filter,
-    Update,
-    element_state,
-    eval_stable,
-    eval_update,
-    read_predicates,
-    split_query,
-)
+from .sparql import EvalContext, Update, eval_update
 from .trace import FaultTrace, OperationRecord
 
 log = logging.getLogger(__name__)
@@ -270,26 +249,6 @@ class RunParams:
     step_seconds: int = 60
 
 
-class _FaultMemo:
-    """One fault check's memo: the predicates its query reads (None:
-    evaluate every slot), their entries and the result at the last check;
-    the query's patterns and GRAPH blocks with their `element_state` at the
-    last evaluation, the volatile ones among them, and for those the split
-    as (rest query, stable solutions), or None to evaluate the whole."""
-
-    __slots__ = ("reads", "entries", "result", "elements", "states", "volatile", "split")
-
-    def __init__(self, fc: FaultQuery):
-        self.reads = read_predicates(fc.query)
-        self.entries: tuple | None = None
-        self.result: frozenset[str] = frozenset()
-        self.elements = tuple(el for el in fc.query.pattern.elements
-                              if not isinstance(el, Filter))
-        self.states: tuple | None = None
-        self.volatile: frozenset = frozenset()
-        self.split: tuple | None = None
-
-
 class SimulationRuntime:
     """One live simulation: tick executor plus serialized agent writes.
 
@@ -300,7 +259,6 @@ class SimulationRuntime:
 
     def __init__(self, env: SimEnvironment, fault_checks: tuple = ()):
         self.env = env
-        self.fault_checks = tuple(fault_checks)
         self.rng = KeyedRandom(env.seed, env.base)
         self.dataset = env.dataset
         self.params: RunParams | None = None
@@ -311,7 +269,7 @@ class SimulationRuntime:
         self.tick_seconds: list[float] = []
         self.fault_check_seconds: list[float] = []  # the fault-check phase of each tick
         self.fault_slots: list[dict[str, frozenset[str]]] = []
-        self._fault_memo = [_FaultMemo(fc) for fc in self.fault_checks]
+        self._fault_checks = [FaultCheck(fq, self.rng) for fq in fault_checks]
         self.ops: list[OperationRecord] = []
         self._last_read: dict[tuple[str, str], OperationRecord] = {}
         self.coverage: tuple[float, float] = (0.0, 0.0)
@@ -546,46 +504,8 @@ class SimulationRuntime:
 
     def _check_faults(self, ds: Dataset, iteration: int,
                       sim_time: datetime) -> dict[str, frozenset[str]]:
-        out = {}
-        for fc, memo in zip(self.fault_checks, self._fault_memo):
-            if memo.reads is not None:
-                # Entries are immutable and shared across versions while
-                # their triples stay the same (see `rdf`), so the same
-                # entry objects mean the same solutions.
-                entries = tuple(ds.pred_entries(p) for p in memo.reads)
-                if memo.entries is not None and all(
-                        a is b for a, b in zip(memo.entries, entries)):
-                    out[fc.id] = memo.result
-                    continue
-                memo.entries = entries
-            ctx = EvalContext(rng=self.rng, iteration=iteration,
-                              op_id=f"fault:{fc.id}", sim_time=sim_time)
-            out[fc.id] = memo.result = self._match(ds, fc, memo, ctx)
-        return out
-
-    def _match(self, ds: Dataset, fc: FaultQuery, memo: _FaultMemo,
-               ctx: EvalContext) -> frozenset[str]:
-        """`match_faults`, joining the rest of the query onto the kept
-        solutions of its stable part. An element joins the volatile ones
-        the first time its state differs between two evaluations, and
-        never leaves; the stable part is solved again only then."""
-        if memo.reads is None:
-            return match_faults(ds, fc, ctx)
-        states = tuple(element_state(ds, el) for el in memo.elements)
-        if memo.states is not None:
-            volatile = memo.volatile | {
-                el for el, old, new in zip(memo.elements, memo.states, states)
-                if any(a is not b for a, b in zip(old, new))}
-            if volatile != memo.volatile:
-                memo.volatile = volatile
-                split = split_query(fc.query, volatile)
-                rows = None if split is None else eval_stable(ds, split[0], ctx)
-                memo.split = None if rows is None else (FaultQuery(fc.id, split[1]), rows)
-        memo.states = states
-        if memo.split is None:
-            return match_faults(ds, fc, ctx)
-        rest, rows = memo.split
-        return match_faults(ds, rest, ctx, start=rows)
+        return {check.fq.id: check.match(ds, iteration, sim_time)
+                for check in self._fault_checks}
 
     def fault_trace(self) -> FaultTrace:
         """Slots 0..k; those a run stopped before reaching are empty, as

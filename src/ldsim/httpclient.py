@@ -19,9 +19,9 @@ socket, `close_all` the sockets of every thread.
 `get_graph` keeps, per IRI, the last 200 body and the triples parsed from
 it, and returns those very triples for a byte-equal body without parsing
 again. This is exact: the parse is a pure function of the body, the IRI
-(its base and default graph) and the format, and blank-node labels come
-from a per-parse counter. Returning the same frozenset also lets a caller
-see by identity that the graph is unchanged.
+(its base) and the format, and blank-node labels come from a per-parse
+counter. Returning the same frozenset also lets a caller see by identity
+that the graph is unchanged.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ class LdClient:
         cached = self._parsed.get(iri)
         if cached is not None and cached[0] == body:
             return status, cached[1]
-        triples = parse_document(body.decode("utf-8"), "turtle", base=iri,
-                                 default_graph=iri).graph(iri)
+        triples = parse_document(body.decode("utf-8"), "turtle", base=iri)
         self._parsed[iri] = (body, triples)
         return status, triples
 

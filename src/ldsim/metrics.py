@@ -1,5 +1,10 @@
 """Fault matching and the four run metrics.
 
+`match_faults` solves one fault query against one snapshot and is the
+reference. A `FaultCheck` matches one fault query at every slot of a run
+and gives the same keys, paying only for what changed since its last
+match.
+
 Conventions, with k the final timeslot index and l the fault sequence
 length. A fault instance is matched at the single slot where its query
 solves, so l is 1 for every task; it is the module constant `L`, not a
@@ -21,10 +26,12 @@ excludes the terminal slot so an always-faulty run scores exactly 1.0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
 
 from .rdf import Dataset
-from .sparql import EvalContext, Query, binding_key, eval_query
+from .sparql import EvalContext, Filter, Query, binding_key, element_state, eval_query, \
+    eval_stable, read_predicates, split_query
 from .trace import FaultTrace, OperationRecord
 
 L = 1  # the fault sequence length, and so the first scored slot
@@ -48,15 +55,75 @@ def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None,
     return frozenset(binding_key(sol) for sol in result)
 
 
+class FaultCheck:
+    """One fault query matched at each slot of a run; every match equals
+    `match_faults` with that slot's context.
+
+    A match reuses the last result while the index entries of every
+    predicate the query reads are the same objects. Otherwise it splits
+    the query. Each pattern and GRAPH block has a state, the index maps it
+    looks up (`sparql.element_state`), and becomes volatile the first time
+    its state differs between two evaluations; it never leaves. The stable
+    part, the elements that never changed, with the filters over their
+    variables, is solved once per volatile set and kept; each evaluation
+    joins the rest of the query onto its solutions. A dry TC6 day solves
+    its stable part once, not in every slot where only `rdf:value` moved.
+    The whole query is evaluated when its read predicates are unknown or
+    its stable part would be a growing cross product (`eval_stable`).
+    """
+
+    def __init__(self, fq: FaultQuery, rng: object | None = None):
+        self.fq = fq
+        self.rng = rng
+        self.reads = read_predicates(fq.query)
+        self.entries: tuple | None = None  # of `reads`, at the last match
+        self.result: frozenset[str] = frozenset()
+        self.elements = tuple(el for el in fq.query.pattern.elements
+                              if not isinstance(el, Filter))
+        self.states: tuple | None = None  # of `elements`, at the last evaluation
+        self.volatile: frozenset = frozenset()
+        self.split: tuple | None = None  # (rest query, stable solutions)
+
+    def match(self, ds: Dataset, iteration: int,
+              sim_time: datetime | None = None) -> frozenset[str]:
+        if self.reads is not None:
+            # Entries are immutable and shared across versions while their
+            # triples stay the same (see `rdf`), so the same entry objects
+            # mean the same solutions.
+            entries = tuple(ds.pred_entries(p) for p in self.reads)
+            if self.entries is not None and all(
+                    a is b for a, b in zip(self.entries, entries)):
+                return self.result
+            self.entries = entries
+        ctx = EvalContext(rng=self.rng, iteration=iteration, op_id=f"fault:{self.fq.id}",
+                          sim_time=sim_time)
+        if self.reads is None:
+            return match_faults(ds, self.fq, ctx)
+        states = tuple(element_state(ds, el) for el in self.elements)
+        if self.states is not None:
+            volatile = self.volatile | {
+                el for el, old, new in zip(self.elements, self.states, states)
+                if any(a is not b for a, b in zip(old, new))}
+            if volatile != self.volatile:
+                self.volatile = volatile
+                split = split_query(self.fq.query, volatile)
+                rows = None if split is None else eval_stable(ds, split[0], ctx)
+                self.split = None if rows is None else (FaultQuery(self.fq.id, split[1]), rows)
+        self.states = states
+        fq, rows = self.split or (self.fq, None)
+        self.result = match_faults(ds, fq, ctx, start=rows)
+        return self.result
+
+
 def fault_rate(trace: FaultTrace) -> float:
     if trace.k <= L:
         raise ValueError(f"run too short for sequence length {L}")
-    faulty = sum(1 for t in range(L, trace.k) if trace.matched(t))
+    faulty = sum(1 for c in trace.counts()[L:trace.k] if c)
     return faulty / (trace.k - L)
 
 
 def average_fault_count(trace: FaultTrace) -> float:
-    counts = [len(trace.matched(t)) for t in range(L, trace.k + 1)]
+    counts = trace.counts()[L:trace.k + 1]
     faulty = sum(1 for c in counts if c)
     if faulty == 0:
         return 0.0
@@ -64,7 +131,7 @@ def average_fault_count(trace: FaultTrace) -> float:
 
 
 def total_faults(trace: FaultTrace) -> int:
-    return sum(len(trace.matched(t)) for t in range(L, trace.k + 1))
+    return sum(trace.counts()[L:trace.k + 1])
 
 
 def normalized_fault_count(trace: FaultTrace, dry: FaultTrace) -> float | None:

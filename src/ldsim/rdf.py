@@ -310,7 +310,7 @@ def skolem_iri(base: str, doc_key: str, label: str) -> str:
     return f"{base}.well-known/genid/{doc_key}-{label}"
 
 
-def skolemize(d: Dataset, base: str, doc_key: str) -> Dataset:
+def skolemize(triples: Iterable[Triple], base: str, doc_key: str) -> frozenset:
     """Replace blank nodes with stable IRIs derived from a document key.
 
     Server-held datasets need deterministic node identity across loads so
@@ -322,7 +322,4 @@ def skolemize(d: Dataset, base: str, doc_key: str) -> Dataset:
             return IRI(skolem_iri(base, doc_key, t.label))
         return t
 
-    out: dict[str, frozenset] = {}
-    for g, triples in d.graphs():
-        out[g] = frozenset((conv(s), p, conv(o)) for s, p, o in triples)
-    return Dataset(out)
+    return frozenset((conv(s), p, conv(o)) for s, p, o in triples)

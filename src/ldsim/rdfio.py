@@ -29,7 +29,7 @@ predicate-object list (Turtle 1.1 rule [7], SPARQL 1.1 rules [77] and
 is a `ParseError` at its token. Turtle takes every kind but `var`, the
 operators and `{ }`, and N-Triples is read as Turtle without directives,
 `;`, `,`, `[` and `(`; a token a grammar has no use for is an error.
-Pipeline: text -> tokens -> triples -> Dataset. Blank node labels are
+Pipeline: text -> tokens -> a set of triples. Blank node labels are
 scoped to a single document.
 
 TriG is written, not read: `serialize_dataset` gives the dataset file that
@@ -363,12 +363,9 @@ class _Parser(Reader):
         return head
 
 
-def parse_document(text: str, fmt: str = "turtle", base: str | None = None,
-                   default_graph: str = DEFAULT_GRAPH) -> Dataset:
-    """Parse a Turtle or N-Triples document into a dataset whose every quad
-    carries `default_graph`."""
-    triples = _Parser(text, fmt, base).parse()
-    return Dataset({default_graph: frozenset(triples)} if triples else None)
+def parse_document(text: str, fmt: str = "turtle", base: str | None = None) -> frozenset:
+    """The triples of a Turtle or N-Triples document."""
+    return frozenset(_Parser(text, fmt, base).parse())
 
 
 # -- serialization ------------------------------------------------------------

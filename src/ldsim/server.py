@@ -66,8 +66,8 @@ from functools import lru_cache
 from http import HTTPStatus
 
 from .engine import RunParams, SimulationRuntime
-from .ns import DEFAULT_GRAPH, SIM_PATH, SIM_VOCAB, defrag
-from .rdf import BlankNode, Dataset, Literal, skolemize
+from .ns import SIM_PATH, SIM_VOCAB, defrag
+from .rdf import BlankNode, Literal, skolemize
 from .rdfio import ParseError, parse_document, serialize_triples
 from .sparql import literal_value, parse_datetime
 
@@ -243,7 +243,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._refuse(415, f"unsupported media type {content_type}\n".encode())
             return None
         try:
-            return parse_document(body.decode("utf-8"), fmt, base=base).graph(DEFAULT_GRAPH)
+            return parse_document(body.decode("utf-8"), fmt, base=base)
         except (ParseError, UnicodeDecodeError) as exc:
             self._refuse(400, f"unparsable payload: {exc}\n".encode())
             return None
@@ -264,9 +264,8 @@ class _Handler(socketserver.StreamRequestHandler):
             self._refuse(400, b"payload without triples: a PUT replaces a graph\n")
             return None
         if any(isinstance(o, BlankNode) for _, _, o in triples):
-            ds = skolemize(Dataset({target: triples}), self.base,
-                           f"put-{hashlib.sha256(body).hexdigest()[:16]}")
-            triples = ds.graph(target)
+            triples = skolemize(triples, self.base,
+                                f"put-{hashlib.sha256(body).hexdigest()[:16]}")
         return triples
 
     # -- methods ------------------------------------------------------------

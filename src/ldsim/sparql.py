@@ -340,6 +340,10 @@ class Parser(Reader):
                     raise SubsetError(self.keyword().upper())
                 raise SubsetError("nested group")
             elements.extend(self.triple_patterns())
+            # Rule [55]: a '.' ends a subject's patterns before the next.
+            tok = self.lex.peek()
+            if tok[0] not in (".", "}", "{", "word"):
+                raise self.unexpected("'.'", tok)
 
     def triple_patterns(self) -> list[TriplePattern]:
         s = self.pattern_term("subject")

@@ -42,13 +42,10 @@ class FaultTrace:
     k: int
     slots: list[dict[str, frozenset[str]]] = field(default_factory=list)
 
-    def matched(self, t: int) -> frozenset[tuple[str, str]]:
-        """Fault instances matched at timeslot t."""
-        return frozenset((fq_id, key) for fq_id, keys in self.slots[t].items()
-                         for key in keys)
-
     def counts(self) -> list[int]:
-        return [len(self.matched(t)) for t in range(len(self.slots))]
+        """The number of fault instances matched at each timeslot. Query
+        ids are a slot's keys, so no two queries' instances coincide."""
+        return [sum(map(len, slot.values())) for slot in self.slots]
 
 
 OPS_HEADER = ("timeslot", "method", "target", "classification", "status",

@@ -1,7 +1,9 @@
 import pytest
 
-from ldsim.engine import dry_run
+from ldsim import metrics
+from ldsim.engine import KeyedRandom, dry_run
 from ldsim.metrics import (
+    FaultCheck,
     FaultQuery,
     audit_write_deltas,
     average_fault_count,
@@ -17,7 +19,7 @@ from ldsim.metrics import (
 )
 from ldsim.ns import RDF_VALUE
 from ldsim.rdf import IRI, Dataset, Literal, Quad
-from ldsim.sparql import parse_query
+from ldsim.sparql import EvalContext, parse_query
 from ldsim.trace import (
     FaultTrace,
     OperationRecord,
@@ -62,10 +64,63 @@ class TestMatchFaults:
         assert len(match_faults(Dataset.from_quads(quads), fq)) == 146
 
 
+class TestFaultCheck:
+    """A check equals `match_faults` at every slot, and calls it only when
+    an index entry its query reads has changed."""
+
+    @staticmethod
+    def lights(*on, n=16):
+        return {EX + f"g{i}": frozenset({(IRI(EX + f"l{i}"), IRI(RDF_VALUE),
+                                          Literal("on" if i in on else "off"))})
+                for i in range(n)}
+
+    def test_unchanged_read_entries_reuse_the_last_result(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].id)
+            return match_faults(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "match_faults", counting)
+        fq = FaultQuery("on", parse_query(f'SELECT ?s {{ ?s <{RDF_VALUE}> "on" }}'))
+        check = FaultCheck(fq)
+        ds = Dataset(self.lights(1))
+        first = check.match(ds, 0)
+        assert first == match_faults(ds, fq) and len(first) == 1
+        # A graph without `rdf:value` keeps that predicate's entry object.
+        ds = ds.replace_graphs({EX + "label": {(IRI(EX + "l1"), IRI(EX + "label"),
+                                                Literal("x"))}})
+        assert check.match(ds, 1) is first and calls == ["on"]
+        ds = ds.replace_graphs(self.lights(1, 2))
+        second = check.match(ds, 2)
+        assert second == match_faults(Dataset(dict(ds.graphs())), fq) and len(second) == 2
+        assert calls == ["on", "on"]
+
+    def test_a_query_with_rand_is_matched_whole_at_every_slot(self):
+        # rand() reads the slot, not the index, so no entry says it is unchanged.
+        fq = FaultQuery("q", parse_query(
+            f"SELECT ?s {{ ?s <{RDF_VALUE}> ?v FILTER(rand() < 0.5) }}"))
+        rng = KeyedRandom(7)
+        check = FaultCheck(fq, rng)
+        ds = Dataset(self.lights())
+        seen = set()
+        for t in range(8):
+            got = check.match(ds, t)
+            assert got == match_faults(ds, fq, EvalContext(rng=rng, iteration=t, op_id="fault:q"))
+            seen.add(got)
+        assert len(seen) > 1
+
+
 class TestSlidingWindow:
     def test_length_one_is_raw(self):
         trace = trace_from_counts([1, 0, 2])
         assert trace.counts() == [1, 0, 2]
+
+    def test_one_key_of_two_queries_is_two_instances(self):
+        # Two ASK fault queries that hold in one slot both give the key "true".
+        trace = FaultTrace(k=1, slots=[{}, {"a": frozenset({"true"}), "b": frozenset({"true"})}])
+        assert trace.counts() == [0, 2]
+        assert total_faults(trace) == average_fault_count(trace) == 2
 
 
 class TestFaultRate:

@@ -229,10 +229,10 @@ class TestSharedTerminals:
     def test_a_term_reads_the_same_in_turtle_and_sparql(self, case):
         expected, text = case
         # The statement's dot follows the term directly.
-        [quad] = parse_document(f"@prefix ex: <{EX}> .\nex:s ex:p {text}.\n").quads()
+        [(_s, _p, o)] = parse_document(f"@prefix ex: <{EX}> .\nex:s ex:p {text}.\n")
         query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ex:s ex:p {text}. }}")
         [pattern] = query.pattern.elements
-        assert quad.o == pattern.o == expected
+        assert o == pattern.o == expected
 
     @settings(max_examples=300, deadline=None)
     @given(predicate_object_lists(), st.sampled_from(["", " .", " FILTER(true)"]))
@@ -241,8 +241,8 @@ class TestSharedTerminals:
         s = IRI(EX + "s")
         expected = {(s, VERBS[verb], OBJECTS[o]) for verb, objects in groups for o in objects}
         turtle = parse_document(f"@prefix ex: <{EX}> .\nex:s {text} .\n[ {text} ] .\n")
-        named = {t for t in turtle.graph(DEFAULT_GRAPH) if t[0] == s}
-        blank = {(s, p, o) for b, p, o in turtle.graph(DEFAULT_GRAPH) if b != s}
+        named = {t for t in turtle if t[0] == s}
+        blank = {(s, p, o) for b, p, o in turtle if b != s}
         query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * {{ ex:s {text}{end} }}")
         patterns = {(tp.s, tp.p, tp.o) for tp in query.pattern.elements
                     if not isinstance(tp, Filter)}
@@ -318,6 +318,13 @@ class TestSharedTerminals:
     def test_a_dot_after_a_prefixed_name_ends_the_pattern(self):
         query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ?s ex:p ex:o. ?s ex:q ex:r }}")
         assert [tp.o for tp in query.pattern.elements] == [IRI(EX + "o"), IRI(EX + "r")]
+
+    def test_two_subjects_need_a_dot_between_them_in_both_grammars(self):
+        # SPARQL 1.1 rule [55] (TriplesBlock), as Turtle's rule [2] (statement).
+        text = f"<{EX}s> <{EX}p> <{EX}o> <{EX}t> <{EX}q> 1"
+        for parse in (parse_document, lambda t: parse_query(f"ASK {{ {t} }}")):
+            with pytest.raises(ParseError, match=f"expected '.', found '<{EX}t>'"):
+                parse(text + " .")
 
     def test_at_directives_are_turtle_only(self):
         with pytest.raises(ParseError):
@@ -976,7 +983,7 @@ class TestSplitQuery:
     def test_stable_part_holds_its_patterns_and_their_filters(self):
         query = parse_query(
             f"SELECT ?it {{ ?sys <{EX}hasPoint> ?os . ?os <{EX}forProperty> ?osp . "
-            f"?osp <{EX}value> \"on\" . ?os <{EX}forProperty> ?it . ?it <{EX}value> ?lux "
+            f"?osp <{EX}value> \"on\" . ?os <{EX}forProperty> ?it . ?it <{EX}value> ?lux . "
             f"<{EX}w> <{EX}sunrise> ?sr FILTER(?lux < 500) FILTER(?sys != ?os) "
             f"FILTER(?sr != ?os) }}")
         volatile = {el for el in query.pattern.elements

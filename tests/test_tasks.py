@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldsim import engine
+from ldsim import metrics
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim.engine import SimulationRuntime, dry_run
 from ldsim.ns import DEFAULT_BASE
@@ -222,7 +222,7 @@ class TestMemoisedFaultChecks:
         # The gain of the split check: a dry day joins the unchanged
         # patterns of each fault query once or twice, not once a slot.
         owner, solved = {}, {fq.query: 0 for fq in tasks[tid].fault_queries}
-        split_query, eval_stable = engine.split_query, engine.eval_stable
+        split_query, eval_stable = metrics.split_query, metrics.eval_stable
 
         def counting_split(query, volatile):
             split = split_query(query, volatile)
@@ -234,8 +234,8 @@ class TestMemoisedFaultChecks:
             solved[owner[id(group)][1]] += 1
             return eval_stable(d, group, ctx)
 
-        monkeypatch.setattr(engine, "split_query", counting_split)
-        monkeypatch.setattr(engine, "eval_stable", counting_eval)
+        monkeypatch.setattr(metrics, "split_query", counting_split)
+        monkeypatch.setattr(metrics, "eval_stable", counting_eval)
         task = tasks[tid]
         trace = dry_run(build_environment(task, pd, 42), default_run_params(task),
                         task.fault_queries)
