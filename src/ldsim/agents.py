@@ -147,8 +147,9 @@ class KnowledgeBase:
         self._view: tuple[Dataset, Dataset] | None = None
         self._inferred: tuple[tuple, frozenset] | None = None
 
-    def ingest(self, source: str, triples) -> None:
-        self.dataset = self.dataset.replace_graphs({source: frozenset(triples)})
+    def ingest(self, graphs: dict[str, frozenset]) -> None:
+        """Replace each source IRI's graph in one dataset version."""
+        self.dataset = self.dataset.replace_graphs(graphs)
 
     def with_inferences(self, enabled: bool) -> Dataset:
         """The knowledge base, closed by `reason` when `enabled`.
@@ -236,12 +237,13 @@ def traverse(client: LdClient, pool: ThreadPoolExecutor, fanout: int, seed_iri: 
     dynamic: set[str] = set()
     while frontier:
         next_frontier: list[str] = []
+        fetched = {}
         for iri, status, triples in _fetch_all(pool, client, frontier, fanout):
             reads += 1
             if status != 200:
                 log.info("traversal: skipping %s (%s)", iri, status)
                 continue
-            kb.ingest(iri, triples)
+            fetched[iri] = triples
             if any(p.value == RDF_VALUE for _, p, _ in triples):
                 dynamic.add(iri)
             for s, p, o in triples:
@@ -253,6 +255,7 @@ def traverse(client: LdClient, pool: ThreadPoolExecutor, fanout: int, seed_iri: 
                         if candidate not in seen:
                             seen.add(candidate)
                             next_frontier.append(candidate)
+        kb.ingest(fetched)
         frontier = next_frontier
     return kb, reads, dynamic
 
@@ -348,13 +351,15 @@ class RuleAgent:
 
     def _epoch(self, stop: threading.Event, pool: ThreadPoolExecutor) -> bool:
         targets = sorted(self.dynamic) + [self._sim_graph()]
+        fetched = {}
         for iri, status, triples in _fetch_all(pool, self.client, targets,
                                                self.config.fanout):
             self.stats.reads += 1
             if status == 200:
-                self.kb.ingest(iri, triples)
+                fetched[iri] = triples
             else:
                 self.stats.errors += 1
+        self.kb.ingest(fetched)
         if stop.is_set():
             return False
         view = self.kb.with_inferences(self.config.reasoning)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -140,6 +140,8 @@ class DynamicResource:
     system: str
     room: str
     category: str
+    # An actuatable property of the model (a light command or a setpoint);
+    # `server.default_policy` decides which graphs take HTTP writes.
     writable: bool
 
 
@@ -520,34 +522,6 @@ def occupant_quads(pd: PartitionedDataset) -> list[Quad]:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass
-class ReportLine:
-    name: str
-    expected: object
-    actual: object
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass
-class Report:
-    lines: list[ReportLine] = field(default_factory=list)
-
-    def add(self, name: str, expected, actual) -> None:
-        self.lines.append(ReportLine(name, expected, actual))
-
-    @property
-    def passed(self) -> bool:
-        return all(line.ok for line in self.lines)
-
-    def format_text(self) -> str:
-        rows = [f"{'ok' if ln.ok else 'FAIL':4} {ln.name:32} expected={ln.expected} "
-                f"actual={ln.actual}" for ln in self.lines]
-        return "\n".join(rows)
-
-
 def building_counts(d: Dataset) -> dict[str, int]:
     systems = _typed(d, LIGHTING_SYSTEM)
     points_by_sys: dict[IRI, set[str]] = {}
@@ -585,16 +559,16 @@ def building_counts(d: Dataset) -> dict[str, int]:
     }
 
 
-def validate_counts(pd: PartitionedDataset, params: GeneratorParams) -> Report:
-    report = Report()
+def validate_counts(pd: PartitionedDataset,
+                    params: GeneratorParams) -> list[tuple[str, int, int]]:
+    """(name, expected, actual) per count the generator parameters fix."""
     actual = building_counts(pd.dataset)
-    for name in ("rooms", "floors", "wings", "lighting_systems",
-                 "systems_with_occupancy", "systems_with_command",
-                 "systems_with_luminance", "rooms_with_occupancy",
-                 "rooms_with_command", "rooms_with_luminance",
-                 "command_points", "luminance_points"):
-        report.add(name, getattr(params, name), actual[name])
-    return report
+    return [(name, getattr(params, name), actual[name])
+            for name in ("rooms", "floors", "wings", "lighting_systems",
+                         "systems_with_occupancy", "systems_with_command",
+                         "systems_with_luminance", "rooms_with_occupancy",
+                         "rooms_with_command", "rooms_with_luminance",
+                         "command_points", "luminance_points")]
 
 
 # -- pipeline -----------------------------------------------------------------

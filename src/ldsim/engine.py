@@ -16,7 +16,8 @@ keyed by graph identity: per sensor graph, the frozenset they last wrote
 or checked and its value. While the snapshot holds that very frozenset
 the value is unchanged, so a sensor whose value and graph are as recorded
 costs no scan; a graph that anything else replaced fails the identity
-test and is read again.
+test and is read again. An agent's write takes the same path, so a graph
+keeps its other triples, but it leaves no write record.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from .trace import FaultTrace, OperationRecord
 log = logging.getLogger(__name__)
 
 _RDF_VALUE = IRI(RDF_VALUE)
-_ON, _OFF = Literal("on"), Literal("off")
+# The range of a light command's `rdf:value`: all an agent may write.
+COMMAND_VALUES = _ON, _OFF = Literal("on"), Literal("off")
 _SIM_FIELDS = ("currentIteration", "iterations", "timeslotDuration", "running",
                "currentTime")
 _TIME_FIELDS = ("inXSDDateTimeStamp", "inDateTime", "year", "month", "day", "hour",
@@ -442,18 +444,16 @@ class SimulationRuntime:
 
     # -- built-in processes ----------------------------------------------------
 
-    def _set_value(self, ds: Dataset, staged: dict, res: DynamicResource,
-                   value: Literal) -> None:
-        """Stage `res.graph` with `value` as the node's only `rdf:value`,
-        unless it already is. The graph is read from `staged` if a built-in
-        staged it, else from `ds`; one that is as the write record says is
-        not scanned."""
-        name = res.graph
+    def _set_value(self, ds: Dataset, staged: dict, name: str, value: Literal) -> None:
+        """Stage graph `name` with `value` as the only `rdf:value` of its
+        `#it` node, unless it already is; its other triples stay. The graph
+        is read from `staged` if a built-in staged it, else from `ds`; one
+        that is as the write record says is not scanned."""
         graph = staged[name] if name in staged else ds.graph(name)
         record = self._written.get(name)
         if record is not None and record[0] is graph and record[1] == value:
             return
-        node = IRI(res.node)
+        node = IRI(name + "#it")
         current = {tr for tr in graph if tr[0] == node and tr[1] == _RDF_VALUE}
         written = (node, _RDF_VALUE, value)
         if current != {written}:
@@ -476,10 +476,10 @@ class SimulationRuntime:
         if self._as_before("sunlight", outside, ds, (CAT_OUTSIDE, CAT_LUMINANCE)):
             return
         for res in self._by_category.get(CAT_OUTSIDE, ()):
-            self._set_value(ds, staged, res, _lux(outside))
+            self._set_value(ds, staged, res.graph, _lux(outside))
         for res in self._by_category.get(CAT_LUMINANCE, ()):
             occl = self.occlusion.get(res.room, 0.05)
-            self._set_value(ds, staged, res, _lux(room_illuminance(outside, occl)))
+            self._set_value(ds, staged, res.graph, _lux(room_illuminance(outside, occl)))
 
     def _occupancy(self, ds: Dataset, staged: dict, iteration: int,
                    sim_time: datetime) -> None:
@@ -490,7 +490,7 @@ class SimulationRuntime:
         if self._as_before("occupancy", present, ds, (CAT_OCCUPANCY,)):
             return
         for res in self._by_category.get(CAT_OCCUPANCY, ()):
-            self._set_value(ds, staged, res, _ON if res.room in present else _OFF)
+            self._set_value(ds, staged, res.graph, _ON if res.room in present else _OFF)
 
     def _setpoints(self, ds: Dataset, staged: dict, iteration: int) -> None:
         low, high = SETPOINT_RANGE
@@ -498,7 +498,7 @@ class SimulationRuntime:
             if self.rng.unit(iteration, "setpoints", res.node) < SETPOINT_RATE:
                 draw = self.rng.unit(iteration, "setpoints-value", res.node)
                 value = Literal(str(low + int(draw * (high - low + 1))), XSD_INTEGER)
-                self._set_value(ds, staged, res, value)
+                self._set_value(ds, staged, res.graph, value)
 
     # -- faults -----------------------------------------------------------------
 
@@ -532,14 +532,19 @@ class SimulationRuntime:
                 self._last_read[record.target, record.agent] = record
             self.ops.append(record)
 
-    def apply_agent_write(self, target: str, triples: frozenset, agent: str,
+    def apply_agent_write(self, target: str, value: Literal, agent: str,
                           status: int = 0, nbytes: int = 0) -> OperationRecord:
-        """Atomically replace one graph with `triples` (a PUT) and record it,
-        with the byte count of the body they were parsed from."""
+        """Atomically set `value` as the `rdf:value` of graph `target`'s node
+        (a PUT), as a built-in sets a sensor's, and record it with the byte
+        count of the body it was parsed from."""
+        if value not in COMMAND_VALUES:
+            raise ValueError(f"{value!r} is not a light command's value")
         with self._lock:
-            new_ds = self.dataset.replace_graphs({target: triples})
-            delta = (target,) if new_ds is not self.dataset else ()
-            self.dataset = new_ds
+            staged: dict = {}
+            self._set_value(self.dataset, staged, target, value)
+            self._written.pop(target, None)  # a built-in reads the graph again
+            self.dataset = self.dataset.replace_graphs(staged)
+            delta = tuple(staged)
             record = OperationRecord(
                 timeslot=self.iteration, method="PUT", target=target,
                 classification="replace", status=status,
@@ -592,6 +597,11 @@ def dry_run(env: SimEnvironment, params: RunParams,
     runtime = SimulationRuntime(env, fault_queries)
     runtime.run_sync(params, pace=False)
     return runtime.fault_trace()
+
+
+def value_payload(graph: str, value: str) -> frozenset:
+    """The one triple a value write PUTs to a light command's graph."""
+    return frozenset({(IRI(graph + "#it"), _RDF_VALUE, Literal(value))})
 
 
 def tick_percentile(samples: list[float], pct: float) -> float:

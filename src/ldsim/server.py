@@ -12,14 +12,16 @@ immutable and an unchanged graph is shared by reference across versions
 and an entry holds its frozenset, so the object's identity is never reused
 while the entry lives. There is one cache per attached runtime.
 
-Writes have one form: a PUT whose payload holds at least one triple replaces
-one existing writable graph (an actuatable property's), and answers 204.
-Graphs are never created or deleted: every writable graph exists when the
-runtime is attached, and a payload without triples gets 400. A PUT to any
-other graph gets 403, except that a PUT to `sim` starts the run. POST and
-DELETE get 405 with `Allow: GET, PUT`, after their body is read so that the
-connection stays usable. Only the request path is looked up, under the base
-IRI, so the internal default graph is never served.
+Writes have one form: a PUT to a light command's graph whose payload is
+exactly `<#it> rdf:value v`, v in `COMMAND_VALUES` ("on", "off"), sets that
+value and answers 204; the graph keeps its server-managed triples (W3C LDP
+1.0 4.2.4.1). Any other payload that parses gets 422 (RFC 9110 15.5.21). A
+PUT to any other graph, a setpoint's included, gets 403, except that a PUT
+to `sim` starts the run with the parameters `<sim>` states once each. No
+graph is created or deleted. POST and DELETE get 405 with `Allow: GET, PUT`,
+after their body is read so that the connection stays usable. Only the
+request path is looked up, under the base IRI, so the internal default
+graph is never served.
 
 The handler is a `socketserver` stream handler with its own keep-alive
 loop: read a request, dispatch it to `do_<METHOD>` (any other method gets
@@ -53,7 +55,6 @@ the client address, the request line, the status and the `X-Agent` header.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 import socketserver
@@ -65,9 +66,10 @@ from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
 
-from .engine import RunParams, SimulationRuntime
-from .ns import SIM_PATH, SIM_VOCAB, defrag
-from .rdf import BlankNode, Literal, skolemize
+from .building import CAT_COMMAND
+from .engine import COMMAND_VALUES, RunParams, SimulationRuntime, value_payload
+from .ns import SIM_PATH, SIM_VOCAB
+from .rdf import IRI, Literal
 from .rdfio import ParseError, parse_document, serialize_triples
 from .sparql import literal_value, parse_datetime
 
@@ -248,25 +250,17 @@ class _Handler(socketserver.StreamRequestHandler):
             self._refuse(400, f"unparsable payload: {exc}\n".encode())
             return None
 
-    def _parse_payload(self, target: str, body: bytes) -> frozenset | None:
+    def _command_value(self, target: str, body: bytes) -> Literal | None:
+        """The value of a body that parses to the `value_payload` of one of
+        `COMMAND_VALUES`; None after a 415, 400 or 422."""
         triples = self._body_triples(body, target)
         if triples is None:
             return None
-        for s, _p, _o in triples:
-            if isinstance(s, BlankNode):
-                self._refuse(400, b"blank node subjects not allowed in payloads\n")
-                return None
-            if defrag(s.value) != defrag(target):
-                self._refuse(
-                    400, f"payload subject {s.value} outside target resource\n".encode())
-                return None
-        if not triples:
-            self._refuse(400, b"payload without triples: a PUT replaces a graph\n")
-            return None
-        if any(isinstance(o, BlankNode) for _, _, o in triples):
-            triples = skolemize(triples, self.base,
-                                f"put-{hashlib.sha256(body).hexdigest()[:16]}")
-        return triples
+        for value in COMMAND_VALUES:
+            if triples == value_payload(target, value.lexical):
+                return value
+        self._refuse(422, b'a PUT sets the value: <#it> rdf:value "on" or "off"\n')
+        return None
 
     # -- methods ------------------------------------------------------------
 
@@ -302,10 +296,10 @@ class _Handler(socketserver.StreamRequestHandler):
         if target not in self.writable:
             self._refuse(403, b"resource not writable\n")
             return
-        triples = self._parse_payload(target, body)
-        if triples is None:
+        value = self._command_value(target, body)
+        if value is None:
             return
-        self.runtime.apply_agent_write(target, triples, self._agent(), 204, len(body))
+        self.runtime.apply_agent_write(target, value, self._agent(), 204, len(body))
         self._reply(204)
 
     def _refuse_write(self) -> None:
@@ -313,7 +307,7 @@ class _Handler(socketserver.StreamRequestHandler):
         next request, then refuse with 405."""
         if self._read_body() is None:
             return
-        self._refuse(405, f"{self.command} not allowed: a PUT replaces a graph\n".encode())
+        self._refuse(405, f"{self.command} not allowed: a PUT sets a value\n".encode())
 
     do_POST = do_DELETE = _refuse_write
 
@@ -326,12 +320,15 @@ class _Handler(socketserver.StreamRequestHandler):
         triples = self._body_triples(body, self.base)
         if triples is None:
             return
-        vocab = self.base + SIM_VOCAB
+        sim, vocab = IRI(self.base + SIM_PATH), self.base + SIM_VOCAB
         values: dict[str, object] = {}
         try:
-            for _s, p, o in triples:
-                if p.value.startswith(vocab) and isinstance(o, Literal):
-                    values[p.value[len(vocab):]] = literal_value(o)
+            for s, p, o in triples:
+                if s == sim and p.value.startswith(vocab) and isinstance(o, Literal):
+                    name = p.value[len(vocab):]
+                    if name in values:
+                        raise ValueError(f"sim:{name} has more than one value")
+                    values[name] = literal_value(o)
             initial_time = values["initialTime"]
             if isinstance(initial_time, str):
                 initial_time = parse_datetime(initial_time)
@@ -404,5 +401,6 @@ class LinkedDataServer:
 
 
 def default_policy(dynamic: dict) -> frozenset[str]:
-    """The graphs that accept writes: those of the actuatable properties."""
-    return frozenset(res.graph for res in dynamic.values() if res.writable)
+    """The graphs that accept writes: the light commands'. Setpoints are the
+    occupants' input, which only the `setpoints` built-in redraws."""
+    return frozenset(res.graph for res in dynamic.values() if res.category == CAT_COMMAND)

@@ -142,11 +142,6 @@ def current_value(runtime: SimulationRuntime, graph: str) -> str | None:
     return None
 
 
-def value_payload(graph: str, value: str) -> frozenset:
-    """The one triple a value write puts in a property graph."""
-    return frozenset({(IRI(graph + "#it"), IRI(RDF_VALUE), Literal(value))})
-
-
 # -- oracle agent ---------------------------------------------------------------
 
 

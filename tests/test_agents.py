@@ -1,6 +1,7 @@
 """Rule files, forward-chaining reasoning and rule matching of the agents."""
 
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -15,7 +16,7 @@ from ldsim.agents import HAS_PART, INFERRED_GRAPH, IS_PART_OF, KnowledgeBase, pa
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim.engine import RunParams, SimEnvironment, SimulationRuntime
 from ldsim.httpclient import LdClient
-from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS
+from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS_SUBCLASS, SIM_PATH
 from ldsim.rdf import IRI, Dataset, Literal, Quad
 from ldsim.rdfio import ParseError
 from ldsim.server import LinkedDataServer, default_policy
@@ -162,7 +163,7 @@ class TestMemoisedReasoning:
     def test_memoised_view_equals_fresh_reason(self, steps):
         kb = KnowledgeBase()
         for source, triples in steps:
-            kb.ingest(source, triples)
+            kb.ingest({source: triples})
             fresh = reason(Dataset(dict(kb.dataset.graphs())))
             for _ in range(2):
                 view = kb.with_inferences(True)
@@ -176,16 +177,16 @@ class TestMemoisedReasoning:
         calls = []
         monkeypatch.setattr(agents, "reason", lambda kb: calls.append(kb) or reason(kb))
         kb = KnowledgeBase()
-        kb.ingest(EX + "model", {(ex("A"), IRI(RDFS_SUBCLASS), ex("B")),
-                                 (ex("x"), IRI(RDF_TYPE), ex("A"))})
+        kb.ingest({EX + "model": {(ex("A"), IRI(RDFS_SUBCLASS), ex("B")),
+                                  (ex("x"), IRI(RDF_TYPE), ex("A"))}})
         first = kb.with_inferences(True)
         assert kb.with_inferences(True) is first
-        kb.ingest(EX + "light", {(ex("x"), IRI(RDF_VALUE), Literal("on"))})
+        kb.ingest({EX + "light": {(ex("x"), IRI(RDF_VALUE), Literal("on"))}})
         second = kb.with_inferences(True)
         assert (ex("x"), IRI(RDF_TYPE), ex("B")) in second.graph(INFERRED_GRAPH)
         assert (ex("x"), IRI(RDF_VALUE), Literal("on")) in second.graph(EX + "light")
         assert len(calls) == 1
-        kb.ingest(EX + "light", {(ex("y"), IRI(RDF_TYPE), ex("A"))})
+        kb.ingest({EX + "light": {(ex("y"), IRI(RDF_TYPE), ex("A"))}})
         assert (ex("y"), IRI(RDF_TYPE), ex("B")) in \
             kb.with_inferences(True).graph(INFERRED_GRAPH)
         assert len(calls) == 2
@@ -242,6 +243,8 @@ SMALL_BUILDING = GeneratorParams(
 class FakeClient:
     """Answers every GET with a one-triple graph naming the IRI; `broken`
     IRIs raise `OSError`."""
+
+    base = EX
 
     def __init__(self, broken=()):
         self.broken = set(broken)
@@ -309,3 +312,27 @@ class TestFetchAll:
             server.stop()
         assert walks[0][2] == set(pd.dynamic)  # links are followed both ways
         assert walks[0] == walks[1]
+
+
+class TestEpochIngest:
+    def test_an_epoch_updates_the_knowledge_base_once(self, monkeypatch):
+        primed = Dataset({f"{EX}g{i}": frozenset({(ex(f"g{i}"), IRI(RDF_VALUE), Literal("old"))})
+                          for i in range(5)})
+        broken = EX + "g3"
+        config = agents.AgentConfig(mode="prefetch", rules=[], fanout=2)
+        agent = agents.RuleAgent(FakeClient(broken={broken}), config, prefetch_dataset=primed)
+        per_graph = agent.kb.dataset
+        for iri in sorted(agent.dynamic) + [EX + SIM_PATH]:
+            if iri != broken:
+                per_graph = per_graph.replace_graphs({iri: graph_of(iri)})
+        calls = []
+        replace_graphs = Dataset.replace_graphs
+        monkeypatch.setattr(Dataset, "replace_graphs",
+                            lambda ds, updates: calls.append(set(updates))
+                            or replace_graphs(ds, updates))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert agent._epoch(threading.Event(), pool)
+        assert len(calls) == 1 and broken not in calls[0]
+        assert agent.kb.dataset == per_graph
+        assert agent.kb.dataset.graph(broken) == primed.graph(broken)
+        assert (agent.stats.reads, agent.stats.errors) == (6, 1)

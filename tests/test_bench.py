@@ -98,6 +98,24 @@ def test_cli_reports_a_doctored_run(runs, tmp_path, capsys):
     assert "audit: FAIL" in out
 
 
+def test_validate_prints_a_row_per_count_and_fails_on_a_mismatch(tmp_path, capsys):
+    default = GeneratorParams()
+    assert main(["validate", "--seed", "42"]) == 0
+    rows = capsys.readouterr().out.splitlines()[:12]
+    assert rows[0] == f"ok   {'rooms':32} expected={default.rooms} actual={default.rooms}"
+    assert all(row.startswith("ok   ") for row in rows)
+    source = tmp_path / "building.ttl"
+    small = replace(default, rooms=4, floors=1, wings=1, lighting_systems=3,
+                    systems_with_occupancy=2, systems_with_command=2,
+                    systems_with_luminance=1, rooms_with_occupancy=2,
+                    rooms_with_command=2, rooms_with_luminance=1,
+                    command_points=2, luminance_points=1, hygiene_lights=0)
+    source.write_text(serialize_triples(generate_synthetic(small)))
+    assert main(["validate", "--input", str(source)]) == 1
+    rows = capsys.readouterr().out.splitlines()[:12]
+    assert rows[0] == f"FAIL {'rooms':32} expected={default.rooms} actual=4"
+
+
 @pytest.mark.parametrize("from_file", [False, True], ids=["seed", "input"])
 def test_served_building_is_what_build_writes(from_file, tmp_path, capsys):
     # `serve` builds at its own base what `build --base` writes there, from
@@ -201,10 +219,13 @@ def test_oracle_beats_noop_on_every_task(task_id):
     # A noop run repeats its dry run, so its NFC is 1.0 by construction.
     # Slots of 200 ms, as in the test below: at 100 ms a TC2 tick beside the
     # oracle's burst of writes has overrun its slot on a loaded machine.
-    report = run_benchmark(task_id, agent="oracle", seed=42, iterations=16,
-                           timeslot_ms=200).report
+    result = run_benchmark(task_id, agent="oracle", seed=42, iterations=16,
+                           timeslot_ms=200)
+    report = result.report
     assert report.valid, report.notes
     assert report.normalized_fault_count < 1.0
+    # Slot 16 follows the last tick: an op there could change no fault.
+    assert all(op.timeslot < 16 for op in result.ops)
 
 
 def test_oracle_plans_from_the_initialised_snapshot():

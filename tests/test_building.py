@@ -65,8 +65,8 @@ class TestPartition:
 
 class TestSynthetic:
     def test_default_counts(self, table1_build):
-        report = validate_counts(table1_build, GeneratorParams())
-        assert report.passed, "\n" + report.format_text()
+        rows = validate_counts(table1_build, GeneratorParams())
+        assert all(expected == actual for _, expected, actual in rows), rows
 
     def test_expected_scopes(self, table1_build):
         counts = building_counts(table1_build.dataset)
@@ -95,7 +95,7 @@ class TestSynthetic:
             rooms_with_command=1, rooms_with_luminance=0,
             command_points=1, luminance_points=0, hygiene_lights=0)
         pd = build_dataset(params=params)
-        assert validate_counts(pd, params).passed
+        assert all(expected == actual for _, expected, actual in validate_counts(pd, params))
         assert sum(1 for r in pd.dynamic.values() if r.category == CAT_COMMAND) == 1
 
     def test_infeasible_params_rejected(self):
@@ -107,10 +107,11 @@ class TestSynthetic:
     def test_validation_detects_missing_light(self, table1_build):
         params = GeneratorParams()
         broken = GeneratorParams(command_points=145)
-        report = validate_counts(table1_build, broken)
-        failed = [ln.name for ln in report.lines if not ln.ok]
+        failed = [name for name, expected, actual in validate_counts(table1_build, broken)
+                  if expected != actual]
         assert failed == ["command_points"]
-        assert validate_counts(table1_build, params).passed
+        assert all(expected == actual
+                   for _, expected, actual in validate_counts(table1_build, params))
 
     def test_graph_size_distribution(self):
         part = partition(generate_synthetic(GeneratorParams()))

@@ -373,8 +373,8 @@ class TestRuntime:
         other = (node, IRI(BASE + "vocab/building#note"), Literal("kept"))
         stale = {(node, value, dark), (node, value, Literal("2.0", XSD_DECIMAL))}
         kept = {tr for tr in runtime.dataset.graph(sensor.graph) if tr[1] != value}
-        runtime.apply_agent_write(sensor.graph, frozenset(kept | stale | {other}),
-                                  "a1", 204)
+        runtime.dataset = runtime.dataset.replace_graphs(
+            {sensor.graph: frozenset(kept | stale | {other})})
         runtime.tick()
         after = runtime.dataset.graph(sensor.graph)
         assert after == kept | {other, (node, value, dark)}
@@ -410,13 +410,29 @@ class TestRuntime:
         present = occupied_rooms(runtime.occupants)
         replaced = frozenset(tr for tr in settled if tr[1] != value) \
             | {(IRI(sensor.node), value, stale)}
-        runtime.apply_agent_write(sensor.graph, replaced, "a1", 204)
+        runtime.dataset = runtime.dataset.replace_graphs({sensor.graph: replaced})
         before = runtime.dataset
         runtime.tick()
         assert occupied_rooms(runtime.occupants) == present
         assert runtime.dataset.graph(sensor.graph) == settled
         delta = symmetric_difference(before, runtime.dataset)
         assert delta.graph_names() == {BASE + "sim", sensor.graph}
+
+    def test_agent_write_to_a_sensor_is_put_back(self, small_build):
+        # The write goes through the built-ins' own path but leaves them no
+        # write record, so the sensor is read again though nothing changed.
+        runtime = SimulationRuntime(make_env(
+            small_build, updates=[EnvEntry("occupancy", "builtin")]))
+        runtime.initialize(run_params(iterations=5, start_hour=1))
+        runtime.tick()
+        sensor = min((r for r in small_build.dynamic.values() if r.category == "occupancy"),
+                     key=lambda r: r.graph)
+        settled = runtime.dataset.graph(sensor.graph)
+        assert (IRI(sensor.node), IRI(RDF_VALUE), Literal("off")) in settled
+        record = runtime.apply_agent_write(sensor.graph, Literal("on"), "a1", 204)
+        assert record.delta_graphs == (sensor.graph,)
+        runtime.tick()
+        assert runtime.dataset.graph(sensor.graph) == settled
 
     def test_builtins_publish_one_version_per_tick(self, small_build, monkeypatch):
         entries = [EnvEntry("sunlight", "builtin"), EnvEntry("occupancy", "builtin"),
@@ -473,15 +489,30 @@ class TestRuntime:
         command = next(r for r in small_build.dynamic.values()
                        if r.category == "command")
         node = IRI(command.node)
-        on = frozenset({(node, IRI(RDF_VALUE), Literal("on"))})
-        record = runtime.apply_agent_write(command.graph, on, "a1", 204)
+        managed = {tr for tr in runtime.dataset.graph(command.graph)
+                   if tr[1] != IRI(RDF_VALUE)}
+        assert managed  # the type and the links of the property stay
+        record = runtime.apply_agent_write(command.graph, Literal("on"), "a1", 204)
         assert (record.method, record.classification) == ("PUT", "replace")
         assert record.delta_graphs == (command.graph,)
-        assert runtime.dataset.graph(command.graph) == on
-        # Same payload again: no delta, still recorded.
-        record2 = runtime.apply_agent_write(command.graph, on, "a1", 204)
+        assert runtime.dataset.graph(command.graph) == \
+            managed | {(node, IRI(RDF_VALUE), Literal("on"))}
+        # Same value again: no delta, still recorded.
+        record2 = runtime.apply_agent_write(command.graph, Literal("on"), "a1", 204)
         assert record2.delta_graphs == ()
         assert runtime.snapshot_log()[1] == [record, record2]
+
+    @pytest.mark.parametrize("value", [
+        Literal("junk"), Literal("on", lang="en"), Literal("0", XSD_INTEGER), IRI(BASE + "on"),
+        "on"])
+    def test_agent_write_outside_the_command_range_raises(self, small_build, value):
+        runtime = SimulationRuntime(make_env(small_build))
+        runtime.initialize(run_params())
+        command = next(r for r in small_build.dynamic.values() if r.category == "command")
+        before = runtime.dataset
+        with pytest.raises(ValueError):
+            runtime.apply_agent_write(command.graph, value, "a1", 204)
+        assert runtime.dataset is before and runtime.snapshot_log()[1] == []
 
     def test_read_and_write_slot_attribution(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))
@@ -492,8 +523,7 @@ class TestRuntime:
                        if r.category == "command")
         for _ in range(3):
             runtime.record_read(command.graph, 200, 100, "a1")
-        on = frozenset({(IRI(command.node), IRI(RDF_VALUE), Literal("on"))})
-        runtime.apply_agent_write(command.graph, on, "a1", 204)
+        runtime.apply_agent_write(command.graph, Literal("on"), "a1", 204)
         meta, ops = runtime.snapshot_log()
         slot5 = [op for op in ops if op.timeslot == 5]
         assert len(slot5) == 4
@@ -559,11 +589,10 @@ class TestRuntime:
         runtime.initialize(run_params())
         command = next(r for r in small_build.dynamic.values()
                        if r.category == "command")
-        on = frozenset({(IRI(command.node), IRI(RDF_VALUE), Literal("on"))})
         for slot in range(3):
             for agent in ("a1", "a1", "a2"):
                 runtime.record_read(command.graph, 200, 100, agent)
-            runtime.apply_agent_write(command.graph, on, "a1", 204)
+            runtime.apply_agent_write(command.graph, Literal("on"), "a1", 204)
             runtime.tick()
         ops = runtime.snapshot_log()[1]
         assert len({id(op) for op in ops}) < len(ops)

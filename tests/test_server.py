@@ -13,15 +13,15 @@ import time
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim import server as server_module
-from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime
+from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime, dry_run
 from ldsim.httpclient import LdClient, _read_reply
 from ldsim.metrics import audit_write_deltas
-from ldsim.ns import DEFAULT_GRAPH, RDF_VALUE
+from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS
 from ldsim.rdf import IRI, Literal
 from ldsim.rdfio import serialize_triples
 from ldsim.server import LinkedDataServer, _Handler, default_policy
@@ -141,11 +141,12 @@ class TestBodyCache:
         res = command_resource(dynamic)
         client = LdClient(server.base, agent="tester")
         node = IRI(res.node)
+        managed = {tr for tr in runtime.dataset.graph(res.graph) if tr[1] != IRI(RDF_VALUE)}
         for value in ("on", "off", "on"):
             client.get_graph(res.graph)
             assert client.put_graph(res.graph, {(node, IRI(RDF_VALUE), Literal(value))}) == 204
             _, triples = client.get_graph(res.graph)
-            assert triples == {(node, IRI(RDF_VALUE), Literal(value))}
+            assert triples == managed | {(node, IRI(RDF_VALUE), Literal(value))}
 
     def test_get_after_tick_returns_new_graph(self, served):
         server, runtime, _ = served
@@ -289,7 +290,7 @@ class TestPut:
         client = LdClient(server.base)
         status = client.put_graph(res.graph, {(IRI(server.base + "other"),
                                                IRI(RDF_VALUE), Literal("on"))})
-        assert status == 400
+        assert status == 422
 
     def test_fragment_subject_allowed(self, served):
         server, _, dynamic = served
@@ -307,11 +308,11 @@ class TestPut:
         before = runtime.dataset
         client = LdClient(server.base, agent="tester")
         status, body = client.put_raw(client.path_of(res.graph), payload)
-        assert status == 400 and b"without triples" in body
+        assert status == 422 and b"rdf:value" in body
         assert runtime.dataset is before
         [record] = runtime.snapshot_log()[1]
         assert (record.method, record.target, record.status, record.classification,
-                record.agent) == ("PUT", res.graph, 400, "replace", "tester")
+                record.agent) == ("PUT", res.graph, 422, "replace", "tester")
 
     def test_unsupported_media_type_refused_and_recorded(self, served):
         server, runtime, dynamic = served
@@ -327,8 +328,83 @@ class TestPut:
             ("PUT", 415, "replace")
 
 
+# Drawn PUT bodies: (subject, predicate, object) choices, written out per graph.
+SUBJECTS = {"node": "<{g}#it>", "other": "<{g}#other>", "graph": "<{g}>", "blank": "_:b"}
+PREDICATES = {"value": f"<{RDF_VALUE}>", "label": f"<{RDFS}label>", "type": f"<{RDF_TYPE}>"}
+OBJECTS = {"on": '"on"', "off": '"off"', "junk": '"junk"', "on@en": '"on"@en', "zero": "0",
+           "iri": "<{g}#other>"}
+BODY_TRIPLES = st.lists(st.tuples(st.sampled_from(sorted(SUBJECTS)),
+                                  st.sampled_from(sorted(PREDICATES)),
+                                  st.sampled_from(sorted(OBJECTS))), max_size=3)
+
+
 class TestWriteContract:
-    """A PUT replaces a graph that exists; none is created or deleted."""
+    """A PUT sets a light command's value in a graph that exists; none is
+    created or deleted, and any other body is refused."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(BODY_TRIPLES)
+    def test_put_sets_only_the_value_or_gets_422(self, served, drawn):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        body = " ".join(f"{SUBJECTS[s]} {PREDICATES[p]} {OBJECTS[o]} ."
+                        for s, p, o in drawn).format(g=res.graph)
+        before = runtime.dataset
+        status, _ = LdClient(server.base, agent="tester").put_raw(
+            res.graph[len(server.base):], body)
+        record = runtime.snapshot_log()[1][-1]
+        valid = set(drawn) in ({("node", "value", "on")}, {("node", "value", "off")})
+        if not valid:
+            assert status == 422, body
+            assert runtime.dataset is before
+            assert (record.method, record.target, record.status) == ("PUT", res.graph, 422)
+            return
+        assert status == 204, body
+        node, value = IRI(res.node), IRI(RDF_VALUE)
+        kept = {tr for tr in before.graph(res.graph) if tr[:2] != (node, value)}
+        assert runtime.dataset.graph(res.graph) == kept | {(node, value, Literal(drawn[0][2]))}
+        assert runtime.dataset.graph_names() == before.graph_names()
+        assert (record.method, record.target, record.status) == ("PUT", res.graph, 204)
+
+    @pytest.mark.parametrize("tid", ["TS1", "TC1", "TC7"])
+    def test_refused_writes_leave_the_dry_run_faults(self, tid):
+        # One write per writable graph of the model at slot 0 once ended
+        # almost every fault of the day: a value no query names, a label
+        # without a value, and a zero setpoint each got 204.
+        server = LinkedDataServer()
+        pd = build_dataset(params=GeneratorParams(seed=42), base=server.base)
+        task = load_task(tid, server.base)
+        runtime = SimulationRuntime(build_environment(task, pd, 42), task.fault_queries)
+        server.attach(runtime, default_policy(pd.dynamic))
+        server.start()
+        try:
+            params = default_run_params(task, 144)  # a day in 10-minute slots
+            runtime.initialize(params)
+            before = runtime.dataset
+            client = LdClient(server.base, agent="cheat")
+            value, label = f"<{RDF_VALUE}>", f"<{RDFS}label>"
+            statuses = {}
+            for res in sorted(pd.dynamic.values(), key=lambda r: r.graph):
+                path = client.path_of(res.graph)
+                if res.category == "command":
+                    bodies = [f'<#it> {value} "junk" .', f'<#it> {label} "x" .',
+                              f'<#it> {value} "on", "off" .']
+                elif res.category == "setpoint":
+                    bodies = [f"<#it> {value} 0 ."]
+                else:
+                    continue
+                for body in bodies:
+                    statuses.setdefault(res.category, set()).add(client.put_raw(path, body)[0])
+            assert statuses == {"command": {422}, "setpoint": {403}}
+            assert runtime.dataset is before
+            for _ in range(params.iterations):
+                runtime.tick()
+            dry = dry_run(runtime.env, params, task.fault_queries)
+            assert sum(dry.counts()) > 0
+            assert runtime.fault_trace().slots == dry.slots
+        finally:
+            server.stop()
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_every_writable_graph_exists_at_attach(self, seed):
@@ -354,13 +430,13 @@ class TestWriteContract:
             targets = faults()
             assert len(targets) == 146
             client = LdClient(server.base, agent="emptier")
-            assert {client.put_raw(client.path_of(g), "")[0] for g in targets} == {400}
+            assert {client.put_raw(client.path_of(g), "")[0] for g in targets} == {422}
             assert faults() == targets
             assert {client.get_graph(g)[0] for g in targets} == {200}
             _, ops = runtime.snapshot_log()
             writes = [op for op in ops if not op.is_read]
             assert sorted(op.target for op in writes) == targets
-            assert {(op.status, op.ok) for op in writes} == {(400, False)}
+            assert {(op.status, op.ok) for op in writes} == {(422, False)}
         finally:
             server.stop()
 
@@ -405,6 +481,21 @@ class TestSimPut:
         refused = [(op.method, op.target, op.status, op.agent)
                    for op in runtime.snapshot_log()[1] if not op.ok]
         assert refused == [("PUT", server.base + "sim", 415, "tester")]
+
+    def test_parameters_of_other_subjects_are_ignored(self, served):
+        server, runtime, _ = served
+        payload = self.PAYLOAD + "<elsewhere> sim:iterations 7 .\n"
+        status, body = LdClient(server.base).put_raw("sim", payload)
+        assert status == 200, body
+        assert runtime.finished.wait(5)
+        assert runtime.iteration == 5
+
+    def test_parameter_with_two_values_rejected(self, served):
+        server, runtime, _ = served
+        payload = self.PAYLOAD.replace("sim:iterations 5", "sim:iterations 5, 7")
+        status, body = LdClient(server.base).put_raw("sim", payload)
+        assert status == 400 and b"sim:iterations" in body
+        assert not runtime.started
 
     def test_missing_parameter_rejected(self, served):
         server, runtime, _ = served
@@ -555,41 +646,38 @@ class TestRawConnection:
 
 
 SKOLEM_SCRIPT = textwrap.dedent("""
-    from ldsim.engine import SimEnvironment, SimulationRuntime
-    from ldsim.httpclient import LdClient
-    from ldsim.rdf import IRI, Dataset, Literal
-    from ldsim.server import LinkedDataServer
+    import sys
 
-    server = LinkedDataServer()
-    target = server.base + "scratch"
-    seeded = frozenset({(IRI(target + "#it"), IRI("http://example.org/p"), Literal("0"))})
-    env = SimEnvironment(dataset=Dataset({target: seeded}), init_entries=[],
-                         update_entries=[], seed=1, base=server.base)
-    runtime = SimulationRuntime(env)
-    server.attach(runtime, frozenset({target}))
-    server.start()
+    from ldsim.bench import serve_task
+    from ldsim.httpclient import LdClient
+
+    served = serve_task("TS1", source=sys.argv[1])
+    base = served.server.base
     try:
-        client = LdClient(server.base)
-        status, _ = client.put_raw(
-            "scratch", "<scratch#it> <http://example.org/p> _:b1, _:b2 .")
-        assert status == 204, status
-        for _s, _p, o in sorted(runtime.dataset.graph(target), key=repr):
-            print(o.value[len(server.base):])
+        client = LdClient(base)
+        status, triples = client.get_graph(base + "thing")
+        assert status == 200, status
+        for _s, _p, o in sorted(triples, key=repr):
+            print(o.value[len(base):])
+        client.close_all()
     finally:
-        server.stop()
+        served.server.stop()
 """)
 
 
-def test_skolem_iris_do_not_depend_on_hash_seed():
+def test_skolem_iris_do_not_depend_on_hash_seed(tmp_path):
+    # A building file's blank nodes are the one place IRIs are minted.
+    source = tmp_path / "building.ttl"
+    source.write_text("<thing> <vocab/test#p> _:b1, _:b2, [ <vocab/test#q> 1 ] .\n")
     outputs = []
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", SKOLEM_SCRIPT], env=env,
+        done = subprocess.run([sys.executable, "-c", SKOLEM_SCRIPT, str(source)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert outputs[0].count(".well-known/genid/") == 2
+    assert outputs[0].count(".well-known/genid/") == 3
     assert outputs[0] == outputs[1]
 
 
@@ -892,8 +980,10 @@ class TestRequestParsing:
         res = command_resource(dynamic)
         client = LdClient(server.base, agent="tester")
         node = IRI(res.node)
+        managed = {tr for tr in runtime.dataset.graph(res.graph) if tr[1] != IRI(RDF_VALUE)}
         assert client.put_graph(res.graph, {(node, IRI(RDF_VALUE), Literal("on"))}) == 204
-        assert client.get_graph(res.graph) == (200, {(node, IRI(RDF_VALUE), Literal("on"))})
+        assert client.get_graph(res.graph) == \
+            (200, managed | {(node, IRI(RDF_VALUE), Literal("on"))})
 
 
 def connect(server) -> socket.socket:

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from ldsim import metrics
 from ldsim.building import GeneratorParams, build_dataset
-from ldsim.engine import SimulationRuntime, dry_run
+from ldsim.engine import SimulationRuntime, dry_run, value_payload
 from ldsim.ns import DEFAULT_BASE
 from ldsim.metrics import average_fault_count, fault_rate, match_faults, total_faults
-from ldsim.rdf import IRI, Dataset
+from ldsim.rdf import IRI, Dataset, Literal
 from ldsim.sparql import EvalContext, PathPlus, TriplePattern, eval_query
 from ldsim.tasks import (
     TASK_IDS,
@@ -15,7 +15,6 @@ from ldsim.tasks import (
     default_run_params,
     load_task,
     oracle_schedule,
-    value_payload,
 )
 
 FOR_PROPERTY = "http://www.w3.org/ns/ssn/forProperty"
@@ -156,9 +155,9 @@ class TestFullDayOracle:
 
 class TestMemoisedFaultChecks:
     """Every recorded slot equals a fault check on a freshly indexed copy of
-    the snapshot, while agent writes land between ticks. The writes also
-    replace sensor graphs that the built-ins then put back, so TC6 and TC7
-    check a tick's one staged version against a fresh index."""
+    the snapshot, while agent writes land between ticks. Sensor graphs are
+    replaced between ticks too, and the built-ins then put them back, so TC6
+    and TC7 check a tick's one staged version against a fresh index."""
 
     @staticmethod
     def assert_slot_matches_fresh_index(runtime, task, t):
@@ -180,9 +179,11 @@ class TestMemoisedFaultChecks:
                          if res.category in ("occupancy", "luminance", "setpoint"))
         for t in range(1, 49):
             if t % 3 == 0:
-                for graph in commands[t % 7::29] + sensors[t % 5::37]:
-                    runtime.apply_agent_write(
-                        graph, value_payload(graph, "on" if t % 2 else "off"), "test", 204)
+                value = "on" if t % 2 else "off"
+                for graph in commands[t % 7::29]:
+                    runtime.apply_agent_write(graph, Literal(value), "test", 204)
+                runtime.dataset = runtime.dataset.replace_graphs(
+                    {graph: value_payload(graph, value) for graph in sensors[t % 5::37]})
             runtime.tick()
             self.assert_slot_matches_fresh_index(runtime, task, t)
 
@@ -206,9 +207,8 @@ class TestMemoisedFaultChecks:
         named = {t: set() for t in range(1, 49)}
         for t in range(1, 49):
             if t in (16, 32):
-                for g in holders:
-                    runtime.apply_agent_write(g, (cut if t == 16 else originals)[g],
-                                              "test", 204)
+                runtime.dataset = runtime.dataset.replace_graphs(
+                    cut if t == 16 else originals)
             runtime.tick()
             self.assert_slot_matches_fresh_index(runtime, task, t)
             named[t] = {res.node for res in lights for keys in runtime.fault_slots[-1].values()
@@ -330,8 +330,7 @@ class TestOracleSchedules:
         while runtime.iteration < iterations:
             while queue and queue[0].at <= runtime.iteration:
                 for graph, value in queue.pop(0).writes:
-                    runtime.apply_agent_write(graph, value_payload(graph, value),
-                                              "oracle", 204)
+                    runtime.apply_agent_write(graph, Literal(value), "oracle", 204)
             runtime.tick()
         # Residual faults allowed only in the boundary slots themselves
         # (the fix lands in the same slot, checked at the next boundary).

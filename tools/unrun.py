@@ -1,7 +1,7 @@
 """List the statements of `src/ldsim` that a benchmark session never runs.
 
     python3 tools/unrun.py [--tasks TS1,TC2] [--agents noop,oracle] \
-        [--perfbench-seconds 2]
+        [--perfbench-seconds 10]
 
 In one process, with every thread traced by `sys.settrace`, it runs `ldsim
 build`, `ldsim validate`, a run of the first task served as `ldsim serve`
@@ -18,8 +18,8 @@ A statement is one `ast` statement of a module. Docstrings and `def` and
 statements and the never-run ones per module, then the first line of each
 never-run statement, per module. Runs that are not valid, commands that
 fail and workload gates that fail are listed as `# problem` lines and make
-the exit code 1; a 2 s `http-mix` run fails its p95 sample-count gate. Uses
-the standard library only.
+the exit code 1. Give `http-mix` at least 10 s: a 2 s run has 40 latency
+samples, and its p95 gate needs 200. Uses the standard library only.
 """
 
 from __future__ import annotations
