@@ -30,7 +30,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .rdf import Dataset
-from .sparql import EvalContext, Filter, Query, binding_key, element_state, eval_query, \
+from .sparql import EvalContext, Filter, Query, element_state, eval_query, \
     eval_stable, read_predicates, split_query
 from .trace import FaultTrace, OperationRecord
 
@@ -49,10 +49,10 @@ def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None,
                  start: list[dict] | None = None) -> frozenset[str]:
     """Distinct solution keys of one fault query against one snapshot;
     with `start`, of the query's pattern joined onto those solutions."""
-    result = eval_query(d, fq.query, ctx, start)
+    result = eval_query(d, fq.query, ctx, start, keys=True)
     if isinstance(result, bool):
         return frozenset(("true",)) if result else frozenset()
-    return frozenset(binding_key(sol) for sol in result)
+    return result
 
 
 class FaultCheck:

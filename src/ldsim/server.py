@@ -23,14 +23,22 @@ after their body is read so that the connection stays usable. Only the
 request path is looked up, under the base IRI, so the internal default
 graph is never served.
 
-The handler is a `socketserver` stream handler with its own keep-alive
-loop: read a request, dispatch it to `do_<METHOD>` (any other method gets
-501), repeat until the connection closes; a timeout ends it. Requests (RFC
-9112 message syntax) are parsed byte by byte. The request line is read up to
-65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`; another shape,
-HTTP/0.9's `GET TARGET` included, gets 400, a malformed version 400 and
-HTTP/2 or later 505. A target starting with `//` is read as starting with
-one `/`. Header lines follow up to the blank line: at most 100, each at
+Each accepted socket is blocking, and its bound is the kernel's
+`SO_RCVTIMEO` and `SO_SNDTIMEO` at `TIMEOUT` (30 s), not a Python-level
+timeout, so each socket call is one syscall and hands the interpreter lock
+over once. The handler is a `socketserver` request handler with its own
+keep-alive loop: read a request, dispatch it to `do_<METHOD>` (any other
+method gets 501), repeat until the connection closes. A connection whose
+client sends nothing for `TIMEOUT`, or closes it, in the middle of a request
+or between two ends without a reply; so does one whose send reaches the
+bound.
+
+Requests (RFC 9112 message syntax) are parsed byte by byte, and a head
+parsed once is looked up after that (`_next_request`). The request line is
+read up to 65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`; another
+shape, HTTP/0.9's `GET TARGET` included, gets 400, a malformed version 400
+and HTTP/2 or later 505. A target starting with `//` is read as starting
+with one `/`. Header lines follow up to the blank line: at most 100, each at
 most 65,536 bytes (431 beyond either). Header names are looked up
 lower-cased, the first field of a name wins, and a value has its leading
 and trailing blanks stripped. A folded (obs-fold) line, a line without a
@@ -44,10 +52,11 @@ HTTP/1.0 one closes unless it says `keep-alive`. An HTTP/1.1 request with
 `Expect: 100-continue` gets `100 Continue` before its body is read.
 
 Every final reply, refusals included, goes through `_reply`: an HTTP/1.1
-head with `Server`, `Date` and `Content-Length`, formatted as one string and
-written with the body in one write; `HEAD` gets the head alone. Only the
-interim `100 Continue` is written elsewhere. Every refused GET or write is
-logged with its status, the 400 and 409 replies of `sim` included.
+head with `Server`, `Date` and `Content-Length`, formatted once per distinct
+set of fields (`_head`) and written with the body in one `sendall`; `HEAD`
+gets the head alone. Only the interim `100 Continue` is written elsewhere.
+Every refused GET or write is logged with its status, the 400 and 409
+replies of `sim` included.
 
 Logging the `ldsim.server` logger at DEBUG gives one access line per reply:
 the client address, the request line, the status and the `X-Agent` header.
@@ -65,9 +74,11 @@ from datetime import datetime
 from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
+from types import SimpleNamespace
 
 from .building import CAT_COMMAND
 from .engine import COMMAND_VALUES, RunParams, SimulationRuntime, value_payload
+from .httpclient import set_kernel_timeouts
 from .ns import SIM_PATH, SIM_VOCAB
 from .rdf import IRI, Literal
 from .rdfio import ParseError, parse_document, serialize_triples
@@ -81,11 +92,13 @@ PARSE_FORMATS = {TURTLE: "turtle", NTRIPLES: "n-triples"}
 MAX_LINE = 65536
 MAX_HEADERS = 100
 ALLOW = "GET, PUT"
+TIMEOUT = 30  # seconds a connection's receive or send may wait
 # A header name: printable ASCII but the colon, with no blank before the colon.
 _FIELD_NAME = re.compile(rb"[!-9;-~]+")
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _SERVER = f"ldsim/0.1 Python/{sys.version.split()[0]}"
+MAX_HEADS = 2048  # request heads a server keeps parsed; a key is at most 8 KiB
 
 
 @lru_cache(maxsize=2)
@@ -93,7 +106,18 @@ def _http_date(second: int) -> str:
     return formatdate(second, usegmt=True)
 
 
-class _Handler(socketserver.StreamRequestHandler):
+@lru_cache(maxsize=1024)
+def _head(status: int, content_type: str, length: int, close: bool, date: str) -> bytes:
+    """A final reply's head, formatted once per distinct set of fields."""
+    typed = f"Content-Type: {content_type}; charset=utf-8\r\n" if length else ""
+    allow = f"Allow: {ALLOW}\r\n" if status == 405 else ""  # RFC 9110 15.5.6
+    closing = "Connection: close\r\n" if close else ""
+    return (f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
+            f"Date: {date}\r\n{typed}"
+            f"Content-Length: {length}\r\n{allow}{closing}\r\n").encode("latin-1")
+
+
+class _Handler(socketserver.BaseRequestHandler):
     # Set per server instance via the class factory below.
     runtime: SimulationRuntime = None  # type: ignore[assignment]
     writable: frozenset[str] = frozenset()
@@ -102,19 +126,61 @@ class _Handler(socketserver.StreamRequestHandler):
     # its own; a handler class built without it shares this one, which is as
     # exact, since an entry is used only while its own frozenset is served.
     bodies: dict[tuple[str, str], tuple[frozenset, bytes]] = {}
+    # Accepted request heads, whole and with CRLF line breaks, -> what
+    # parsing gave: (request line, command, path, headers, close_connection).
+    # Each server has its own; it is emptied when it holds MAX_HEADS.
+    heads: dict[bytes, tuple] = {}
 
     def handle(self) -> None:
         """Serve requests in order until one closes the connection."""
+        self.rfile = self.request.makefile("rb")
+        # A reply goes straight to the socket's own sendall, with no Python
+        # writer around it.
+        self.wfile = SimpleNamespace(write=self.request.sendall)
         self.close_connection = False
-        while not self.close_connection:
-            try:
-                line = self.rfile.readline(MAX_LINE + 1)
-                if not line:
+        with self.rfile:
+            while not self.close_connection:
+                try:
+                    if self._next_request():
+                        getattr(self, "do_" + self.command, self._not_implemented)()
+                except OSError:  # a send the kernel's bound ended, or a reset
                     return
-                if self._read_request(line):
-                    getattr(self, "do_" + self.command, self._not_implemented)()
-            except TimeoutError:  # a read or a write timed out
-                return
+
+    def _next_request(self) -> bool:
+        """Read the next request's head; False after a refusal or a blank
+        request line, and, closing the connection, when the client closed
+        it or sent nothing for TIMEOUT.
+
+        Parsing is a pure function of the head's bytes, and a client repeats
+        its heads (an agent's GET of one graph is the same bytes each time).
+        So a head the read buffer holds whole is looked up in `heads` first,
+        and one parsed without a side effect (no `Expect`) is kept there. A
+        kept head has CRLF line breaks only, so its first CRLF CRLF is where
+        the parser stops too."""
+        buffered = self.rfile.peek()
+        if not buffered:
+            self.close_connection = True
+            return False
+        end = buffered.find(b"\r\n\r\n") + 4
+        head = buffered[:end] if end >= 4 else b""
+        known = self.heads.get(head)
+        if known is not None:
+            self.rfile.read(end)
+            self.requestline, self.command, self.path, self.headers, \
+                self.close_connection = known
+            return True
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line.endswith(b"\n") and len(line) <= MAX_LINE:
+            self.close_connection = True
+            return False
+        if not self._read_request(line):
+            return False
+        if head and head.count(b"\n") == head.count(b"\r\n") and "expect" not in self.headers:
+            if len(self.heads) >= MAX_HEADS:
+                self.heads.clear()
+            self.heads[head] = (self.requestline, self.command, self.path, self.headers,
+                            self.close_connection)
+        return True
 
     # -- request parsing (the contract is in the module docstring) -------------
 
@@ -169,8 +235,11 @@ class _Handler(socketserver.StreamRequestHandler):
             line = readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:
                 return self._refuse_request(431, "header line too long\n")
-            if line in (b"\r\n", b"\n", b""):
+            if line in (b"\r\n", b"\n"):
                 return True
+            if not line.endswith(b"\n"):  # closed or silent mid-head: no reply
+                self.close_connection = True
+                return False
             if line[0] in b" \t":
                 return self._refuse_request(400, f"folded header line {line!r}\n")
             name, colon, value = line.partition(b":")
@@ -205,15 +274,11 @@ class _Handler(socketserver.StreamRequestHandler):
         if log.isEnabledFor(logging.DEBUG):
             log.debug('%s "%s" %s - agent=%s', self.client_address[0], self.requestline,
                       status, self._agent())
-        typed = f"Content-Type: {content_type}; charset=utf-8\r\n" if body else ""
-        allow = f"Allow: {ALLOW}\r\n" if status == 405 else ""  # RFC 9110 15.5.6
-        close = "Connection: close\r\n" if self.close_connection else ""
+        head = _head(status, content_type, len(body), self.close_connection,
+                     _http_date(int(time.time())))
         # Head and body leave in one write. A body written on its own waits
         # under Nagle's algorithm for the client's delayed ACK of the head,
         # about 40 ms per reply (RFC 896; RFC 1122 4.2.3.2).
-        head = (f"HTTP/1.1 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\n"
-                f"Date: {_http_date(int(time.time()))}\r\n{typed}"
-                f"Content-Length: {len(body)}\r\n{allow}{close}\r\n").encode("latin-1")
         self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _refuse(self, status: int, message: bytes) -> None:
@@ -225,7 +290,8 @@ class _Handler(socketserver.StreamRequestHandler):
         """The whole request body, read before any reply so that a refused
         body is not left on a keep-alive connection to be parsed as the next
         request. None after a 400 for a malformed Content-Length: the end of
-        that body cannot be found, so the connection closes."""
+        that body cannot be found, so the connection closes. None with no
+        reply, closing too, when the body ends early."""
         try:
             length = int(self.headers.get("content-length", 0))
         except ValueError:
@@ -234,7 +300,11 @@ class _Handler(socketserver.StreamRequestHandler):
             self.close_connection = True
             self._refuse(400, b"malformed Content-Length\n")
             return None
-        return self.rfile.read(length) if length else b""
+        body = self.rfile.read(length) if length else b""
+        if body is None or len(body) < length:
+            self.close_connection = True
+            return None
+        return body
 
     def _body_triples(self, body: bytes, base: str) -> frozenset | None:
         """The body's triples, parsed by its media type (Turtle if untyped)
@@ -365,13 +435,18 @@ class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
+    def get_request(self):
+        sock, address = super().get_request()
+        set_kernel_timeouts(sock, TIMEOUT)
+        return sock, address
+
 
 class LinkedDataServer:
     """Socket lifecycle wrapper; bind first so the base IRI is known before
     the building is built at it."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundHandler", (_Handler,), {})
+        handler = type("BoundHandler", (_Handler,), {"heads": {}})
         self._httpd = _Server((host, port), handler)
         self._handler = handler
         self._thread: threading.Thread | None = None

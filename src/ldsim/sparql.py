@@ -517,9 +517,10 @@ def binding_key(binding: dict) -> str:
 
 
 def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None,
-               start: list[dict] | None = None):
-    """ASK -> bool; SELECT -> distinct list of bindings. The pattern
-    extends the `start` solutions, by default the one empty solution."""
+               start: list[dict] | None = None, keys: bool = False):
+    """ASK -> bool; SELECT -> distinct list of bindings in key order, or with
+    `keys` the frozenset of their `binding_key`s. The pattern extends the
+    `start` solutions, by default the one empty solution."""
     ctx = ctx or EvalContext()
     solutions = _eval_group(d, None, q.pattern, [{}] if start is None else start, ctx)
     if q.form == "ask":
@@ -529,6 +530,8 @@ def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None,
     for sol in solutions:
         projected = {n: sol[n] for n in names if n in sol}
         seen[binding_key(projected)] = projected
+    if keys:
+        return frozenset(seen)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -5,6 +5,7 @@ HTTP/1.1 transport, against a scripted socket server and the live server."""
 import http.client
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -31,9 +32,10 @@ class ScriptedClient(LdClient):
         super().__init__(BASE)
         self.replies: dict[str, tuple[int, bytes]] = {}
 
-    def _request(self, method, path, body=None, headers=None):
-        assert method == "GET"
-        return self.replies[path]
+    def _exchange(self, message):
+        method, target = message.split(b" ", 2)[:2]
+        assert method == b"GET"
+        return self.replies[target.decode()[1:]]
 
 
 def value_body(value: str) -> bytes:
@@ -232,6 +234,36 @@ def test_unacceptable_reply_raises_without_hanging(scripted, segments, drop, err
     with pytest.raises(error):
         client._request("GET", "a")
     assert time.monotonic() - started < 5
+    assert server.connections == 2
+
+
+def test_head_split_across_segments_is_read_whole(scripted):
+    segments = [b"HTTP/1.1 200 OK\r\nContent-Le", b"ngth: 2\r\n\r", b"\nok"]
+    server, client = scripted((segments, False), (reply(b"next"), False))
+    assert client._request("GET", "a") == (200, b"ok")
+    assert client._request("GET", "b") == (200, b"next")
+    assert server.connections == 1
+
+
+def test_socket_is_bounded_by_the_kernel_not_by_python(scripted):
+    _, client = scripted((reply(b"ok"), False))
+    assert client._request("GET", "a") == (200, b"ok")
+    sock = client._local.conn[0]
+    assert sock.gettimeout() is None
+    bound = struct.pack("ll", httpclient.TIMEOUT, 0)
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        assert sock.getsockopt(socket.SOL_SOCKET, option, len(bound)) == bound
+
+
+def test_silent_server_raises_timeout_after_two_bounded_attempts(scripted, monkeypatch):
+    monkeypatch.setattr(httpclient, "TIMEOUT", 0.2)
+    # Each request is read and never answered; the third reply keeps the
+    # server reading the second connection until the client gives up.
+    server, client = scripted(([], False), ([], False), (reply(b"late"), False))
+    started = time.monotonic()
+    with pytest.raises(TimeoutError):
+        client.get_graph(server.base + "a")
+    assert 0.4 <= time.monotonic() - started < 4
     assert server.connections == 2
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ldsim import metrics
+from ldsim import metrics, sparql
 from ldsim.engine import KeyedRandom, dry_run
 from ldsim.metrics import (
     FaultCheck,
@@ -19,7 +19,7 @@ from ldsim.metrics import (
 )
 from ldsim.ns import RDF_VALUE
 from ldsim.rdf import IRI, Dataset, Literal, Quad
-from ldsim.sparql import EvalContext, parse_query
+from ldsim.sparql import EvalContext, eval_query, parse_query
 from ldsim.trace import (
     FaultTrace,
     OperationRecord,
@@ -62,6 +62,19 @@ class TestMatchFaults:
                  for i in range(146)]
         fq = FaultQuery("f", parse_query('SELECT ?s { ?s ?p "on" }'))
         assert len(match_faults(Dataset.from_quads(quads), fq)) == 146
+
+    def test_each_solution_is_keyed_once(self, monkeypatch):
+        quads = [Quad(IRI(EX + f"p{i}"), IRI(RDF_VALUE), Literal(v), IRI(EX + f"g{i}"))
+                 for i, v in enumerate(["on", "off", "on", "on"])]
+        fq = FaultQuery("f", parse_query('SELECT ?s ?v { ?s ?p ?v }'))
+        ds = Dataset.from_quads(quads)
+        keyed = []
+        original = sparql.binding_key
+        monkeypatch.setattr(sparql, "binding_key",
+                            lambda binding: keyed.append(binding) or original(binding))
+        found = match_faults(ds, fq)
+        assert len(keyed) == 4
+        assert found == frozenset(map(original, eval_query(ds, fq.query)))
 
 
 class TestFaultCheck:

@@ -5,6 +5,7 @@ import io
 import logging
 import os
 import socket
+import struct
 import subprocess
 import sys
 import textwrap
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from ldsim.building import GeneratorParams, build_dataset
 from ldsim import server as server_module
 from ldsim.engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime, dry_run
-from ldsim.httpclient import LdClient, _read_reply
+from ldsim.httpclient import LdClient, ReplyReader
 from ldsim.metrics import audit_write_deltas
 from ldsim.ns import DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE, RDFS
 from ldsim.rdf import IRI, Literal
@@ -689,7 +690,7 @@ class _RecordingSocket:
         self.sends: list[bytes] = []
 
     def makefile(self, mode, *args, **kwargs):
-        return io.BytesIO(self._request)
+        return io.BufferedReader(io.BytesIO(self._request))
 
     def sendall(self, data):
         self.sends.append(bytes(data))
@@ -1074,8 +1075,8 @@ class TestRequestRefusals:
                          f"GET /nothing-here HTTP/1.1\r\n\r\n"
                          f"GET /{path} HTTP/1.1\r\nAccept: application/n-triples\r\n\r\n"
                          .encode())
-            with sock.makefile("rb") as reader:
-                replies = [_read_reply(reader) for _ in range(3)]
+            reader = ReplyReader(sock)
+            replies = [reader.read_reply() for _ in range(3)]
         graph = runtime.dataset.graph(res.graph)
         assert [(status, close) for status, _, close in replies] == \
             [(200, False), (404, False), (200, False)]
@@ -1102,3 +1103,130 @@ class TestAccessLog:
         server, _, dynamic = served
         LdClient(server.base, agent="tester").get_graph(command_resource(dynamic).graph)
         assert [r for r in caplog.records if r.name == "ldsim.server"] == []
+
+
+class TestConnectionEnds:
+    """A connection whose client closes it, or stays silent for TIMEOUT, in
+    the middle of a request ends without a reply and without a record."""
+
+    @pytest.fixture()
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "TIMEOUT", 0.2)
+
+    def assert_closed_without_reply(self, sock, runtime) -> None:
+        started = time.monotonic()
+        assert sock.recv(65536) == b""
+        assert time.monotonic() - started < 4
+        assert runtime.snapshot_log()[1] == []
+
+    @pytest.mark.parametrize("sent", [
+        pytest.param(b"", id="idle"),
+        pytest.param(b"GET /sim HTTP/1.1", id="request-line"),
+        pytest.param(b"GET /sim HTTP/1.1\r\nHost: x\r\n", id="headers"),
+        pytest.param(b"PUT /sim HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", id="body"),
+    ])
+    def test_silent_client_is_closed_after_the_timeout(self, served, short_timeout, sent):
+        server, runtime, _ = served
+        with connect(server) as sock:
+            sock.sendall(sent)
+            self.assert_closed_without_reply(sock, runtime)
+
+    @pytest.mark.parametrize("sent", [
+        pytest.param(b"GET /sim HTTP/1.1", id="request-line"),
+        pytest.param(b"GET /sim HTTP/1.1\r\nHost: x\r\n", id="headers"),
+        pytest.param(b"PUT /sim HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", id="body"),
+    ])
+    def test_request_cut_short_gets_no_reply(self, served, sent):
+        server, runtime, _ = served
+        with connect(server) as sock:
+            sock.sendall(sent)
+            sock.shutdown(socket.SHUT_WR)
+            self.assert_closed_without_reply(sock, runtime)
+
+    def test_accepted_socket_has_kernel_bounds(self, served, monkeypatch):
+        accepted = []
+        original = server_module.set_kernel_timeouts
+
+        def recording(sock, seconds):
+            original(sock, seconds)
+            accepted.append((sock.gettimeout(), sock.getsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)))
+
+        monkeypatch.setattr(server_module, "set_kernel_timeouts", recording)
+        server, _, dynamic = served
+        with connect(server) as sock:
+            path = command_resource(dynamic).graph[len(server.base):]
+            assert exchange(sock, f"GET /{path} HTTP/1.1\r\n\r\n".encode()).status == 200
+        assert accepted == [(None, struct.pack("ll", server_module.TIMEOUT, 0))]
+
+
+def next_request(handler_class, data: bytes) -> tuple:
+    """Read one request head from `data` as a connection would; return
+    whether it was accepted and the parse's state."""
+    handler = handler_class.__new__(handler_class)
+    handler.rfile = io.BufferedReader(io.BytesIO(data))
+    handler.wfile = io.BytesIO()
+    handler.client_address = ("127.0.0.1", 0)
+    accepted = handler._next_request()
+    return accepted, (handler.requestline, handler.command, handler.path,
+                      handler.headers, handler.close_connection), handler.rfile.read()
+
+
+class TestKnownHeads:
+    """A head the read buffer holds whole is parsed once and looked up
+    after that; the lookup gives what parsing gives."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "heads", {})
+        calls = []
+        original = _Handler._read_request
+
+        def counting(self, line):
+            calls.append(line)
+            return original(self, line)
+
+        monkeypatch.setattr(_Handler, "_read_request", counting)
+        return calls
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(header_fields(), max_size=12),
+           st.sampled_from(["GET /a HTTP/1.1", "PUT //b HTTP/1.0", "PATCH /c HTTP/1.1"]))
+    def test_a_known_head_gives_what_parsing_gives(self, parses, fields, request_line):
+        _Handler.heads.clear()
+        parses.clear()
+        head = (request_line + "\r\n" + "".join(
+            line.rstrip("\r\n") + "\r\n" for _, line in fields) + "\r\n").encode("latin-1")
+        first = next_request(_Handler, head + b"rest")
+        again = next_request(_Handler, head + b"rest")
+        assert again == first
+        assert first[2] == b"rest" or not first[0]  # a refusal stops reading
+        kept = first[0] and "expect" not in first[1][3]
+        assert len(parses) == (1 if kept else 2)
+
+    @pytest.mark.parametrize("head", [
+        pytest.param(b"GET /sim HTTP/1.1\nHost: x\n\n", id="bare-lf"),
+        pytest.param(b"PUT /sim HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 0\r\n\r\n",
+                     id="expect"),
+        pytest.param(b"GET /sim HTTP/1.1\r\n folded\r\n\r\n", id="refused"),
+    ])
+    def test_head_with_a_side_effect_or_not_crlf_is_not_kept(self, parses, head):
+        for _ in range(2):
+            next_request(_Handler, head)
+        assert len(parses) == 2 and _Handler.heads == {}
+
+    def test_kept_heads_are_bounded(self, parses, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_HEADS", 2)
+        for path in "abcde":
+            next_request(_Handler, f"GET /{path} HTTP/1.1\r\n\r\n".encode())
+            assert 1 <= len(_Handler.heads) <= 2
+
+    def test_repeated_gets_on_a_connection_are_parsed_once(self, served, parses):
+        server, runtime, dynamic = served
+        res = command_resource(dynamic)
+        client = LdClient(server.base, agent="tester")
+        replies = {client._request("GET", client.path_of(res.graph)) for _ in range(5)}
+        assert replies == {(200, serialize_triples(
+            runtime.dataset.graph(res.graph), "turtle").encode())}
+        assert len(parses) == 1
