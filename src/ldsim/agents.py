@@ -65,7 +65,7 @@ class Rule:
 
     def solutions(self, view: Dataset) -> list[dict]:
         """The distinct solutions of the WHEN pattern over a knowledge base."""
-        return eval_query(view, Query("select", self.condition, None))
+        return eval_query(view, Query(self.condition, None))
 
 
 def parse_rules(text: str, base: str | None = None) -> list[Rule]:

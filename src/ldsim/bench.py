@@ -161,11 +161,10 @@ def _make_agent(kind: str, served: ServedTask):
 
 def run_benchmark(task_id: str, agent: str = "noop", seed: int = 42,
                   iterations: int | None = None, timeslot_ms: int = 500,
-                  out_dir: str | Path | None = None,
-                  host: str = "127.0.0.1") -> BenchResult:
+                  out_dir: str | Path | None = None) -> BenchResult:
     if agent not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent!r}")
-    served = serve_task(task_id, seed, host=host)
+    served = serve_task(task_id, seed)
     server, task, runtime = served.server, served.task, served.runtime
     clients: list[LdClient] = []
     try:
@@ -321,8 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             print(f"serving {args.task} at {served.server.base} "
                   "(PUT <sim> to start a run)", flush=True)
-            while True:
-                served.runtime.finished.wait(3600)
+            threading.Event().wait()  # until SIGINT raises KeyboardInterrupt
         except KeyboardInterrupt:
             print("stopping")
         finally:

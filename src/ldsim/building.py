@@ -140,9 +140,6 @@ class DynamicResource:
     system: str
     room: str
     category: str
-    # An actuatable property of the model (a light command or a setpoint);
-    # `server.default_policy` decides which graphs take HTTP writes.
-    writable: bool
 
 
 @dataclass
@@ -188,7 +185,7 @@ def property_graph_iri(base: str, point: IRI) -> str:
 
 
 def augment_datapoints(d: Dataset, base: str = DEFAULT_BASE) -> PartitionedDataset:
-    """Attach one writable/observable property resource per recognized point.
+    """Attach one actuatable/observable property resource per recognized point.
 
     One pass over the triples collects types, feeds and points, so that
     building a dataset does not build its predicate index.
@@ -222,9 +219,11 @@ def augment_datapoints(d: Dataset, base: str = DEFAULT_BASE) -> PartitionedDatas
         if graph in dynamic:
             continue
         node = IRI(graph + "#it")
-        writable = category in (CAT_COMMAND, CAT_SETPOINT)
-        prop_type = IRI(ACTUATABLE if writable else OBSERVABLE)
-        link = IRI(ACTS_ON if writable else OBSERVES)
+        # A light command or a setpoint is an actuatable property of the
+        # model; `server.default_policy` decides which graphs take HTTP writes.
+        actuatable = category in (CAT_COMMAND, CAT_SETPOINT)
+        prop_type = IRI(ACTUATABLE if actuatable else OBSERVABLE)
+        link = IRI(ACTS_ON if actuatable else OBSERVES)
         g_prop = IRI(graph)
         g_point = IRI(point.value)
         additions += [
@@ -239,7 +238,7 @@ def augment_datapoints(d: Dataset, base: str = DEFAULT_BASE) -> PartitionedDatas
         dynamic[graph] = DynamicResource(
             graph=graph, node=node.value, point=point.value,
             system=sys_iri.value if isinstance(sys_iri, IRI) else "",
-            room=room.value, category=category, writable=writable)
+            room=room.value, category=category)
     return PartitionedDataset(d.apply([], additions), dynamic, base)
 
 
@@ -390,9 +389,9 @@ def generate_synthetic(params: GeneratorParams,
     for idx in range(n_bare):
         new_system(wings[idx % params.wings])
 
-    _add_room_type_vocabulary(t, b, [room for room, _ in hygiene_rooms])
-    _add_class_documentation(t)
-    _add_weather_resources(t, b)
+    _add_room_type_vocabulary(add, b, [room for room, _ in hygiene_rooms])
+    _add_class_documentation(add)
+    _add_weather_resources(add, b)
     return frozenset(t)
 
 
@@ -420,13 +419,9 @@ COMMENT = RDFS + "comment"
 IS_DEFINED_BY = RDFS + "isDefinedBy"
 
 
-def _add_room_type_vocabulary(t: set, base: str, hygiene_rooms: list[IRI]) -> None:
+def _add_room_type_vocabulary(add, base: str, hygiene_rooms: list[IRI]) -> None:
     rt = base + "vocab/room-types/"
     doc = IRI(base + "vocab/room-types")
-
-    def add(s, p, o):
-        t.add((s, IRI(p) if isinstance(p, str) else p, o))
-
     add(doc, LABEL, Literal("Room type vocabulary"))
     for name, label in (("PersonalHygieneRoom", "Personal hygiene room"),
                         ("Toilet", "Toilet"), ("Shower", "Shower"),
@@ -458,13 +453,9 @@ _CLASS_DOCS = {
 }
 
 
-def _add_class_documentation(t: set) -> None:
+def _add_class_documentation(add) -> None:
     """Class axioms and annotations, so class graphs are well-sized resources."""
     ontology = IRI(BRICK.rstrip("#"))
-
-    def add(s, p, o):
-        t.add((s, IRI(p) if isinstance(p, str) else p, o))
-
     add(ontology, LABEL, Literal("Brick building vocabulary"))
     for cls_iri, (label, parent) in _CLASS_DOCS.items():
         cls = IRI(cls_iri)
@@ -475,12 +466,8 @@ def _add_class_documentation(t: set) -> None:
             add(cls, RDFS_SUBCLASS, IRI(parent))
 
 
-def _add_weather_resources(t: set, base: str) -> None:
+def _add_weather_resources(add, base: str) -> None:
     bldg = base + "vocab/building#"
-
-    def add(s, p, o):
-        t.add((s, IRI(p) if isinstance(p, str) else p, o))
-
     report = IRI(base + "weather-report")
     add(IRI(base + "building"), bldg + "weatherReport", report)
     add(report, LABEL, Literal("Daily weather report"))

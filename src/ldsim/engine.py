@@ -278,7 +278,6 @@ class SimulationRuntime:
         self.occlusion: dict[str, float] = {}
         self.occupants: tuple[Occupant, ...] = ()
         self._lock = threading.RLock()
-        self._thread: threading.Thread | None = None
         self._by_category: dict[str, list[DynamicResource]] = {}
         for res in env.dynamic.values():
             self._by_category.setdefault(res.category, []).append(res)
@@ -314,9 +313,8 @@ class SimulationRuntime:
             if self.started:
                 raise RuntimeError("run already in progress")
             self.initialize(params)
-        self._thread = threading.Thread(target=self._run_loop, args=(pace,),
-                                        daemon=True, name="tick-loop")
-        self._thread.start()
+        threading.Thread(target=self._run_loop, args=(pace,), daemon=True,
+                         name="tick-loop").start()
 
     def run_sync(self, params: RunParams, pace: bool = False) -> None:
         with self._lock:
@@ -324,10 +322,6 @@ class SimulationRuntime:
                 raise RuntimeError("run already in progress")
             self.initialize(params)
         self._run_loop(pace)
-
-    def join(self, timeout: float | None = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
 
     def initialize(self, params: RunParams) -> None:
         """Draw run-scoped randomness, apply init updates, record slot 0.
@@ -526,9 +520,8 @@ class SimulationRuntime:
             if record is None or (record.timeslot, record.status,
                                   record.payload_bytes) != (slot, status, nbytes):
                 record = OperationRecord(timeslot=slot, method="GET",
-                                         target=sys.intern(target), classification="read",
-                                         status=status, payload_bytes=nbytes,
-                                         agent=sys.intern(agent))
+                                         target=sys.intern(target), status=status,
+                                         payload_bytes=nbytes, agent=sys.intern(agent))
                 self._last_read[record.target, record.agent] = record
             self.ops.append(record)
 
@@ -546,18 +539,16 @@ class SimulationRuntime:
             self.dataset = self.dataset.replace_graphs(staged)
             delta = tuple(staged)
             record = OperationRecord(
-                timeslot=self.iteration, method="PUT", target=target,
-                classification="replace", status=status,
+                timeslot=self.iteration, method="PUT", target=target, status=status,
                 payload_bytes=nbytes, agent=agent, delta_graphs=delta)
             self.ops.append(record)
             return record
 
     def record_failure(self, method: str, target: str, status: int, agent: str) -> None:
-        cls = "read" if method == "GET" else "replace"
         with self._lock:
             self.ops.append(OperationRecord(
                 timeslot=self.iteration, method=method, target=target,
-                classification=cls, status=status, agent=agent))
+                status=status, agent=agent))
 
     def snapshot_log(self) -> tuple[dict, list[OperationRecord]]:
         """Run metadata plus the complete ordered operation log."""

@@ -49,10 +49,7 @@ def match_faults(d: Dataset, fq: FaultQuery, ctx: EvalContext | None = None,
                  start: list[dict] | None = None) -> frozenset[str]:
     """Distinct solution keys of one fault query against one snapshot;
     with `start`, of the query's pattern joined onto those solutions."""
-    result = eval_query(d, fq.query, ctx, start, keys=True)
-    if isinstance(result, bool):
-        return frozenset(("true",)) if result else frozenset()
-    return result
+    return eval_query(d, fq.query, ctx, start, keys=True)
 
 
 class FaultCheck:

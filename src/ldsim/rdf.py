@@ -306,10 +306,6 @@ def _patched_index(index: dict[str, PredicateEntry],
 # -- blank node handling ----------------------------------------------------
 
 
-def skolem_iri(base: str, doc_key: str, label: str) -> str:
-    return f"{base}.well-known/genid/{doc_key}-{label}"
-
-
 def skolemize(triples: Iterable[Triple], base: str, doc_key: str) -> frozenset:
     """Replace blank nodes with stable IRIs derived from a document key.
 
@@ -319,7 +315,7 @@ def skolemize(triples: Iterable[Triple], base: str, doc_key: str) -> frozenset:
 
     def conv(t: Term) -> Term:
         if isinstance(t, BlankNode):
-            return IRI(skolem_iri(base, doc_key, t.label))
+            return IRI(f"{base}.well-known/genid/{doc_key}-{t.label}")
         return t
 
     return frozenset((conv(s), p, conv(o)) for s, p, o in triples)

@@ -17,7 +17,8 @@ exactly `<#it> rdf:value v`, v in `COMMAND_VALUES` ("on", "off"), sets that
 value and answers 204; the graph keeps its server-managed triples (W3C LDP
 1.0 4.2.4.1). Any other payload that parses gets 422 (RFC 9110 15.5.21). A
 PUT to any other graph, a setpoint's included, gets 403, except that a PUT
-to `sim` starts the run with the parameters `<sim>` states once each. No
+to `sim` starts the run with the parameters `<sim>` states once each; a
+slot count, slot length or step that is not a positive integer gets 400. No
 graph is created or deleted. POST and DELETE get 405 with `Allow: GET, PUT`,
 after their body is read so that the connection stays usable. Only the
 request path is looked up, under the base IRI, so the internal default
@@ -34,22 +35,24 @@ or between two ends without a reply; so does one whose send reaches the
 bound.
 
 Requests (RFC 9112 message syntax) are parsed byte by byte, and a head
-parsed once is looked up after that (`_next_request`). The request line is
-read up to 65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`; another
+parsed once is looked up after that (`_next_request`). Empty lines before
+the request line are skipped (RFC 9112 2.2). The request line is read up
+to 65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`; another
 shape, HTTP/0.9's `GET TARGET` included, gets 400, a malformed version 400
 and HTTP/2 or later 505. A target starting with `//` is read as starting
 with one `/`. Header lines follow up to the blank line: at most 100, each at
 most 65,536 bytes (431 beyond either). Header names are looked up
 lower-cased, the first field of a name wins, and a value has its leading
 and trailing blanks stripped. A folded (obs-fold) line, a line without a
-colon or whose name is not printable ASCII up to the colon, and a second
-`Content-Length` get 400: the end of the header block or of the body cannot
-be trusted after them (RFC 9112 5.1, 5.2 and 6.3). A `Transfer-Encoding`
-gets 501 before the body is read, as no transfer coding is decoded (RFC 9112
-6.1). Each such refusal has a `text/plain` body and `Connection: close`. An
-HTTP/1.1 connection stays open unless a `Connection` token says `close`; an
-HTTP/1.0 one closes unless it says `keep-alive`. An HTTP/1.1 request with
-`Expect: 100-continue` gets `100 Continue` before its body is read.
+colon or whose name is not printable ASCII up to the colon, a second
+`Content-Length` and one that is not ASCII digits only (RFC 9110 8.6) get
+400: the end of the header block or of the body cannot be trusted after
+them (RFC 9112 5.1, 5.2 and 6.3). A `Transfer-Encoding` gets 501 before the
+body is read, as no transfer coding is decoded (RFC 9112 6.1). Each such
+refusal has a `text/plain` body and `Connection: close`. An HTTP/1.1
+connection stays open unless a `Connection` token says `close`; an HTTP/1.0
+one closes unless it says `keep-alive`. An HTTP/1.1 request with `Expect:
+100-continue` gets `100 Continue` before its body is read.
 
 Every final reply, refusals included, goes through `_reply`: an HTTP/1.1
 head with `Server`, `Date` and `Content-Length`, formatted once per distinct
@@ -156,8 +159,12 @@ class _Handler(socketserver.BaseRequestHandler):
         So a head the read buffer holds whole is looked up in `heads` first,
         and one parsed without a side effect (no `Expect`) is kept there. A
         kept head has CRLF line breaks only, so its first CRLF CRLF is where
-        the parser stops too."""
+        the parser stops too. Empty lines before the request line are
+        skipped first (RFC 9112 2.2), so neither sees them."""
         buffered = self.rfile.peek()
+        while buffered[:1] == b"\n" or buffered[:2] == b"\r\n":
+            self.rfile.read(buffered.index(b"\n") + 1)
+            buffered = self.rfile.peek()
         if not buffered:
             self.close_connection = True
             return False
@@ -292,10 +299,8 @@ class _Handler(socketserver.BaseRequestHandler):
         request. None after a 400 for a malformed Content-Length: the end of
         that body cannot be found, so the connection closes. None with no
         reply, closing too, when the body ends early."""
-        try:
-            length = int(self.headers.get("content-length", 0))
-        except ValueError:
-            length = -1
+        field = self.headers.get("content-length", "0")
+        length = int(field) if field.isascii() and field.isdigit() else -1
         if length < 0:
             self.close_connection = True
             self._refuse(400, b"malformed Content-Length\n")
@@ -406,9 +411,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 raise TypeError("sim:initialTime is not a date-time")
             params = RunParams(
                 initial_time=initial_time,
-                timeslot_ms=_whole_number(values["timeslotDuration"]),
-                iterations=_whole_number(values["iterations"]),
-                step_seconds=_whole_number(values.get("simulatedStep", 60)),
+                timeslot_ms=_positive_int(values["timeslotDuration"]),
+                iterations=_positive_int(values["iterations"]),
+                step_seconds=_positive_int(values.get("simulatedStep", 60)),
             )
         except KeyError as exc:
             self._refuse(400, f"missing parameter sim:{exc.args[0]}\n".encode())
@@ -424,11 +429,14 @@ class _Handler(socketserver.BaseRequestHandler):
         self._reply(200, b"run started\n")
 
 
-def _whole_number(value: object) -> int:
-    """A run parameter as an int; a lexical integer form is accepted."""
+def _positive_int(value: object) -> int:
+    """A run parameter as a positive int; a lexical integer form is accepted."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"{value!r} is not an integer")
-    return int(value)
+    number = int(value)
+    if number <= 0:
+        raise ValueError(f"{value!r} is not positive")
+    return number
 
 
 class _Server(socketserver.ThreadingTCPServer):

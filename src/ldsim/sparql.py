@@ -1,11 +1,13 @@
 """Parser and evaluator for the query/update subset driving the simulation.
 
-Supported: ASK and SELECT (distinct solutions) over basic graph patterns,
-GRAPH blocks, FILTER expressions, one property path form, `iri+` (one or
-more steps over one predicate), and DELETE/INSERT/WHERE updates, whose
-templates hold plain triple patterns and GRAPH blocks of them. Everything
-else, FROM clauses and the rest of the path algebra (^, /, ( ), *, ?, |
-and !) included, is refused with an error naming the construct.
+Supported: SELECT (distinct solutions), the one query form, over basic
+graph patterns, GRAPH blocks, FILTER expressions, one property path form,
+`iri+` (one or more steps over one predicate), and DELETE/INSERT/WHERE
+updates, whose templates hold plain triple patterns and GRAPH blocks of
+them. Every fault query and agent rule is a SELECT; an ASK query is a parse
+error that names SELECT. Everything else, FROM clauses and the rest of the
+path algebra (^, /, ( ), *, ?, | and !) included, is refused with an error
+naming the construct.
 
 Patterns outside GRAPH blocks match the union of all graphs, and patterns
 inside one match that graph alone. Filter evaluation errors make the
@@ -138,7 +140,6 @@ class QuadPattern:
 
 @dataclass(frozen=True)
 class Query:
-    form: str  # "ask" | "select"
     pattern: Group
     projection: tuple[str, ...] | None  # None means all in-scope variables
 
@@ -219,38 +220,26 @@ class Parser(Reader):
 
     def parse_query(self) -> Query:
         self.prologue()
-        kw = self.keyword()
-        if kw is None:
-            raise self.error("expected ASK or SELECT")
-        self.check_subset(kw)
-        if kw == "ask":
+        self.check_subset(self.keyword() or "")
+        self.expect_keyword("select")
+        projection: list[str] | None = []
+        if self.keyword() == "distinct":
             self.lex.next()
-            group = self._where()
-            self._expect_eof()
-            return Query("ask", group, None)
-        if kw == "select":
+        if self.lex.peek()[0] == "*":
             self.lex.next()
-            projection: list[str] | None = []
-            if self.keyword() == "distinct":
-                self.lex.next()
-            tok = self.lex.peek()
-            if tok[0] == "*":
-                self.lex.next()
-                projection = None
-            else:
-                while self.lex.peek()[0] == "var":
-                    projection.append(self.lex.next()[1])
-                if not projection:
-                    raise self.error("empty SELECT projection")
-            group = self._where()
-            if projection is not None:
-                missing = set(projection) - group.variables()
-                if missing:
-                    raise self.error(f"projected variable ?{sorted(missing)[0]} not in pattern")
-            self._expect_eof()
-            return Query("select", group,
-                         tuple(projection) if projection is not None else None)
-        raise self.error(f"expected ASK or SELECT, found {kw.upper()}")
+            projection = None
+        else:
+            while self.lex.peek()[0] == "var":
+                projection.append(self.lex.next()[1])
+            if not projection:
+                raise self.error("empty SELECT projection")
+        group = self._where()
+        if projection is not None:
+            missing = set(projection) - group.variables()
+            if missing:
+                raise self.error(f"projected variable ?{sorted(missing)[0]} not in pattern")
+        self._expect_eof()
+        return Query(group, tuple(projection) if projection is not None else None)
 
     def parse_update(self) -> Update:
         self.prologue()
@@ -518,13 +507,11 @@ def binding_key(binding: dict) -> str:
 
 def eval_query(d: Dataset, q: Query, ctx: EvalContext | None = None,
                start: list[dict] | None = None, keys: bool = False):
-    """ASK -> bool; SELECT -> distinct list of bindings in key order, or with
-    `keys` the frozenset of their `binding_key`s. The pattern extends the
-    `start` solutions, by default the one empty solution."""
+    """The distinct list of bindings in key order, or with `keys` the
+    frozenset of their `binding_key`s. The pattern extends the `start`
+    solutions, by default the one empty solution."""
     ctx = ctx or EvalContext()
     solutions = _eval_group(d, None, q.pattern, [{}] if start is None else start, ctx)
-    if q.form == "ask":
-        return bool(solutions)
     names = q.projection if q.projection is not None else tuple(sorted(q.pattern.variables()))
     seen = {}
     for sol in solutions:
@@ -823,7 +810,7 @@ def split_query(q: Query, volatile) -> tuple[Group, Query] | None:
     """The query's group cut in two: the stable part, every pattern and
     GRAPH block that is not in `volatile`, plus every filter whose
     variables it binds; and a query over the rest, with the whole query's
-    form and projection. Joining the rest onto the stable part's solutions
+    projection. Joining the rest onto the stable part's solutions
     (`eval_query(..., start=)`) gives the query's solutions. `q` is a query
     whose `read_predicates` is not None.
 
@@ -841,7 +828,7 @@ def split_query(q: Query, volatile) -> tuple[Group, Query] | None:
                if isinstance(el, Filter) and _expr_vars(el.expr) <= bound]
     rest = tuple(el for el in group.elements if el not in stable)
     names = q.projection if q.projection is not None else tuple(sorted(group.variables()))
-    return Group(tuple(stable)), Query(q.form, Group(rest), names)
+    return Group(tuple(stable)), Query(Group(rest), names)
 
 
 def _has_call(expr: Expr) -> bool:
@@ -994,11 +981,6 @@ def _join_path(d: Dataset, graph: str | None, tp: TriplePattern,
             if ext is not None:
                 out.append(ext)
     return out
-
-
-def eval_path(d: Dataset, path: PathPlus, start: Term) -> set:
-    """All terms reachable from `start` over the union of all graphs."""
-    return closure(d.pred_nav(path.iri)[0], None, start)
 
 
 # -- expression evaluation -------------------------------------------------------

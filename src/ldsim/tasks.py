@@ -12,13 +12,13 @@ from importlib import resources
 from pathlib import Path
 
 from .building import CAT_COMMAND, CAT_LUMINANCE, CAT_OCCUPANCY, CAT_OUTSIDE, \
-    CAT_SETPOINT, PartitionedDataset
+    CAT_SETPOINT, HAS_PART, PartitionedDataset
 from .engine import EnvEntry, RunParams, SimEnvironment, SimulationRuntime, \
     hours_of_day
 from .metrics import FaultQuery
 from .ns import RDF_VALUE, defrag
 from .rdf import IRI, Literal
-from .sparql import EvalContext, PathPlus, eval_path, eval_query, parse_query, parse_update
+from .sparql import EvalContext, closure, eval_query, parse_query, parse_update
 
 TASK_IDS = ("TS1", "TS2", "TS3", "TC1", "TC2", "TC3", "TC4", "TC5", "TC6", "TC7")
 
@@ -217,30 +217,16 @@ def oracle_schedule(task: TaskSpec, runtime: SimulationRuntime) -> list[OracleAc
     if task.id == "TC3":
         return [OracleAction(at=0, reads=tuple(outside + commands),
                              writes=tuple((g, "on") for g in commands))]
-    if task.id == "TC4":
-        return [
-            OracleAction(at=0, reads=tuple(luminance),
-                         writes=tuple((g, "on") for g in sensed_cmds)),
-            OracleAction(at=mid, reads=tuple(luminance)),
-        ]
-    if task.id == "TC5":
-        return [
-            OracleAction(at=0, reads=tuple(occupancy),
-                         writes=tuple((g, "on") for g in sensed_cmds)),
-            OracleAction(at=mid, reads=tuple(occupancy)),
-        ]
-    if task.id == "TC6":
-        return [
-            OracleAction(at=0, reads=tuple(occupancy + luminance),
-                         writes=tuple((g, "on") for g in sensed_cmds)),
-            OracleAction(at=mid, reads=tuple(occupancy)),
-        ]
-    if task.id == "TC7":
-        return [
-            OracleAction(at=0, reads=tuple(occupancy + luminance + setpoints),
-                         writes=tuple((g, "on") for g in sensed_cmds)),
-            OracleAction(at=mid, reads=tuple(occupancy)),
-        ]
+    # The sensed-light tasks turn the sensed lights on at slot 0 and differ
+    # only in the sensors read then and at mid-run.
+    sensed = {"TC4": (luminance, luminance), "TC5": (occupancy, occupancy),
+              "TC6": (occupancy + luminance, occupancy),
+              "TC7": (occupancy + luminance + setpoints, occupancy)}
+    if task.id in sensed:
+        first, later = sensed[task.id]
+        return [OracleAction(at=0, reads=tuple(first),
+                             writes=tuple((g, "on") for g in sensed_cmds)),
+                OracleAction(at=mid, reads=tuple(later))]
     raise ValueError(f"no oracle for task {task.id!r}")
 
 
@@ -256,11 +242,11 @@ def _tc2_schedule(task: TaskSpec, runtime: SimulationRuntime,
         open_h, _ = floors.get(s.value, (8, 0))
         floors[s.value] = (open_h, int(o.lexical))
 
-    has_part = PathPlus("http://buildsys.org/ontologies/BrickFrame#hasPart")
+    parts = ds.pred_nav(HAS_PART)[0]
     per_floor: dict[str, list[str]] = {}
     room_of = {r.graph: r.room for r in runtime.env.dynamic.values()}
     for floor in floors:
-        rooms = {t.value for t in eval_path(ds, has_part, IRI(floor))
+        rooms = {t.value for t in closure(parts, None, IRI(floor))
                  if isinstance(t, IRI)}
         per_floor[floor] = [g for g in commands if room_of.get(g, "") in rooms]
 

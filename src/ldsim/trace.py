@@ -15,7 +15,6 @@ class OperationRecord:
     timeslot: int
     method: str
     target: str
-    classification: str  # read | replace
     status: int
     payload_bytes: int = 0
     agent: str = ""
@@ -27,7 +26,7 @@ class OperationRecord:
 
     @property
     def is_read(self) -> bool:
-        return self.classification == "read"
+        return self.method == "GET"
 
 
 @dataclass
@@ -48,7 +47,7 @@ class FaultTrace:
         return [sum(map(len, slot.values())) for slot in self.slots]
 
 
-OPS_HEADER = ("timeslot", "method", "target", "classification", "status",
+OPS_HEADER = ("timeslot", "method", "target", "status",
               "payload_bytes", "agent", "delta_graphs")
 FAULTS_HEADER = ("timeslot", "fault_id", "binding_key")
 
@@ -60,7 +59,7 @@ def write_ops_tsv(ops: list[OperationRecord], path: str | Path) -> None:
         out.write("\t".join(OPS_HEADER) + "\n")
         for op in ops:
             out.write("\t".join([
-                str(op.timeslot), op.method, op.target, op.classification,
+                str(op.timeslot), op.method, op.target,
                 str(op.status), str(op.payload_bytes), op.agent,
                 ",".join(op.delta_graphs),
             ]) + "\n")
@@ -72,9 +71,9 @@ def read_ops_tsv(path: str | Path) -> list[OperationRecord]:
     for line in lines[1:]:
         if not line.strip():
             continue
-        slot, method, target, cls, status, nbytes, agent, deltas = line.split("\t")
+        slot, method, target, status, nbytes, agent, deltas = line.split("\t")
         out.append(OperationRecord(
-            timeslot=int(slot), method=method, target=target, classification=cls,
+            timeslot=int(slot), method=method, target=target,
             status=int(status), payload_bytes=int(nbytes), agent=agent,
             delta_graphs=tuple(g for g in deltas.split(",") if g)))
     return out

@@ -1,5 +1,6 @@
 """End-to-end runs through `run_benchmark` and the `ldsim` command line."""
 
+import contextlib
 import functools
 import gc
 import os
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +22,8 @@ from ldsim.bench import main, run_benchmark
 from ldsim.building import GeneratorParams, build_dataset, generate_synthetic
 from ldsim.engine import SimulationRuntime, dry_run
 from ldsim.metrics import write_metrics_tsv
-from ldsim.ns import DEFAULT_BASE, SIM_PATH
+from ldsim.ns import DEFAULT_BASE, SIM_PATH, SIM_VOCAB, XSD_BOOLEAN
+from ldsim.rdf import IRI, Literal
 from ldsim.rdfio import serialize_dataset, serialize_triples
 from ldsim.tasks import TASK_IDS, build_environment, default_run_params, load_task, \
     oracle_schedule
@@ -174,27 +177,23 @@ def test_a_failed_set_up_releases_its_server():
     assert raised and "unknown task" in str(raised[0])
 
 
-def test_serve_command_serves_until_interrupted():
+@contextlib.contextmanager
+def serve_command(task_id):
+    """`ldsim serve` of one task in a subprocess, with the base it serves."""
     src = str(Path(bench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ldsim.bench", "serve", "--task", "TC6", "--port", "0"],
+        [sys.executable, "-m", "ldsim.bench", "serve", "--task", task_id, "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     watchdog = threading.Timer(60, proc.kill)
     watchdog.start()
     try:
         line = proc.stdout.readline()
-        served = re.fullmatch(r"serving TC6 at (http://127\.0\.0\.1:\d+/) "
+        served = re.fullmatch(rf"serving {task_id} at (http://127\.0\.0\.1:\d+/) "
                               r"\(PUT <sim> to start a run\)\n", line)
         assert served, line
-        base = served[1]
-        client = httpclient.LdClient(base)
-        try:
-            status, triples = client.get_graph(base + "building")
-        finally:
-            client.close_all()
-        assert status == 200 and triples
+        yield proc, served[1]
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=30)
         assert (proc.returncode, out) == (0, "stopping\n"), err
@@ -204,6 +203,43 @@ def test_serve_command_serves_until_interrupted():
             proc.kill()
             proc.communicate()
     assert proc.poll() is not None
+
+
+def test_serve_command_serves_until_interrupted():
+    with serve_command("TC6") as (_, base):
+        client = httpclient.LdClient(base)
+        try:
+            status, triples = client.get_graph(base + "building")
+        finally:
+            client.close_all()
+        assert status == 200 and triples
+
+
+def test_serve_command_is_idle_after_its_run():
+    # Once a run had finished, the wait for SIGINT returned at once and
+    # kept a core busy.
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc/<pid>/stat")
+
+    def cpu_seconds(pid):
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+        return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+    with serve_command("TS1") as (proc, base):
+        client = httpclient.LdClient(base)
+        try:
+            params = default_run_params(load_task("TS1", base), 3, 50)
+            assert client.put_raw(SIM_PATH, bench.sim_start_payload(params))[0] == 200
+            running = (IRI(base + SIM_PATH), IRI(base + SIM_VOCAB + "running"),
+                       Literal("false", XSD_BOOLEAN))
+            while running not in client.get_graph(base + SIM_PATH)[1]:
+                time.sleep(0.05)
+        finally:
+            client.close_all()
+        time.sleep(0.5)  # the last slot's pause, then the run is over
+        before = cpu_seconds(proc.pid)
+        time.sleep(1)
+        assert cpu_seconds(proc.pid) - before < 0.25
 
 
 def test_one_seed_gives_one_dry_run_on_any_port():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from ldsim.building import (
+    ACTUATABLE,
     CAT_COMMAND,
     CAT_LUMINANCE,
     CAT_OCCUPANCY,
     CAT_OUTSIDE,
     CAT_SETPOINT,
+    HAS_PART,
     GeneratorParams,
     augment_datapoints,
     build_dataset,
@@ -17,7 +19,7 @@ from ldsim.building import (
     partition,
     validate_counts,
 )
-from ldsim.ns import DEFAULT_BASE, RDF_VALUE
+from ldsim.ns import DEFAULT_BASE, RDF_TYPE, RDF_VALUE
 from ldsim.rdf import IRI, Literal
 from ldsim.rdfio import serialize_triples
 from rdf_helpers import symmetric_difference
@@ -120,12 +122,11 @@ class TestSynthetic:
         assert outliers / len(sizes) <= 0.01
 
     def test_part_hierarchy_reaches_floor_from_room(self, table1_build):
-        from ldsim.sparql import PathPlus, eval_path
+        from ldsim.sparql import closure
 
         d = table1_build.dataset
         room = IRI(BASE + "Room_001")
-        up = eval_path(d, PathPlus("http://buildsys.org/ontologies/BrickFrame#hasPart"),
-                       IRI(BASE + "Floor_0"))
+        up = closure(d.pred_nav(HAS_PART)[0], None, IRI(BASE + "Floor_0"))
         assert any(t.value.startswith(BASE + "Wing_") for t in up if isinstance(t, IRI))
         assert any(t.value.startswith(BASE + "Room_") for t in up if isinstance(t, IRI))
         assert room in up or IRI(BASE + "Room_002") in up  # rooms alternate wings
@@ -136,8 +137,8 @@ class TestAugmentation:
         pd = table1_build
         res = pd.dynamic[BASE + "property-Luminance_Command_001"]
         assert res.node == BASE + "property-Luminance_Command_001#it"
-        assert res.writable
         triples = pd.dataset.graph(res.graph)
+        assert (IRI(res.node), IRI(RDF_TYPE), IRI(ACTUATABLE)) in triples
         values = [o for s, p, o in triples
                   if p.value == RDF_VALUE and s == IRI(res.node)]
         assert values == [Literal("off")]
@@ -171,7 +172,9 @@ class TestAugmentation:
 
     def test_writable_iff_actuatable(self, table1_build):
         for res in table1_build.dynamic.values():
-            assert res.writable == (res.category in (CAT_COMMAND, CAT_SETPOINT))
+            typed = (IRI(res.node), IRI(RDF_TYPE), IRI(ACTUATABLE))
+            assert (typed in table1_build.dataset.graph(res.graph)) == \
+                (res.category in (CAT_COMMAND, CAT_SETPOINT))
 
 
 class TestPipeline:

@@ -308,8 +308,7 @@ class TestRuntime:
         runtime = Watched(make_env(small_build, init=[EnvEntry("sunlight", "builtin")]))
         assert not runtime.started
         runtime.start(run_params(iterations=2), pace=False)
-        runtime.join(10)
-        assert runtime.finished.is_set()
+        assert runtime.finished.wait(10)
         assert seen == [(True, 1)]
 
     def test_tick_without_updates_touches_only_time(self, small_build):
@@ -483,7 +482,7 @@ class TestRuntime:
         with pytest.raises(RuntimeError, match="not-a-builtin"):
             runtime.tick()
 
-    def test_agent_write_classification_and_delta(self, small_build):
+    def test_agent_write_method_and_delta(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))
         runtime.initialize(run_params())
         command = next(r for r in small_build.dynamic.values()
@@ -493,7 +492,7 @@ class TestRuntime:
                    if tr[1] != IRI(RDF_VALUE)}
         assert managed  # the type and the links of the property stay
         record = runtime.apply_agent_write(command.graph, Literal("on"), "a1", 204)
-        assert (record.method, record.classification) == ("PUT", "replace")
+        assert record.method == "PUT"
         assert record.delta_graphs == (command.graph,)
         assert runtime.dataset.graph(command.graph) == \
             managed | {(node, IRI(RDF_VALUE), Literal("on"))}
@@ -709,8 +708,7 @@ class TestRunLoop:
         runtime.start(run_params(iterations=5), pace=False)
         with pytest.raises(RuntimeError, match="in progress"):
             runtime.start(run_params(iterations=5))
-        runtime.join(5)
-        assert runtime.finished.is_set()
+        assert runtime.finished.wait(5)
 
     def test_sim_time_advances_by_step(self, small_build):
         runtime = SimulationRuntime(make_env(small_build))

@@ -40,13 +40,12 @@ def trace_from_counts(counts, fq_id="f"):
 
 def read_op(slot=0, ok=True):
     return OperationRecord(timeslot=slot, method="GET", target=EX + "g",
-                           classification="read", status=200 if ok else 404)
+                           status=200 if ok else 404)
 
 
 def write_op(slot=0, ok=True, target=EX + "g", delta=None):
     return OperationRecord(
-        timeslot=slot, method="PUT", target=target, classification="replace",
-        status=204 if ok else 403,
+        timeslot=slot, method="PUT", target=target, status=204 if ok else 403,
         delta_graphs=(target,) if delta is None else delta)
 
 
@@ -130,7 +129,7 @@ class TestSlidingWindow:
         assert trace.counts() == [1, 0, 2]
 
     def test_one_key_of_two_queries_is_two_instances(self):
-        # Two ASK fault queries that hold in one slot both give the key "true".
+        # Two fault queries can give one key in one slot.
         trace = FaultTrace(k=1, slots=[{}, {"a": frozenset({"true"}), "b": frozenset({"true"})}])
         assert trace.counts() == [0, 2]
         assert total_faults(trace) == average_fault_count(trace) == 2
@@ -272,16 +271,14 @@ class TestPersistence:
 
     def test_ops_tsv_round_trip(self, tmp_path):
         ops = [write_op(slot=3), read_op(slot=4),
-               OperationRecord(5, "POST", EX + "t", "create", 201, 17, "a2",
-                               (EX + "t", EX + "u"))]
+               OperationRecord(5, "POST", EX + "t", 201, 17, "a2", (EX + "t", EX + "u"))]
         path = tmp_path / "run.ops.tsv"
         write_ops_tsv(ops, path)
         assert path.read_text() == (
-            "timeslot\tmethod\ttarget\tclassification\tstatus\tpayload_bytes"
-            "\tagent\tdelta_graphs\n"
-            f"3\tPUT\t{EX}g\treplace\t204\t0\t\t{EX}g\n"
-            f"4\tGET\t{EX}g\tread\t200\t0\t\t\n"
-            f"5\tPOST\t{EX}t\tcreate\t201\t17\ta2\t{EX}t,{EX}u\n")
+            "timeslot\tmethod\ttarget\tstatus\tpayload_bytes\tagent\tdelta_graphs\n"
+            f"3\tPUT\t{EX}g\t204\t0\t\t{EX}g\n"
+            f"4\tGET\t{EX}g\t200\t0\t\t\n"
+            f"5\tPOST\t{EX}t\t201\t17\ta2\t{EX}t,{EX}u\n")
         assert read_ops_tsv(path) == ops
 
     def test_offline_recompute_matches_online(self, tmp_path):

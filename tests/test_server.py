@@ -312,8 +312,8 @@ class TestPut:
         assert status == 422 and b"rdf:value" in body
         assert runtime.dataset is before
         [record] = runtime.snapshot_log()[1]
-        assert (record.method, record.target, record.status, record.classification,
-                record.agent) == ("PUT", res.graph, 422, "replace", "tester")
+        assert (record.method, record.target, record.status, record.agent) == \
+            ("PUT", res.graph, 422, "tester")
 
     def test_unsupported_media_type_refused_and_recorded(self, served):
         server, runtime, dynamic = served
@@ -325,8 +325,7 @@ class TestPut:
         assert status == 415
         assert runtime.dataset is before
         [record] = runtime.snapshot_log()[1]
-        assert (record.method, record.status, record.classification) == \
-            ("PUT", 415, "replace")
+        assert (record.method, record.status) == ("PUT", 415)
 
 
 # Drawn PUT bodies: (subject, predicate, object) choices, written out per graph.
@@ -519,6 +518,23 @@ class TestSimPut:
         assert status == 400, body
         assert not runtime.started
 
+    @pytest.mark.parametrize("name, literal", [
+        ("iterations", "0"), ("iterations", "-3"),
+        ("timeslotDuration", "0"), ("timeslotDuration", "-5"),
+        ("simulatedStep", "0"), ("simulatedStep", "-60"),
+    ])
+    def test_non_positive_parameter_rejected(self, served, name, literal):
+        # A count below 1 gave a trace with k < 0, a slot length below 1 a
+        # deadline miss in every tick, and a step below 1 a clock that stood
+        # still or ran backwards.
+        server, runtime, _ = served
+        stated = {"iterations": 5, "timeslotDuration": 20, "simulatedStep": 60}[name]
+        payload = self.PAYLOAD.replace(f"sim:{name} {stated}", f"sim:{name} {literal}")
+        assert payload != self.PAYLOAD
+        status, body = LdClient(server.base).put_raw("sim", payload)
+        assert status == 400 and b"not positive" in body, body
+        assert not runtime.started
+
     def test_ill_typed_initial_time_rejected(self, served):
         server, runtime, _ = served
         payload = self.PAYLOAD.replace(
@@ -614,6 +630,17 @@ class TestRawConnection:
         assert [(op.method, op.target, op.status, op.ok, op.agent) for op in ops
                 if not op.is_read] == [(method, res.graph, 405, False, "tester")]
 
+    @pytest.mark.parametrize("blank", [b"\r\n", b"\n", b"\r\n\r\n"])
+    def test_empty_lines_before_the_request_line_are_skipped(self, served, blank):
+        # RFC 9112 2.2. Twice on one connection: the second request's head
+        # is looked up among the parsed ones, and must read as the first.
+        server, _, dynamic = served
+        path = command_resource(dynamic).graph[len(server.base):]
+        with connect(server) as sock:
+            for _ in range(2):
+                reply = exchange(sock, blank + f"GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+                assert reply.status == 200
+
     def test_transfer_encoding_gets_501_and_closes(self, served):
         server, runtime, dynamic = served
         res = command_resource(dynamic)
@@ -629,7 +656,7 @@ class TestRawConnection:
         assert runtime.dataset is before
         assert LdClient(server.base).get_graph(res.graph)[1] == before.graph(res.graph)
 
-    @pytest.mark.parametrize("length", ["ten", "-5"])
+    @pytest.mark.parametrize("length", ["ten", "-5", "+5", "1_0"])
     def test_malformed_content_length_gets_400(self, served, length):
         server, runtime, dynamic = served
         res = command_resource(dynamic)

@@ -29,7 +29,7 @@ from ldsim.sparql import (
     SubsetError,
     Var,
     binding_key,
-    eval_path,
+    closure,
     element_state,
     eval_query,
     eval_stable,
@@ -75,9 +75,11 @@ def lights():
 
 class TestParser:
     def test_empty_ask(self):
-        ast = parse_query("ASK {}")
-        assert ast.form == "ask"
-        assert ast.pattern.elements == ()
+        # Every fault query and rule is a SELECT, the one query form.
+        with pytest.raises(ParseError, match="expected SELECT, found 'ASK'"):
+            parse_query("ASK {}")
+        ast = parse_query("SELECT * {}")
+        assert (ast.pattern.elements, ast.projection) == ((), None)
 
     def test_select_projection_checked(self):
         with pytest.raises(ParseError):
@@ -95,7 +97,7 @@ class TestParser:
         ("SELECT ?s { ?s <http://x/p>|<http://x/q> ?o }", "alternative path (|)"),
         ("SELECT ?s { ?s !<http://x/p> ?o }", "negated property set (!)"),
         ("SELECT ?s { ?s a/<http://x/p> ?o }", "sequence path (/)"),
-        ("ASK FROM <http://x/g> { ?s ?p ?o }", "FROM"),
+        ("SELECT * FROM <http://x/g> { ?s ?p ?o }", "FROM"),
         ("SELECT ?s FROM NAMED <http://x/g> { ?s ?p ?o }", "FROM NAMED"),
         ("INSERT DATA { <http://x/s> <http://x/p> 1 }", "INSERT DATA"),
     ])
@@ -134,13 +136,13 @@ class TestParser:
             parse_update("INSERT { <http://x/s> <http://x/p> ?nope } WHERE { }")
 
     def test_relative_iris_resolved_against_base(self):
-        ast = parse_query("ASK { <sim> <vocab/sim#currentIteration> ?i }", base=EX)
+        ast = parse_query("SELECT * { <sim> <vocab/sim#currentIteration> ?i }", base=EX)
         pattern = ast.pattern.elements[0]
         assert pattern.s == IRI(EX + "sim")
         assert pattern.p == IRI(EX + "vocab/sim#currentIteration")
 
     def test_path_parse(self):
-        ast = parse_query("PREFIX x: <http://x/> ASK { ?a <http://x/p>+ ?b . ?b x:q+ ?c }")
+        ast = parse_query("PREFIX x: <http://x/> SELECT * { ?a <http://x/p>+ ?b . ?b x:q+ ?c }")
         assert [tp.p for tp in ast.pattern.elements] == [
             PathPlus("http://x/p"), PathPlus("http://x/q")]
 
@@ -217,7 +219,7 @@ def predicate_object_lists(draw):
 
 
 def filter_expr(text: str):
-    return parse_query(f"ASK {{ ?a ?p ?b FILTER({text}) }}").pattern.elements[1].expr
+    return parse_query(f"SELECT * {{ ?a ?p ?b FILTER({text}) }}").pattern.elements[1].expr
 
 
 class TestSharedTerminals:
@@ -230,7 +232,7 @@ class TestSharedTerminals:
         expected, text = case
         # The statement's dot follows the term directly.
         [(_s, _p, o)] = parse_document(f"@prefix ex: <{EX}> .\nex:s ex:p {text}.\n")
-        query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ex:s ex:p {text}. }}")
+        query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * {{ ex:s ex:p {text}. }}")
         [pattern] = query.pattern.elements
         assert o == pattern.o == expected
 
@@ -253,7 +255,7 @@ class TestSharedTerminals:
         ('"""two\nlines"""', "two\nlines"), (r"'é\U0001F600'", "é\U0001F600"),
     ])
     def test_query_strings_decode_every_escape(self, text, value):
-        [pattern] = parse_query(f"ASK {{ ?s ?p {text} }}").pattern.elements
+        [pattern] = parse_query(f"SELECT * {{ ?s ?p {text} }}").pattern.elements
         assert pattern.o == Literal(value)
 
     @pytest.mark.parametrize("text", ['"a\\qb"', '"a\nb"', f"<{EX}a b>", f"<{EX}a{{b}}>",
@@ -262,7 +264,7 @@ class TestSharedTerminals:
         with pytest.raises(ParseError):
             parse_document(f"<{EX}s> <{EX}p> {text} .")
         with pytest.raises(ParseError):
-            parse_query(f"ASK {{ ?s ?p {text} }}")
+            parse_query(f"SELECT * {{ ?s ?p {text} }}")
 
     def test_a_lexical_error_after_a_run_of_blanks_is_found_at_once(self):
         # Blanks skipped as a prefix of every token pattern were backtracked
@@ -273,7 +275,7 @@ class TestSharedTerminals:
             from ldsim.sparql import parse_query
             for blanks in (" " * 40, "\\t \\n" * 20):
                 text = "<http://x/s> <http://x/p>" + blanks + '"abc\\n'
-                for parse in (parse_document, lambda t: parse_query("ASK { " + t + " }")):
+                for parse in (parse_document, lambda t: parse_query("SELECT * { " + t + " }")):
                     try:
                         parse(text)
                     except ParseError as exc:
@@ -283,12 +285,12 @@ class TestSharedTerminals:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=30)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split("\n") == ["1 66", "1 72", "21 1", "21 1", ""]
+        assert done.stdout.split("\n") == ["1 66", "1 77", "21 1", "21 1", ""]
 
     @pytest.mark.parametrize("text", [f"<{EX}s> # <{EX}p> .\n~", '# """\n~'])
     def test_a_lexical_error_after_a_comment_is_placed_at_its_character(self, text):
         # Nothing inside a comment is read as a token.
-        for parse in (parse_document, lambda t: parse_query(f"ASK {{ {t} }}")):
+        for parse in (parse_document, lambda t: parse_query(f"SELECT * {{ {t} }}")):
             with pytest.raises(ParseError,
                                match=r"unexpected character '~' \(line 2, column 1\)"):
                 parse(text)
@@ -316,25 +318,25 @@ class TestSharedTerminals:
         assert filter_expr(f"?a{op}?b") == EBin(op, EVar("a"), EVar("b"))
 
     def test_a_dot_after_a_prefixed_name_ends_the_pattern(self):
-        query = parse_query(f"PREFIX ex: <{EX}>\nASK {{ ?s ex:p ex:o. ?s ex:q ex:r }}")
+        query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * {{ ?s ex:p ex:o. ?s ex:q ex:r }}")
         assert [tp.o for tp in query.pattern.elements] == [IRI(EX + "o"), IRI(EX + "r")]
 
     def test_two_subjects_need_a_dot_between_them_in_both_grammars(self):
         # SPARQL 1.1 rule [55] (TriplesBlock), as Turtle's rule [2] (statement).
         text = f"<{EX}s> <{EX}p> <{EX}o> <{EX}t> <{EX}q> 1"
-        for parse in (parse_document, lambda t: parse_query(f"ASK {{ {t} }}")):
+        for parse in (parse_document, lambda t: parse_query(f"SELECT * {{ {t} }}")):
             with pytest.raises(ParseError, match=f"expected '.', found '<{EX}t>'"):
                 parse(text + " .")
 
     def test_at_directives_are_turtle_only(self):
         with pytest.raises(ParseError):
-            parse_query(f"@prefix ex: <{EX}> .\nASK {{ ?s ex:p ?o }}")
+            parse_query(f"@prefix ex: <{EX}> .\nSELECT * {{ ?s ex:p ?o }}")
 
 
 class TestQueryEval:
-    def test_ask_empty_dataset(self):
-        ast = parse_query("ASK { ?s ?p ?o }")
-        assert eval_query(Dataset(), ast) is False
+    def test_select_on_empty_dataset(self):
+        ast = parse_query("SELECT * { ?s ?p ?o }")
+        assert eval_query(Dataset(), ast) == []
 
     def test_select_three_lights_on(self, lights):
         ast = parse_query(
@@ -385,11 +387,12 @@ class TestPaths:
         ])
 
     def test_plus_no_outgoing(self, hierarchy):
-        assert eval_path(hierarchy, PathPlus(EX + "hasPart"), IRI(EX + "desk")) == set()
+        fwd = hierarchy.pred_nav(EX + "hasPart")[0]
+        assert closure(fwd, None, IRI(EX + "desk")) == set()
 
     def test_plus_two_step_chain(self):
         ds = Dataset.from_quads([q("a", "p", "b"), q("b", "p", "c")])
-        assert eval_path(ds, PathPlus(EX + "p"), IRI(EX + "a")) == {
+        assert closure(ds.pred_nav(EX + "p")[0], None, IRI(EX + "a")) == {
             IRI(EX + "b"), IRI(EX + "c")}
 
     def test_transitive_includes_grandparent_pair(self, hierarchy):
@@ -1022,4 +1025,4 @@ class TestSplitQuery:
 
 
 def _predicates_of(el) -> frozenset[str]:
-    return read_predicates(sparql.Query("select", sparql.Group((el,)), None))
+    return read_predicates(sparql.Query(sparql.Group((el,)), None))

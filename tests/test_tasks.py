@@ -58,7 +58,7 @@ class TestLoading:
     def test_all_queries_within_subset(self, tasks):
         for task in tasks.values():
             for fq in task.fault_queries:
-                assert fq.query.form == "select"
+                assert fq.query.pattern.elements  # parsed as a SELECT
             assert task.rules_text
 
 
@@ -269,7 +269,7 @@ def _strip_plus(query):
             elements.append(TriplePattern(el.s, IRI(el.p.iri), el.o))
         else:
             elements.append(el)
-    return Query(query.form, Group(tuple(elements)), query.projection)
+    return Query(Group(tuple(elements)), query.projection)
 
 
 def schedule_counts(actions):
