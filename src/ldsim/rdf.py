@@ -158,13 +158,6 @@ class Dataset:
         self._graphs: dict[str, frozenset] = graphs or {}
         self._index: dict[str, PredicateEntry] | None = None
 
-    @classmethod
-    def from_quads(cls, quads: Iterable[Quad]) -> "Dataset":
-        by_graph: dict[str, set] = {}
-        for s, p, o, g in quads:
-            by_graph.setdefault(g.value, set()).add((s, p, o))
-        return cls({g: frozenset(ts) for g, ts in by_graph.items()})
-
     # -- views ------------------------------------------------------------
 
     def graph_names(self) -> frozenset[str]:

@@ -405,8 +405,6 @@ _LOCAL_SAFE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
 
 
 def _pname_or_iri(t: IRI, prefixes: dict[str, str]) -> str:
-    if t.value == RDF_TYPE:
-        return "a"
     for prefix, ns in prefixes.items():
         if t.value.startswith(ns):
             local = t.value[len(ns):]
@@ -431,13 +429,15 @@ def _used_prefixes(triples: Iterable, prefixes: dict[str, str]) -> dict[str, str
     used = {}
     values = set()
     for s, p, o in triples:
-        for t in (s, p, o):
+        if p.value != RDF_TYPE:  # written `a` as a predicate
+            values.add(p.value)
+        for t in (s, o):
             if isinstance(t, IRI):
                 values.add(t.value)
             elif isinstance(t, Literal) and t.datatype not in shorthand:
                 values.add(t.datatype)
     for prefix, ns in prefixes.items():
-        if any(v.startswith(ns) and v != RDF_TYPE for v in values):
+        if any(v.startswith(ns) for v in values):
             used[prefix] = ns
     return used
 
@@ -457,7 +457,8 @@ def _turtle_body(triples: list, used: dict[str, str]) -> list[str]:
             objs = by_pred[pkey]
             p = objs[0][0]
             rendered = sorted(_turtle_term(o, used) for _, o in objs)
-            pred_parts.append(f"{_pname_or_iri(p, used)} {', '.join(rendered)}")
+            verb = "a" if p.value == RDF_TYPE else _pname_or_iri(p, used)
+            pred_parts.append(f"{verb} {', '.join(rendered)}")
         lines.append(f"{_turtle_term(s, used)} " + " ;\n    ".join(pred_parts) + " .")
     return lines
 

@@ -36,14 +36,15 @@ bound.
 
 Requests (RFC 9112 message syntax) are parsed byte by byte, and a head
 parsed once is looked up after that (`_next_request`). Empty lines before
-the request line are skipped (RFC 9112 2.2). The request line is read up
-to 65,536 bytes (414 beyond). It is `METHOD TARGET VERSION`; another
-shape, HTTP/0.9's `GET TARGET` included, gets 400, a malformed version 400
-and HTTP/2 or later 505. A target starting with `//` is read as starting
-with one `/`. Header lines follow up to the blank line: at most 100, each at
-most 65,536 bytes (431 beyond either). Header names are looked up
-lower-cased, the first field of a name wins, and a value has its leading
-and trailing blanks stripped. A folded (obs-fold) line, a line without a
+the request line are skipped (RFC 9112 2.2), also when a CR and its LF
+arrive apart. The request line is read up to 65,536 bytes (414 beyond). It
+is `METHOD TARGET VERSION`; another shape, a line of blanks and HTTP/0.9's
+`GET TARGET` included, gets 400, a malformed version 400 and HTTP/2 or
+later 505. A target starting with `//` is read as starting with one `/`.
+Header lines follow up to the blank line: at most 100, each at most 65,536
+bytes (431 beyond either). Header names are looked up lower-cased, the
+first field of a name wins, and a value has its leading and trailing
+blanks stripped. A folded (obs-fold) line, a line without a
 colon or whose name is not printable ASCII up to the colon, a second
 `Content-Length` and one that is not ASCII digits only (RFC 9110 8.6) get
 400: the end of the header block or of the body cannot be trusted after
@@ -150,9 +151,9 @@ class _Handler(socketserver.BaseRequestHandler):
                     return
 
     def _next_request(self) -> bool:
-        """Read the next request's head; False after a refusal or a blank
-        request line, and, closing the connection, when the client closed
-        it or sent nothing for TIMEOUT.
+        """Read the next request's head; False after a refusal or a skipped
+        empty line, and, closing the connection, when the client closed it
+        or sent nothing for TIMEOUT.
 
         Parsing is a pure function of the head's bytes, and a client repeats
         its heads (an agent's GET of one graph is the same bytes each time).
@@ -177,6 +178,8 @@ class _Handler(socketserver.BaseRequestHandler):
                 self.close_connection = known
             return True
         line = self.rfile.readline(MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):  # an empty line whose CR and LF arrived apart
+            return False
         if not line.endswith(b"\n") and len(line) <= MAX_LINE:
             self.close_connection = True
             return False
@@ -193,7 +196,7 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _read_request(self, line: bytes) -> bool:
         """Fill `command`, `path`, `close_connection` and `headers`; False
-        after a refusal or for a blank request line."""
+        after a refusal."""
         self.command = None
         self.close_connection = True
         self.headers = {}
@@ -203,7 +206,7 @@ class _Handler(socketserver.BaseRequestHandler):
         self.requestline = line = str(line, "iso-8859-1").rstrip("\r\n")
         words = line.split()
         if not words:
-            return False
+            return self._refuse_request(400, "blank request line\n")
         version = (1, 1)
         if len(words) >= 3:
             if words[-1] != "HTTP/1.1":

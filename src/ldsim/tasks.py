@@ -255,7 +255,8 @@ def _tc2_schedule(task: TaskSpec, runtime: SimulationRuntime,
                             writes=tuple((g, "off") for g, v in initial.items()
                                          if v == "on"))]
     events: dict[int, list[tuple[str, str]]] = {}
-    for floor, (open_h, close_h) in floors.items():
+    # In IRI order: the index's order follows string hashes.
+    for floor, (open_h, close_h) in sorted(floors.items()):
         open_slot = _slot_of_hour(runtime, open_h)
         close_slot = _slot_of_hour(runtime, close_h)
         events.setdefault(open_slot, []).extend(

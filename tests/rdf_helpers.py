@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ldsim.rdf import BlankNode, Dataset, Term, Triple
+from ldsim.rdf import BlankNode, Dataset, Quad, Term, Triple
+
+
+def from_quads(quads: Iterable[Quad]) -> Dataset:
+    """A dataset holding the given quads."""
+    by_graph: dict[str, set] = {}
+    for s, p, o, g in quads:
+        by_graph.setdefault(g.value, set()).add((s, p, o))
+    return Dataset({g: frozenset(ts) for g, ts in by_graph.items()})
 
 
 def symmetric_difference(d1: Dataset, d2: Dataset) -> Dataset:

@@ -22,6 +22,7 @@ from ldsim.rdfio import ParseError
 from ldsim.server import LinkedDataServer, default_policy
 from ldsim.sparql import Group, QuadPattern, TriplePattern, Var
 from ldsim.tasks import TASK_IDS, build_environment, load_task
+from rdf_helpers import from_quads
 
 EX = "http://example.org/"
 PREFIX = f"PREFIX ex: <{EX}>\n"
@@ -104,7 +105,7 @@ class TestParseRules:
 
 
 def dataset(*triples, graph=EX + "g") -> Dataset:
-    return Dataset.from_quads(Quad(s, p, o, IRI(graph)) for s, p, o in triples)
+    return from_quads(Quad(s, p, o, IRI(graph)) for s, p, o in triples)
 
 
 class TestReason:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,18 +12,16 @@ from ldsim.building import (
     CAT_SETPOINT,
     HAS_PART,
     GeneratorParams,
-    augment_datapoints,
     build_dataset,
     building_counts,
+    derive,
     generate_synthetic,
-    occupant_quads,
-    partition,
     validate_counts,
 )
-from ldsim.ns import DEFAULT_BASE, RDF_TYPE, RDF_VALUE
-from ldsim.rdf import IRI, Literal
-from ldsim.rdfio import serialize_triples
-from rdf_helpers import symmetric_difference
+from ldsim.ns import DEFAULT_BASE, DEFAULT_GRAPH, RDF_TYPE, RDF_VALUE
+from ldsim.rdf import IRI, Dataset, Literal, Quad
+from ldsim.rdfio import serialize_dataset, serialize_triples
+from rdf_helpers import from_quads, symmetric_difference
 
 BASE = DEFAULT_BASE
 EX = "http://example.org/"
@@ -33,16 +32,26 @@ def table1_build():
     return build_dataset(params=GeneratorParams())
 
 
+def scoped(triples) -> Dataset:
+    """The partition law written out: a triple in its subject's graph, and
+    in its object's when that is an IRI."""
+    return from_quads(
+        Quad(s, p, o, g) for s, p, o in triples
+        for g in ((s, o) if isinstance(o, IRI) else (s,)))
+
+
 class TestPartition:
+    """A graph without points: the derivation is the partition alone."""
+
     def test_iri_object_scoped_twice(self):
         a, p, b = IRI(EX + "a"), IRI(EX + "p"), IRI(EX + "b")
-        ds = partition(frozenset({(a, p, b)}))
+        ds = derive(frozenset({(a, p, b)}), EX).dataset
         assert set(ds.quads()) == {
             (a, p, b, a), (a, p, b, b)}
 
     def test_literal_object_scoped_once(self):
         a, p = IRI(EX + "a"), IRI(EX + "p")
-        ds = partition(frozenset({(a, p, Literal("5"))}))
+        ds = derive(frozenset({(a, p, Literal("5"))}), EX).dataset
         assert ds.graph_names() == {a.value}
 
     def test_partition_laws_on_random_graphs(self):
@@ -57,7 +66,7 @@ class TestPartition:
                 o = (IRI(EX + "n" + str(rng.randrange(40)))
                      if rng.random() < 0.6 else Literal(str(rng.randrange(10))))
                 triples.add((s, p, o))
-            ds = partition(frozenset(triples))
+            ds = derive(frozenset(triples), EX).dataset
             merged = {(s, p, o) for s, p, o, _ in ds.quads()}
             assert merged == triples
             expected_names = ({s.value for s, _, _ in triples}
@@ -115,9 +124,12 @@ class TestSynthetic:
         assert all(expected == actual
                    for _, expected, actual in validate_counts(table1_build, params))
 
-    def test_graph_size_distribution(self):
-        part = partition(generate_synthetic(GeneratorParams()))
-        sizes = [len(part.graph(name)) for name in part.graph_names()]
+    def test_graph_size_distribution(self, table1_build):
+        # The building's own resources; a property graph holds four triples
+        # by design.
+        ds = table1_build.dataset
+        sizes = [len(ds.graph(name)) for name in ds.graph_names()
+                 if name not in table1_build.dynamic and name != DEFAULT_GRAPH]
         outliers = sum(1 for s in sizes if s < 5 or s > 50)
         assert outliers / len(sizes) <= 0.01
 
@@ -156,14 +168,15 @@ class TestAugmentation:
         g = frozenset({
             (IRI(EX + "b"), IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
              IRI("http://buildsys.org/ontologies/Brick#Building"))})
-        pd = augment_datapoints(partition(g), EX)
+        pd = derive(g, EX)
         assert pd.dynamic == {}
+        assert pd.dataset == scoped(g)
 
     def test_augment_only_adds_property_graphs_and_links(self, table1_build):
-        part = partition(generate_synthetic(GeneratorParams()))
-        pd = augment_datapoints(part, BASE)
-        delta = symmetric_difference(part, pd.dataset)
-        for name in delta.graph_names():
+        part = scoped(generate_synthetic(GeneratorParams()))
+        delta = symmetric_difference(part, table1_build.dataset)
+        assert delta.graph(DEFAULT_GRAPH) == table1_build.dataset.graph(DEFAULT_GRAPH)
+        for name in delta.graph_names() - {DEFAULT_GRAPH}:
             prop_graph = name.startswith(BASE + "property-")
             if not prop_graph:
                 # Only point graphs gain the link triples to their property.
@@ -179,9 +192,9 @@ class TestAugmentation:
 
 class TestPipeline:
     def test_occupants_match_sensed_rooms(self, table1_build):
-        quads = occupant_quads(table1_build)
-        assert len(quads) == 2 * 66  # type + workplace per occupant
-        rooms = {q.o.value for q in quads if q.p.value.endswith("worksIn")}
+        facts = table1_build.dataset.graph(DEFAULT_GRAPH)
+        assert len(facts) == 2 * 66  # type + workplace per occupant
+        rooms = {o.value for _, p, o in facts if p.value.endswith("worksIn")}
         assert len(rooms) == 66
 
     def test_relative_turtle_file_builds_the_generated_building(self, tmp_path):
@@ -199,3 +212,35 @@ class TestPipeline:
         assert from_file.dataset == generated.dataset
         assert from_file.dynamic == generated.dynamic
         assert from_file.source_triples == generated.source_triples == 5254
+
+
+class TestDerivation:
+    # SHA-256 of `serialize_dataset` and of the dynamic table (one tab-separated
+    # line per resource, in graph order) per seed, as first recorded for the
+    # building derived through staged quads. The derivation must not move them.
+    DIGESTS = {
+        0: ("b80d0eaf5b883e4e9e62f016924201854f407072c98f6190183bf481e36b68e6",
+            "d9396688647b7de5350e493825fddb95a53212257f21ac26af48d16402867543"),
+        1: ("cdf3f4309a63efbfee90901a3a05b104a56096cc7a269d072873e2e168ad7ec8",
+            "c5cbc570ccb148926a91ad851065e3556ded110acf0f8fd8cffa9a3c1f7c16eb"),
+        42: ("2e4dc190116660825a8ed8e89e194ca2657118d7aefd341bb59bed3dc6e7dadf",
+             "e30ca311205855e7cef10bafbe118d081d7d0924933526f4a0957143352c18e8"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_dataset_and_dynamic_table_digests(self, seed):
+        pd = build_dataset(params=GeneratorParams(seed=seed))
+        table = "".join(f"{r.graph}\t{r.node}\t{r.point}\t{r.system}\t{r.room}\t{r.category}\n"
+                        for _, r in sorted(pd.dynamic.items()))
+        assert (hashlib.sha256(serialize_dataset(pd.dataset).encode()).hexdigest(),
+                hashlib.sha256(table.encode()).hexdigest()) == self.DIGESTS[seed]
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["seed", "input"])
+    def test_each_distinct_term_is_one_object(self, from_file, tmp_path):
+        source = None
+        if from_file:
+            source = tmp_path / "building.ttl"
+            source.write_text(serialize_triples(generate_synthetic(GeneratorParams())))
+        pd = build_dataset(source=source, params=GeneratorParams())
+        terms = [t for _, triples in pd.dataset.graphs() for triple in triples for t in triple]
+        assert len({id(t) for t in terms}) == len(set(terms)) > 2900

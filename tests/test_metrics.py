@@ -28,6 +28,7 @@ from ldsim.trace import (
     write_faults_tsv,
     write_ops_tsv,
 )
+from rdf_helpers import from_quads
 
 EX = "http://example.org/"
 
@@ -51,7 +52,7 @@ def write_op(slot=0, ok=True, target=EX + "g", delta=None):
 
 class TestMatchFaults:
     def test_no_lights_on(self):
-        ds = Dataset.from_quads([
+        ds = from_quads([
             Quad(IRI(EX + "p1"), IRI(RDF_VALUE), Literal("off"), IRI(EX + "p1g"))])
         fq = FaultQuery("f", parse_query('SELECT ?s { ?s ?p "on" }'))
         assert match_faults(ds, fq) == frozenset()
@@ -60,13 +61,13 @@ class TestMatchFaults:
         quads = [Quad(IRI(EX + f"p{i}"), IRI(RDF_VALUE), Literal("on"), IRI(EX + f"g{i}"))
                  for i in range(146)]
         fq = FaultQuery("f", parse_query('SELECT ?s { ?s ?p "on" }'))
-        assert len(match_faults(Dataset.from_quads(quads), fq)) == 146
+        assert len(match_faults(from_quads(quads), fq)) == 146
 
     def test_each_solution_is_keyed_once(self, monkeypatch):
         quads = [Quad(IRI(EX + f"p{i}"), IRI(RDF_VALUE), Literal(v), IRI(EX + f"g{i}"))
                  for i, v in enumerate(["on", "off", "on", "on"])]
         fq = FaultQuery("f", parse_query('SELECT ?s ?v { ?s ?p ?v }'))
-        ds = Dataset.from_quads(quads)
+        ds = from_quads(quads)
         keyed = []
         original = sparql.binding_key
         monkeypatch.setattr(sparql, "binding_key",

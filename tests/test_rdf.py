@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldsim.ns import BRICK, DEFAULT_GRAPH, RDF_LANG_STRING, RDF_TYPE, XSD_INTEGER, XSD_STRING
+from ldsim.ns import (
+    BRICK,
+    DEFAULT_GRAPH,
+    RDF,
+    RDF_LANG_STRING,
+    RDF_TYPE,
+    RDFS,
+    XSD_INTEGER,
+    XSD_STRING,
+)
 from ldsim.rdf import (
     IRI,
     BlankNode,
@@ -15,7 +24,7 @@ from ldsim.rdf import (
     skolemize,
 )
 from ldsim.rdfio import ParseError, parse_document, serialize_dataset, serialize_triples
-from rdf_helpers import isomorphic, symmetric_difference
+from rdf_helpers import from_quads, isomorphic, symmetric_difference
 
 EX = "http://example.org/"
 A = IRI(EX + "a")
@@ -32,7 +41,7 @@ def quad(s, p, o, g) -> Quad:
 
 @pytest.fixture
 def d_two_graphs():
-    return Dataset.from_quads([
+    return from_quads([
         quad(A, P, B, G1),
         quad(A, P, Literal("5", XSD_INTEGER), G1),
         quad(B, P, C, G2),
@@ -42,7 +51,7 @@ def d_two_graphs():
 class TestDataset:
     def test_set_semantics(self):
         q = quad(A, P, B, G1)
-        ds = Dataset.from_quads([q, q, q])
+        ds = from_quads([q, q, q])
         assert len(ds) == 1
 
     def test_contains_and_projection(self, d_two_graphs):
@@ -59,7 +68,7 @@ class TestDataset:
         assert len(d_two_graphs) == 3 and len(d2) == 3
 
     def test_empty_graph_is_dropped(self):
-        ds = Dataset.from_quads([quad(A, P, B, G1)])
+        ds = from_quads([quad(A, P, B, G1)])
         d2 = ds.apply(remove=[quad(A, P, B, G1)], add=[])
         assert not d2.has_graph(G1.value)
         assert len(d2) == 0
@@ -100,7 +109,7 @@ class TestPredicateIndex:
     @settings(max_examples=150, deadline=None)
     @given(initial=st.lists(_quads, max_size=12), steps=_steps)
     def test_patched_equals_rebuilt(self, initial, steps):
-        d = Dataset.from_quads(initial)
+        d = from_quads(initial)
         d.pred_entries(P.value)  # build the index, so that children patch it
         for kind, arg in steps:
             parent = d
@@ -121,7 +130,7 @@ class TestPredicateIndex:
                 assert (entries is parent.pred_entries(p.value)) == unchanged
 
     def test_nav_collapses_scoped_copies(self):
-        d = Dataset.from_quads([quad(A, P, B, G1), quad(A, P, B, G2)])
+        d = from_quads([quad(A, P, B, G1), quad(A, P, B, G2)])
         fwd, bwd = d.pred_nav(P.value)
         assert list(fwd[A]) == [B] and list(bwd[B]) == [A]
         assert len(d.pred_entries(P.value)) == 2
@@ -191,8 +200,8 @@ class TestSymmetricDifference:
         q1 = quad(A, P, B, G1)
         q2 = quad(B, P, C, G1)
         q3 = quad(C, P, A, G1)
-        left = Dataset.from_quads([q1, q2])
-        right = Dataset.from_quads([q2, q3])
+        left = from_quads([q1, q2])
+        right = from_quads([q2, q3])
         assert set(symmetric_difference(left, right).quads()) == {q1, q3}
 
     def test_commutative_and_empty_iff_equal(self):
@@ -200,7 +209,7 @@ class TestSymmetricDifference:
         for _ in range(25):
             qs1 = {_random_quad(rng) for _ in range(rng.randrange(0, 12))}
             qs2 = {_random_quad(rng) for _ in range(rng.randrange(0, 12))}
-            d1, d2 = Dataset.from_quads(qs1), Dataset.from_quads(qs2)
+            d1, d2 = from_quads(qs1), from_quads(qs2)
             delta12 = symmetric_difference(d1, d2)
             delta21 = symmetric_difference(d2, d1)
             assert set(delta12.quads()) == set(delta21.quads())
@@ -258,7 +267,7 @@ class TestRoundTrip:
         assert parse_document(serialize_triples(triples), "turtle").__len__() == 0
 
     def test_single_triple(self):
-        ds = Dataset.from_quads([quad(A, P, Literal("on"), G1)])
+        ds = from_quads([quad(A, P, Literal("on"), G1)])
         text = serialize_triples(ds.graph(G1.value))
         assert parse_document(text, "turtle") == ds.graph(G1.value)
 
@@ -274,6 +283,19 @@ class TestRoundTrip:
         text = serialize_triples(triples)
         assert isomorphic(parse_document(text, "turtle"), triples)
 
+    @pytest.mark.parametrize("triple", [
+        pytest.param((P, IRI(RDFS + "subPropertyOf"), IRI(RDF_TYPE)), id="object"),
+        pytest.param((IRI(RDF_TYPE), IRI(RDFS + "label"), Literal("type")), id="subject"),
+        pytest.param((IRI(RDF_TYPE), IRI(RDF_TYPE), IRI(RDF + "Property")), id="all-three"),
+    ])
+    def test_rdf_type_outside_the_predicate_round_trips(self, triple):
+        # `a` abbreviates rdf:type as a predicate only (Turtle grammar [9]).
+        text = serialize_triples({triple})
+        assert "@prefix rdf: " in text
+        assert parse_document(text, "turtle") == {triple}
+        # The TriG of a dataset shares the writer and declares the prefix too.
+        assert "@prefix rdf: " in serialize_dataset(Dataset({EX + "g": frozenset({triple})}))
+
     @pytest.mark.parametrize("fmt", ["turtle", "n-triples"])
     def test_random_graphs_round_trip(self, fmt):
         rng = random.Random(23)
@@ -286,7 +308,7 @@ class TestRoundTrip:
     def test_serialize_dataset_exact_text(self):
         # The TriG of `ldsim build`: prefixes in use, the default graph's
         # triples bare, then each named graph's block in name order.
-        ds = Dataset.from_quads([
+        ds = from_quads([
             quad(A, P, B, IRI(DEFAULT_GRAPH)),
             quad(B, P, A, G2),
             quad(A, IRI(RDF_TYPE), IRI(BRICK + "Room"), G1),

@@ -641,6 +641,18 @@ class TestRawConnection:
                 reply = exchange(sock, blank + f"GET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
                 assert reply.status == 200
 
+    def test_cr_and_lf_arriving_apart_are_an_empty_line(self, served):
+        # The CR alone is not yet an empty line, so the request line is read
+        # up to the LF; the line that gives is skipped, not answered.
+        server, _, dynamic = served
+        path = command_resource(dynamic).graph[len(server.base):]
+        with connect(server) as sock:
+            sock.sendall(b"\r")
+            time.sleep(0.05)
+            reply = exchange(sock, f"\nGET /{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            assert reply.status == 200
+            assert exchange(sock, f"GET /{path} HTTP/1.1\r\n\r\n".encode()).status == 200
+
     def test_transfer_encoding_gets_501_and_closes(self, served):
         server, runtime, dynamic = served
         res = command_resource(dynamic)
@@ -1034,6 +1046,8 @@ class TestRequestRefusals:
                      id="long-header-line"),
         pytest.param(b"GET /" + b"a" * (65537 - 5), 414, id="long-request-line"),
         pytest.param(b"GET /sim extra HTTP/1.1\r\n", 400, id="four-words"),
+        pytest.param(b" \r\n", 400, id="blank-request-line"),
+        pytest.param(b"\t \t\n", 400, id="tab-request-line"),
     ])
     def test_refused_and_closed(self, served, head, status):
         with connect(served[0]) as sock:

@@ -39,7 +39,7 @@ from ldsim.sparql import (
     read_predicates,
     split_query,
 )
-from rdf_helpers import symmetric_difference
+from rdf_helpers import from_quads, symmetric_difference
 
 EX = "http://example.org/"
 VALUE = IRI(RDF_VALUE)
@@ -70,7 +70,7 @@ def lights():
     for i, state in enumerate(["on", "on", "on", "off"]):
         graph = f"{EX}property-L{i}"
         quads.append(Quad(IRI(graph + "#it"), VALUE, Literal(state), IRI(graph)))
-    return Dataset.from_quads(quads)
+    return from_quads(quads)
 
 
 class TestParser:
@@ -346,7 +346,7 @@ class TestQueryEval:
         assert all(isinstance(sol["s"], IRI) for sol in solutions)
 
     def test_distinct_solutions(self):
-        ds = Dataset.from_quads([q("a", "p", "b", EX + "g1"), q("a", "p", "b", EX + "g2")])
+        ds = from_quads([q("a", "p", "b", EX + "g1"), q("a", "p", "b", EX + "g2")])
         ast = parse_query(f"SELECT ?s {{ ?s <{EX}p> ?o }}")
         assert len(eval_query(ds, ast)) == 1
 
@@ -357,14 +357,14 @@ class TestQueryEval:
         assert [sol["g"].value for sol in sols] == [EX + "property-L3"]
 
     def test_filter_numeric_promotion(self):
-        ds = Dataset.from_quads([
+        ds = from_quads([
             Quad(IRI(EX + "s"), VALUE, Literal("300", XSD_INTEGER), IRI(EX + "g")),
         ])
         ast = parse_query("SELECT ?s { ?s ?p ?v FILTER(?v < 500.0) }")
         assert len(eval_query(ds, ast)) == 1
 
     def test_filter_type_error_is_false(self):
-        ds = Dataset.from_quads([
+        ds = from_quads([
             Quad(IRI(EX + "s"), VALUE, Literal("on"), IRI(EX + "g")),
         ])
         ast = parse_query("SELECT ?s { ?s ?p ?v FILTER(?v < 500) }")
@@ -380,7 +380,7 @@ class TestQueryEval:
 class TestPaths:
     @pytest.fixture
     def hierarchy(self):
-        return Dataset.from_quads([
+        return from_quads([
             q("floor", "hasPart", "wing"),
             q("wing", "hasPart", "room"),
             q("room", "hasPart", "desk"),
@@ -391,7 +391,7 @@ class TestPaths:
         assert closure(fwd, None, IRI(EX + "desk")) == set()
 
     def test_plus_two_step_chain(self):
-        ds = Dataset.from_quads([q("a", "p", "b"), q("b", "p", "c")])
+        ds = from_quads([q("a", "p", "b"), q("b", "p", "c")])
         assert closure(ds.pred_nav(EX + "p")[0], None, IRI(EX + "a")) == {
             IRI(EX + "b"), IRI(EX + "c")}
 
@@ -406,7 +406,7 @@ class TestPaths:
         nodes = [IRI(EX + n) for n in "abcdef"]
         for _ in range(20):
             edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randrange(12))}
-            ds = Dataset.from_quads(Quad(s, IRI(EX + "p"), o, IRI(EX + "g")) for s, o in edges)
+            ds = from_quads(Quad(s, IRI(EX + "p"), o, IRI(EX + "g")) for s, o in edges)
             closure = set(edges)
             while True:
                 longer = {(s, o2) for s, o in closure for o1, o2 in edges if o == o1}
@@ -433,8 +433,8 @@ class TestPaths:
             quads = {Quad(IRI(EX + rng.choice("abcdef")), IRI(EX + "p" + str(rng.randrange(2))),
                           IRI(EX + rng.choice("abcdef")), IRI(EX + "g" + str(rng.randrange(3))))
                      for _ in range(rng.randrange(0, 40))}
-            ds = Dataset.from_quads(quads)
-            alone = Dataset.from_quads(qd for qd in quads if qd.g.value == EX + "g0")
+            ds = from_quads(quads)
+            alone = from_quads(qd for qd in quads if qd.g.value == EX + "g0")
             # Neither end bound, the subject bound, the object bound.
             for body in (f"?a {path} ?b", f"<{EX}a> {path} ?b . ?b {path} ?c",
                          f"?a {path} <{EX}b>"):
@@ -478,7 +478,7 @@ class TestUpdateEval:
     def test_single_value_flip(self):
         graph = EX + "property-X"
         it = IRI(graph + "#it")
-        ds = Dataset.from_quads([Quad(it, VALUE, Literal("off"), IRI(graph))])
+        ds = from_quads([Quad(it, VALUE, Literal("off"), IRI(graph))])
         text = f"""
         PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
         DELETE {{ GRAPH <{graph}> {{ <{graph}#it> rdf:value "off" }} }}
@@ -513,7 +513,7 @@ class TestUpdateEval:
         assert delta.graph_names() == {EX + "property-L3"}
 
     def test_default_graph_templates(self):
-        ds = Dataset.from_quads([q("s", "p", "o")])
+        ds = from_quads([q("s", "p", "o")])
         text = f"INSERT {{ ?s <{EX}guarded> true }} WHERE {{ ?s <{EX}p> ?o }}"
         out = eval_update(ds, parse_update(text))
         assert len(out.graph(DEFAULT_GRAPH)) == 1
@@ -625,7 +625,7 @@ def test_update_matches_bruteforce_on_random_datasets(update_text):
             o = rng.choice([IRI(EX + rng.choice("abcd")), Literal(str(rng.randrange(4)))])
             g = IRI(EX + "g" + str(rng.randrange(3)))
             quads.add(Quad(s, p, o, g))
-        ds = Dataset.from_quads(quads)
+        ds = from_quads(quads)
         ctx = EvalContext(rng=AlwaysBelow(), iteration=1, op_id="u")
         engine_result = set(eval_update(ds, ast, ctx).quads())
         assert engine_result == brute_update(quads, ast)
@@ -642,7 +642,7 @@ def test_select_matches_bruteforce():
                            IRI(EX + "p" + str(rng.randrange(3))),
                            IRI(EX + rng.choice("abcdef")),
                            IRI(EX + "g" + str(rng.randrange(2)))))
-        ds = Dataset.from_quads(quads)
+        ds = from_quads(quads)
         engine_keys = {binding_key(s) for s in eval_query(ds, ast)}
         brute_keys = {binding_key({k: v for k, v in sol.items() if k in ("s", "g")})
                       for sol in brute_solutions(quads, ast.pattern)}
@@ -681,7 +681,7 @@ class TestGraphBlockLookup:
                                               Literal("1", XSD_INTEGER)])))
     def test_one_pattern_block_equals_brute_force(self, quads, s, o, bound):
         # Graph 3 is the default graph, which GRAPH ?g never matches.
-        ds = Dataset.from_quads(
+        ds = from_quads(
             Quad(IRI(EX + s_), IRI(EX + f"p{p}"),
                  IRI(EX + o_) if isinstance(o_, str) else Literal(str(o_), XSD_INTEGER),
                  IRI(DEFAULT_GRAPH if g == 3 else EX + f"g{g}"))
@@ -759,7 +759,7 @@ planned_groups = st.lists(st.one_of(patterns, patterns, graph_blocks, filters, j
 
 
 def random_dataset(quads) -> Dataset:
-    return Dataset.from_quads(
+    return from_quads(
         Quad(IRI(EX + s), IRI(EX + f"p{p}"),
              IRI(EX + o) if isinstance(o, str) else Literal(str(o), XSD_INTEGER),
              IRI(EX + f"g{g}"))
@@ -813,7 +813,7 @@ class TestJoinPlanning:
             assert eval_update(ds, update, ctx) == planned
 
     def test_filter_runs_as_soon_as_its_variables_are_bound(self):
-        ds = Dataset.from_quads([q("a", "p", "b"), q("b", "q", "c")])
+        ds = from_quads([q("a", "p", "b"), q("b", "q", "c")])
         group = parse_query(f"SELECT * {{ ?x <{EX}p> ?y . ?y <{EX}q> ?z "
                             f"FILTER(?z != ?x) FILTER(?x != <{EX}b>) "
                             f"FILTER(rand() < 2) }}").pattern
@@ -825,7 +825,7 @@ class TestJoinPlanning:
     def test_bound_first_and_connected(self):
         # The constant object matches once, so it goes first; the pattern
         # sharing no variable waits behind a linked one that fans out more.
-        ds = Dataset.from_quads([q("a", "p", "b"), q("a", "p", "c"), q("a", "p", "d"),
+        ds = from_quads([q("a", "p", "b"), q("a", "p", "c"), q("a", "p", "d"),
                                  q("b", "q", "x"), q("d", "q", "y"),
                                  q("x", "r", "y"), q("z", "r", "y"),
                                  Quad(IRI(EX + "a"), IRI(EX + "v"), Literal("on"), IRI(EX + "g")),
@@ -841,7 +841,7 @@ class TestJoinPlanning:
     def test_single_match_joins_early_and_lets_its_filter_prune(self):
         # The clock shares no variable, but it matches once, so it joins
         # before the linked pattern that fans out and its filter prunes.
-        ds = Dataset.from_quads([
+        ds = from_quads([
             q("x", "p", "a"), q("x", "p", "b"), q("y", "p", "c"),
             Quad(IRI(EX + "x"), IRI(EX + "v"), Literal("on"), IRI(EX + "g")),
             Quad(IRI(EX + "clock"), IRI(EX + "hour"), Literal("3", XSD_INTEGER),
@@ -855,7 +855,7 @@ class TestJoinPlanning:
         assert sparql._eval_group(ds, None, group, [{}], EvalContext()) == []
 
     def test_graph_name_bound_elsewhere_skips_the_default_graph(self):
-        ds = Dataset.from_quads([
+        ds = from_quads([
             Quad(IRI(EX + "x"), IRI(EX + "in"), IRI(DEFAULT_GRAPH), IRI(EX + "g")),
             Quad(IRI(EX + "x"), IRI(EX + "in"), IRI(EX + "g"), IRI(EX + "g")),
             q("s", "p", "o", DEFAULT_GRAPH)])
@@ -871,7 +871,7 @@ class TestJoinPlanning:
     ])
     def test_graph_block_filter_looking_outside_keeps_written_order(self, inner):
         # Unguarded, the planner would start with the one "on" value.
-        ds = Dataset.from_quads([q("a", "p", "b"), q("c", "p", "d"), q("b", "q", "c"),
+        ds = from_quads([q("a", "p", "b"), q("c", "p", "d"), q("b", "q", "c"),
                                  Quad(IRI(EX + "a"), IRI(EX + "v"), Literal("on"), IRI(EX + "g"))])
         inner = inner.format(ex=EX)
         group = parse_query(f"SELECT * {{ ?s <{EX}p> ?o . ?s <{EX}v> \"on\" . "
@@ -972,7 +972,7 @@ class TestSplitQuery:
         (("a", "for", "b"), [True, True, False]),
     ])
     def test_a_state_changes_only_with_the_maps_its_element_reads(self, removed, same):
-        ds = Dataset.from_quads([q("a", "type", "Light"), q("b", "type", "Light"),
+        ds = from_quads([q("a", "type", "Light"), q("b", "type", "Light"),
                                  q("x", "type", "Thing"), q("a", "for", "b"),
                                  q("a", "for", "c")])
         elements = parse_query(
@@ -1009,7 +1009,7 @@ class TestSplitQuery:
         assert split_query(query, set()) is None
 
     def test_a_growing_cross_product_is_not_kept(self):
-        ds = Dataset.from_quads([q("a", "p", "b"), q("c", "p", "d"), q("a", "q", "e"),
+        ds = from_quads([q("a", "p", "b"), q("c", "p", "d"), q("a", "q", "e"),
                                  q("c", "q", "f"), q("w", "sunrise", "x")])
         ctx = EvalContext()
         # Two fan-out patterns with no shared variable: the volatile

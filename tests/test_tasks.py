@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +282,19 @@ def schedule_counts(actions):
     return (sum(len(a.reads) for a in actions), sum(len(a.writes) for a in actions))
 
 
+TC2_SCHEDULE_SCRIPT = textwrap.dedent("""
+    from ldsim.building import GeneratorParams, build_dataset
+    from ldsim.engine import SimulationRuntime
+    from ldsim.tasks import build_environment, default_run_params, load_task, oracle_schedule
+
+    pd = build_dataset(params=GeneratorParams(seed=1))
+    task = load_task("TC2", pd.base)
+    runtime = SimulationRuntime(build_environment(task, pd, 1), task.fault_queries)
+    runtime.initialize(default_run_params(task, 48))
+    print(repr(oracle_schedule(task, runtime)))
+""")
+
+
 class TestOracleSchedules:
     def runtime_for(self, task, pd, seed=42, iterations=48):
         env = build_environment(task, pd, seed)
@@ -316,6 +334,21 @@ class TestOracleSchedules:
         reads, writes = schedule_counts(oracle_schedule(tasks["TC2"], runtime))
         assert reads == 146
         assert writes >= 146
+
+    def test_tc2_schedule_does_not_depend_on_hash_seed(self):
+        # Floors are read from the index, whose order follows string hashes.
+        # Under hash seeds 1 and 2 one order was written either way; under 3
+        # the other.
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            done = subprocess.run([sys.executable, "-c", TC2_SCHEDULE_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert "OracleAction(" in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("tid", ["TS1", "TS2", "TS3", "TC1", "TC2", "TC3",
                                      "TC4", "TC5", "TC6", "TC7"])
