@@ -256,9 +256,8 @@ def derive(triples: Collection[Triple], base: str = DEFAULT_BASE) -> Partitioned
     for i, room in enumerate(rooms, start=1):
         occ = iri(f"{base}.well-known/occupant-{i:03d}")
         graphs[DEFAULT_GRAPH].update(((occ, rdf_type, occupant), (occ, works_in, iri(room))))
-    return PartitionedDataset(
-        Dataset({name: frozenset(ts) for name, ts in graphs.items()}), dynamic, base,
-        len(triples))
+    dataset = Dataset({name: frozenset(ts) for name, ts in graphs.items()})
+    return PartitionedDataset(dataset, dynamic, base, source_triples=len(triples))
 
 
 # -- synthetic building -------------------------------------------------------

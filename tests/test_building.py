@@ -216,7 +216,7 @@ class TestPipeline:
 
 class TestDerivation:
     # SHA-256 of `serialize_dataset` and of the dynamic table (one tab-separated
-    # line per resource, in graph order) per seed, as first recorded for the
+    # line per resource, sorted by graph) per seed, as first recorded for the
     # building derived through staged quads. The derivation must not move them.
     DIGESTS = {
         0: ("b80d0eaf5b883e4e9e62f016924201854f407072c98f6190183bf481e36b68e6",
