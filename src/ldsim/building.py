@@ -5,9 +5,9 @@ generate a synthetic building when the original description is unavailable.
 `derive` does the partition, the property resources and the hidden occupant
 facts in one pass: each triple goes straight into the set of every graph
 that holds it, and each set is frozen once into the `Dataset`. Terms are
-shared: within a build, each distinct IRI and literal is one object (the
-generator and `derive` each keep an intern table, hash-consing in the sense
-of Filliatre & Conchon, ML Workshop 2006). Terms are tuple subclasses, which
+shared: within a build, each distinct IRI and literal is one object
+(`derive` keeps an intern table, hash-consing in the sense of Filliatre &
+Conchon, ML Workshop 2006). Terms are tuple subclasses, which
 the cyclic garbage collector tracks for as long as the dataset lives, so the
 dataset and the index built from it hold about 3k term objects instead of
 about 13k, and every later full collection walks that much less.
@@ -281,12 +281,8 @@ def generate_synthetic(params: GeneratorParams,
     def iri(local: str) -> IRI:
         return IRI(b + local)
 
-    terms: dict = {}
-    term = terms.setdefault  # one object per distinct term, as in `derive`
-
     def add(s, p, o):
-        p = IRI(p) if isinstance(p, str) else p
-        t.add((term(s, s), term(p, p), term(o, o)))
+        t.add((s, IRI(p) if isinstance(p, str) else p, o))
 
     building = iri("building")
     add(building, RDF_TYPE, IRI(BUILDING))

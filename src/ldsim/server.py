@@ -160,12 +160,10 @@ class _Handler(socketserver.BaseRequestHandler):
         So a head the read buffer holds whole is looked up in `heads` first,
         and one parsed without a side effect (no `Expect`) is kept there. A
         kept head has CRLF line breaks only, so its first CRLF CRLF is where
-        the parser stops too. Empty lines before the request line are
-        skipped first (RFC 9112 2.2), so neither sees them."""
+        the parser stops too. An empty line before the request line (RFC
+        9112 2.2) is consumed, one per call; a head that starts with one
+        is never kept, so the lookup misses it."""
         buffered = self.rfile.peek()
-        while buffered[:1] == b"\n" or buffered[:2] == b"\r\n":
-            self.rfile.read(buffered.index(b"\n") + 1)
-            buffered = self.rfile.peek()
         if not buffered:
             self.close_connection = True
             return False
@@ -178,7 +176,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 self.close_connection = known
             return True
         line = self.rfile.readline(MAX_LINE + 1)
-        if line in (b"\r\n", b"\n"):  # an empty line whose CR and LF arrived apart
+        if line in (b"\r\n", b"\n"):
             return False
         if not line.endswith(b"\n") and len(line) <= MAX_LINE:
             self.close_connection = True

@@ -124,12 +124,9 @@ class TestSynthetic:
         assert all(expected == actual
                    for _, expected, actual in validate_counts(table1_build, params))
 
-    def test_graph_size_distribution(self, table1_build):
-        # The building's own resources; a property graph holds four triples
-        # by design.
-        ds = table1_build.dataset
-        sizes = [len(ds.graph(name)) for name in ds.graph_names()
-                 if name not in table1_build.dynamic and name != DEFAULT_GRAPH]
+    def test_graph_size_distribution(self):
+        part = scoped(generate_synthetic(GeneratorParams()))
+        sizes = [len(part.graph(name)) for name in part.graph_names()]
         outliers = sum(1 for s in sizes if s < 5 or s > 50)
         assert outliers / len(sizes) <= 0.01
 
